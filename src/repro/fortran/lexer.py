@@ -190,6 +190,14 @@ def _splice_free_continuations(lines: List[_LogicalLine]) -> List[_LogicalLine]:
     return out
 
 
+def logical_lines(source: str) -> List[_LogicalLine]:
+    """Every statement of ``source`` in file order, fixed-form and
+    free-form continuations spliced: exactly what :class:`Lexer`
+    tokenizes, one :meth:`Lexer._lex_statement` call per entry."""
+
+    return _splice_free_continuations(list(_logical_lines(source)))
+
+
 class Lexer:
     """Tokenize Fortran source into a list of :class:`Token`.
 
@@ -203,7 +211,7 @@ class Lexer:
 
     def tokens(self) -> List[Token]:
         toks: List[Token] = []
-        lines = _splice_free_continuations(list(_logical_lines(self.source)))
+        lines = logical_lines(self.source)
         for ll in lines:
             if ll.label is not None:
                 toks.append(Token(LABEL, str(ll.label), ll.line, 1))

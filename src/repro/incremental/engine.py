@@ -271,6 +271,10 @@ class AnalysisEngine:
         self._store = store
         self._rev_next = 1
         self._spans: Dict[str, _SpanEntry] = {}
+        #: ``source -> spans`` of the last two sources split (the previous
+        #: walk and the current one): the invalidation diff and a rejected
+        #: edit's rollback read them instead of splitting again.
+        self._splits: Dict[str, List[UnitSpan]] = {}
         self._summaries: Dict[str, Dict[str, object]] = {p: {} for p in _PHASES}
         self._summary_revs: Dict[str, Dict[str, int]] = {p: {} for p in _PHASES}
         self._deps: Dict[str, _DepEntry] = {}
@@ -346,6 +350,7 @@ class AnalysisEngine:
         """Forget every cached result (statistics are kept)."""
 
         self._spans.clear()
+        self._splits.clear()
         for phase in _PHASES:
             self._summaries[phase].clear()
             self._summary_revs[phase].clear()
@@ -370,14 +375,17 @@ class AnalysisEngine:
         sources — the invalidation hook the session host broadcasts
         from after a mutating operation.
 
-        Purely a span-digest diff resolved through the parse cache, so
-        it costs one lexer pass per source and never parses anything;
-        digests the cache no longer holds (trimmed, never seen) are
-        simply not attributable and contribute no names.
+        Purely a span-digest diff resolved through the parse cache.  The
+        spans are read from the engine's last two splits (a session's
+        engine walked ``old_source`` before and ``new_source`` just now),
+        so the diff neither lexes nor parses anything; a source split
+        longer ago is split again.  Digests the cache no longer holds
+        (trimmed, never seen) are simply not attributable and contribute
+        no names.
         """
 
-        old = {s.digest for s in split_units(old_source)}
-        new = {s.digest for s in split_units(new_source)}
+        old = {s.digest for s in self._split(old_source)}
+        new = {s.digest for s in self._split(new_source)}
         changed: Set[str] = set()
         for digest in old.symmetric_difference(new):
             entry = self._spans.get(digest)
@@ -545,9 +553,22 @@ class AnalysisEngine:
     # node runners (one per graph node, in declaration order)
     # ------------------------------------------------------------------
 
+    def _split(self, source: str) -> List[UnitSpan]:
+        """``source``'s unit spans, from the last-two-splits memo when
+        it holds them.  A split skips lexing spans the parse cache
+        already holds; a split that raises is not remembered."""
+
+        spans = self._splits.pop(source, None)
+        if spans is None:
+            spans = split_units(source, known=self._spans)
+        self._splits[source] = spans
+        if len(self._splits) > 2:
+            del self._splits[next(iter(self._splits))]
+        return spans
+
     def _node_split(self, run: _Run) -> None:
         with self.stats.timer("split"):
-            run.spans = split_units(run.source)
+            run.spans = self._split(run.source)
         self._emit_progress("split", spans=len(run.spans))
 
     def _node_parse(self, run: _Run) -> None:
