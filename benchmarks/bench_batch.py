@@ -30,7 +30,6 @@ into ``benchmarks/out/batchtest.json``:
 """
 
 import json
-import threading
 import time
 from dataclasses import asdict
 
@@ -44,7 +43,7 @@ from repro.incremental import AnalysisEngine, program_fingerprint
 from repro.incremental.stats import EngineStats
 from repro.interproc import FeatureSet, analyze_program
 from repro.pipeline import CorpusRunner
-from repro.service import PedClient, PedServer, WorkerPool, serve_tcp
+from repro.service import PedClient, PedServer, WorkerPool
 from repro.workloads.generator import generate_program
 
 from conftest import OUT_DIR, save_artifact
@@ -283,13 +282,8 @@ def test_binary_frames_transfer_fewer_bytes(benchmark):
     bytes than the identical session over JSON lines."""
 
     srv = PedServer(max_workers=2)
-    tcp = serve_tcp(srv)
-    threading.Thread(
-        target=tcp.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    ).start()
-    port = tcp.server_address[1]
+    transport = AsyncTransport(srv)
+    port = transport.start_background()
 
     def run_session(binary: bool):
         with PedClient.connect(port=port) as c:
@@ -314,8 +308,7 @@ def test_binary_frames_transfer_fewer_bytes(benchmark):
             rounds=1, iterations=1, warmup_rounds=0,
         )
     finally:
-        tcp.shutdown()
-        tcp.server_close()
+        transport.stop_background()
         srv.close()
 
     assert bin_in < json_in, (bin_in, json_in)

@@ -14,12 +14,12 @@ without paying for the full fleet every round.
 """
 
 import json
-import threading
 import time
 
 import pytest
 
-from repro.service import PedClient, PedServer, serve_tcp
+from repro.fleet import AsyncTransport
+from repro.service import PedClient, PedServer
 from repro.workloads.generator import generate_program
 
 from conftest import save_artifact
@@ -47,16 +47,11 @@ def corpus(n):
 @pytest.fixture
 def served_client():
     srv = PedServer(max_workers=4)
-    tcp = serve_tcp(srv)
-    thread = threading.Thread(
-        target=tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    client = PedClient.connect(port=tcp.server_address[1])
+    transport = AsyncTransport(srv)
+    client = PedClient.connect(port=transport.start_background())
     yield client
     client.close()
-    tcp.shutdown()
-    tcp.server_close()
+    transport.stop_background()
     srv.close()
 
 

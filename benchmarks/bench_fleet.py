@@ -3,8 +3,8 @@
 Two claims the fleet subsystem makes, measured:
 
 1. *Connection scale* — the asyncio transport sustains 500 concurrent
-   client connections on one event loop (the threaded front end burns a
-   thread per client and tops out far earlier), answering request
+   client connections on one event loop (a thread per client would top
+   out far earlier), answering request
    sweeps across all of them with the connection gauge confirming the
    high-water mark.
 2. *Routed parity* — a corpus partitioned across a 2-shard fleet by the

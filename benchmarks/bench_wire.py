@@ -6,7 +6,7 @@ JSON-lines bytes once a connection climbs the negotiation ladder
 frames and frames deflate against per-connection dictionaries seeded
 from the delta baselines.  This bench measures exactly that, twice:
 
-* an 8-edit streamed editing session against a threaded server, run
+* an 8-edit streamed editing session against one server, run
   three times — raw JSON lines, v5 binary frames, v6 compression — and
 * a corpus submit fanned over a 2-shard fleet behind a router, with the
   client and the shard hops at the same level.
@@ -22,13 +22,12 @@ alone.  ``benchmarks/out/wire.json`` gets the numbers;
 """
 
 import json
-import threading
 import time
 
 import pytest
 
 from repro.fleet import AsyncTransport, FleetRouter
-from repro.service import PedClient, PedServer, serve_tcp
+from repro.service import PedClient, PedServer
 from repro.workloads.generator import generate_program
 
 from conftest import save_artifact
@@ -58,13 +57,10 @@ def _streamed_session(mode: str) -> dict:
 
     source = generate_program(n_routines=8)
     srv = PedServer(max_workers=4)
-    tcp = serve_tcp(srv)
-    thread = threading.Thread(
-        target=tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
+    transport = AsyncTransport(srv)
+    port = transport.start_background()
     try:
-        with PedClient.connect(port=tcp.server_address[1]) as client:
+        with PedClient.connect(port=port) as client:
             _negotiate(client, mode)
             events = []
             t0 = time.perf_counter()
@@ -96,10 +92,8 @@ def _streamed_session(mode: str) -> dict:
                 "fingerprint": fingerprint,
             }
     finally:
-        tcp.shutdown()
-        tcp.server_close()
+        transport.stop_background()
         srv.close()
-        thread.join(2)
 
 
 def _fleet_submit(mode: str) -> dict:

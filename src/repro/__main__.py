@@ -8,7 +8,7 @@
 ``python -m repro corpus submit``   — submit a corpus batch to a server
 ``python -m repro corpus status``   — poll a server-side corpus job
 ``python -m repro corpus query``    — fleet-wide aggregate from a server
-``python -m repro fleet shard``     — one shard server (asyncio transport)
+``python -m repro fleet shard``     — one shard server (serve, ephemeral port)
 ``python -m repro fleet route``     — shard router over a consistent ring
 ``python -m repro stats``           — merged metrics from a server/router
 ``python -m repro journal NAME``    — page a session's mutation journal
@@ -140,12 +140,10 @@ def cmd_auto(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import (
-        MAX_REQUEST_BYTES,
-        PedServer,
-        serve_stdio,
-        serve_tcp,
-    )
+    """A session server on stdio or TCP (``fleet shard`` is this too)."""
+
+    from .fleet import serve_async_stdio, serve_async_tcp
+    from .service import MAX_REQUEST_BYTES, PedServer
 
     server = PedServer(
         jobs=args.jobs or 1,
@@ -154,25 +152,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_request_bytes=args.max_request_bytes or MAX_REQUEST_BYTES,
     )
     try:
-        if args.use_async:
-            from .fleet import serve_async_stdio, serve_async_tcp
-
-            if args.stdio:
-                serve_async_stdio(server)
-            else:
-                serve_async_tcp(server, bind=args.host, port=args.port)
-        elif args.stdio:
-            serve_stdio(server)
+        if args.stdio:
+            serve_async_stdio(server)
         else:
-            tcp = serve_tcp(server, host=args.host, port=args.port)
-            host, port = tcp.server_address[:2]
-            print(f"ped server listening on {host}:{port}", file=sys.stderr)
-            try:
-                tcp.serve_forever(poll_interval=0.2)
-            except KeyboardInterrupt:
-                pass
-            finally:
-                tcp.server_close()
+            serve_async_tcp(server, bind=args.host, port=args.port)
     finally:
         server.close()
     return 0
@@ -317,26 +300,6 @@ def cmd_corpus_query(args: argparse.Namespace) -> int:
     with _corpus_client(args) as client:
         result = client.corpus_query(args.job, args.aggregate)
         print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_fleet_shard(args: argparse.Namespace) -> int:
-    """One shard server on the asyncio transport (``serve --async``
-    with fleet-flavoured defaults: ephemeral port unless given)."""
-
-    from .fleet import serve_async_tcp
-    from .service import MAX_REQUEST_BYTES, PedServer
-
-    server = PedServer(
-        jobs=args.jobs or 1,
-        cache_dir=args.cache_dir,
-        max_workers=args.workers,
-        max_request_bytes=args.max_request_bytes or MAX_REQUEST_BYTES,
-    )
-    try:
-        serve_async_tcp(server, bind=args.host, port=args.port)
-    finally:
-        server.close()
     return 0
 
 
@@ -551,15 +514,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="serve one client on stdin/stdout instead of TCP",
     )
-    p.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help=(
-            "serve on the asyncio fleet transport (one event loop for "
-            "all connections) instead of a thread per client"
-        ),
-    )
     server_flags(p)
     p.set_defaults(fn=cmd_serve)
 
@@ -632,10 +586,10 @@ def main(argv=None) -> int:
     fsub = fleet.add_subparsers(dest="fleet_command", required=True)
 
     p = fsub.add_parser(
-        "shard", help="one shard server on the asyncio transport"
+        "shard", help="one shard server (serve on an ephemeral port)"
     )
     server_flags(p)
-    p.set_defaults(fn=cmd_fleet_shard, port=0, stdio=False)
+    p.set_defaults(fn=cmd_serve, port=0, stdio=False)
 
     p = fsub.add_parser(
         "route", help="consistent-hash router over --shard servers"

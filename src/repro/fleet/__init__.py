@@ -4,14 +4,13 @@ The session service (:mod:`repro.service`) scales one *process* — a
 worker pool per server, lease-coordinated sharing of one cache dir per
 machine.  This package scales the *fleet*:
 
-* :mod:`repro.fleet.transport` — an :mod:`asyncio` transport speaking
-  the exact :mod:`repro.service.protocol` envelopes over TCP or stdio.
-  One event loop multiplexes thousands of connections (the threaded
-  front end burns a thread per client); request bodies still run on the
-  host's worker threads, so handler code is shared verbatim between the
-  two transports.  Per-connection backpressure via a bounded outbound
-  queue plus ``drain()``, graceful drain on shutdown, and connection
-  gauges feeding the ``metrics`` op.
+* :mod:`repro.fleet.transport` — the one front end: an :mod:`asyncio`
+  transport speaking the :mod:`repro.service.protocol` envelopes over
+  TCP or stdio, for a session host and a router alike.  One event loop
+  multiplexes thousands of connections; request bodies run on the
+  host's worker threads.  Per-connection backpressure via a bounded
+  outbound queue plus ``drain()``, graceful drain on shutdown, and
+  connection gauges feeding the ``metrics`` op.
 * :mod:`repro.fleet.ring` — a consistent-hash ring mapping program and
   session keys onto shard nodes, with an ordered preference walk for
   failover rehash.
@@ -24,9 +23,9 @@ machine.  This package scales the *fleet*:
   pair-test memo over the ``memo.pull`` / ``memo.push`` ops, so a
   verdict proved on one shard warms the whole fleet.
 
-``python -m repro serve --async`` serves one host on the asyncio
-transport; ``python -m repro fleet shard`` / ``fleet route`` stand up a
-routed fleet (see the README quick-start).
+``python -m repro serve`` serves one session host on the transport;
+``python -m repro fleet shard`` (the same, on an ephemeral port) /
+``fleet route`` stand up a routed fleet (see the README quick-start).
 """
 
 from __future__ import annotations

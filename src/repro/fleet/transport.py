@@ -1,13 +1,12 @@
-"""The asyncio transport: thousands of connections on one event loop.
+"""The one front end: every client connection on one asyncio loop.
 
-The threaded front end (:mod:`repro.service.server`) burns an OS thread
-per client, which tops out around the low hundreds of connections.
-This transport multiplexes every connection onto one :mod:`asyncio`
-loop while *reusing the host unchanged*: request bodies still run on
-the host's worker-thread pool (``host.executor``) through the exact
-``execute(req, emit)`` entry the threaded transport calls, so the two
-front ends cannot drift in behavior — same envelopes, same error types,
-same ``seq`` guarantees, byte-identical results.
+``python -m repro serve`` (TCP), ``serve --stdio`` and the fleet
+router all speak the :mod:`repro.service.protocol` envelopes through
+this module.  Connections are multiplexed onto one :mod:`asyncio` loop
+while request bodies run on the host's worker-thread pool
+(``host.executor``) through its ``execute(req, emit)`` entry, so a
+slow analysis never stalls the loop and thousands of idle connections
+cost no threads.
 
 **Host interface.**  Anything with ``execute(req, emit)``,
 ``executor``, ``shutdown_event``, ``max_request_bytes``,
@@ -49,12 +48,21 @@ same ``seq`` guarantees, byte-identical results.
 **Graceful drain.**  ``shutdown`` (the op, or :meth:`AsyncTransport.
 stop_background`) stops the accept loop, lets in-flight requests answer
 within ``drain_timeout``, then closes the remaining connections.
+
+**Stdio.**  :meth:`AsyncTransport.serve_stdio` runs the same connection
+class over one stdin/stdout pair, whatever they are — pipes, regular
+files or a TTY: a reader thread feeds stdin's bytes to the loop and
+the writer side is a plain blocking write.  End of input means the
+client has said everything, so every request already read is answered
+before the connection closes (``serve --stdio < requests.jsonl`` gets
+all its replies).
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import os
 import sys
 import threading
 from typing import Dict, Optional, Set
@@ -104,18 +112,25 @@ class _CompressSwitch:
 
 
 class _AsyncConnection:
-    """One client on the event loop."""
+    """One client on the event loop.
+
+    ``finish_on_eof`` answers every request already read when the
+    input ends (stdio) instead of dropping in-flight replies (a TCP
+    client that closed its socket is gone).
+    """
 
     def __init__(
         self,
         transport: "AsyncTransport",
         reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        writer,
+        finish_on_eof: bool = False,
     ) -> None:
         self.transport = transport
         self.host = transport.host
         self.reader = reader
         self.writer = writer
+        self.finish_on_eof = finish_on_eof
         self._seq = protocol.Sequencer()
         self._outq: "asyncio.Queue[Optional[Dict]]" = asyncio.Queue(
             maxsize=OUTBOUND_QUEUE
@@ -223,8 +238,7 @@ class _AsyncConnection:
                         break
                 # Trickle aid: when a compressed connection has nothing
                 # but progress events in hand, wait out the coalescing
-                # window for company — the same grace the threaded
-                # server's flush timer gives.  Anything non-coalescible
+                # window for company.  Anything non-coalescible
                 # (a reply, a sentinel) aborts the wait immediately, so
                 # terminal replies are never held back.
                 if compress and all(
@@ -522,6 +536,8 @@ class _AsyncConnection:
                 if self.host.shutdown_event.is_set():
                     break
         finally:
+            if self.finish_on_eof and not self.host.shutdown_event.is_set():
+                await self.finish_requests(None)
             await self._teardown()
 
     async def _run_binary(self, head: bytes) -> None:
@@ -583,7 +599,7 @@ class _AsyncConnection:
         except (ConnectionError, OSError):
             pass
 
-    async def finish_requests(self, timeout: float) -> None:
+    async def finish_requests(self, timeout: Optional[float]) -> None:
         """Graceful-drain helper: wait for in-flight requests."""
 
         pending = [t for t in self._inflight if not t.done()]
@@ -614,11 +630,16 @@ class AsyncTransport:
 
     # -- loop-side lifecycle -------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listening socket (``self.port`` gets the real port)."""
+    def _attach(self) -> None:
+        """Bind this transport to the running loop."""
 
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
+
+    async def start(self) -> None:
+        """Bind the listening socket (``self.port`` gets the real port)."""
+
+        self._attach()
         self._server = await asyncio.start_server(
             self._on_client, self.bind, self.port
         )
@@ -675,6 +696,41 @@ class AsyncTransport:
         for conn in list(self._connections):
             await conn._teardown()
 
+    async def serve_stdio(self, stdin, stdout) -> None:
+        """Serve one client on a binary ``stdin``/``stdout`` pair until
+        end of input or ``shutdown``.
+
+        One path for every kind of stream: a daemon thread blocks in
+        ``os.read`` on stdin's descriptor (no buffered-reader lock held
+        at interpreter exit) and hands chunks to the loop; replies go
+        out as blocking writes, which a pipe, a file and a TTY all take.
+        """
+
+        self._attach()
+        loop = self._loop
+        reader = asyncio.StreamReader()
+        fd = stdin.fileno()
+
+        def pump() -> None:
+            try:
+                while True:
+                    try:
+                        chunk = os.read(fd, CHUNK)
+                    except OSError:
+                        chunk = b""
+                    if not chunk:
+                        loop.call_soon_threadsafe(reader.feed_eof)
+                        return
+                    loop.call_soon_threadsafe(reader.feed_data, chunk)
+            except RuntimeError:
+                pass  # the loop closed under us: nobody is listening
+
+        threading.Thread(target=pump, name="stdio-reader", daemon=True).start()
+        conn = _AsyncConnection(
+            self, reader, _BlockingWriter(stdout), finish_on_eof=True
+        )
+        await conn.run()
+
     # -- thread-side helpers (tests, embedding) ------------------------
 
     def start_background(self) -> int:
@@ -710,16 +766,38 @@ class AsyncTransport:
             self._thread.join(timeout=timeout)
 
 
+class _BlockingWriter:
+    """The slice of :class:`asyncio.StreamWriter` a connection uses,
+    as blocking writes to a binary stream.  Stdio has exactly one
+    client, so the loop waiting on its stdout is that client's own
+    backpressure."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def write(self, data: bytes) -> None:
+        self.stream.write(data)
+        self.stream.flush()
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass  # stdout belongs to the process, not the connection
+
+    async def wait_closed(self) -> None:
+        pass
+
+
 def serve_async_tcp(host, bind: str = "127.0.0.1", port: int = 0) -> None:
-    """Serve ``host`` over asyncio TCP until shutdown (blocking)."""
+    """Serve ``host`` over TCP until shutdown (blocking)."""
 
     transport = AsyncTransport(host, bind=bind, port=port)
 
     async def main() -> None:
         await transport.start()
         print(
-            f"ped fleet server (asyncio) listening on "
-            f"{transport.bind}:{transport.port}",
+            f"ped server listening on {transport.bind}:{transport.port}",
             file=sys.stderr,
             flush=True,
         )
@@ -731,32 +809,12 @@ def serve_async_tcp(host, bind: str = "127.0.0.1", port: int = 0) -> None:
         pass
 
 
-def serve_async_stdio(host, rpipe=None, wpipe=None) -> None:
-    """Serve one client on stdin/stdout through the asyncio machinery.
+def serve_async_stdio(host) -> None:
+    """Serve one client on the process's stdin/stdout until end of
+    input or shutdown (blocking)."""
 
-    The same connection class as TCP — framing, backpressure, seq
-    stamping — attached to pipe transports instead of a socket.
-    """
-
-    async def main() -> None:
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader()
-        await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader),
-            rpipe if rpipe is not None else sys.stdin.buffer,
-        )
-        w_transport, w_protocol = await loop.connect_write_pipe(
-            asyncio.streams.FlowControlMixin,
-            wpipe if wpipe is not None else sys.stdout.buffer,
-        )
-        writer = asyncio.StreamWriter(w_transport, w_protocol, reader, loop)
-        shim = AsyncTransport(host)
-        shim._loop = loop
-        shim._shutdown = asyncio.Event()
-        conn = _AsyncConnection(shim, reader, writer)
-        await conn.run()
-
+    transport = AsyncTransport(host)
     try:
-        asyncio.run(main())
+        asyncio.run(transport.serve_stdio(sys.stdin.buffer, sys.stdout.buffer))
     except KeyboardInterrupt:
         pass

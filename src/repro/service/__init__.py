@@ -9,11 +9,11 @@ Three cooperating subsystems on top of the incremental engine:
   content-addressed on-disk store that lets a reopened session start
   warm;
 * :mod:`repro.service.protocol` / :mod:`repro.service.session_host` /
-  :mod:`repro.service.server` / :mod:`repro.service.client` — a
-  JSON-lines envelope protocol (requests, replies, server-push events
-  with per-connection sequence ids), the transport-agnostic session
-  host, the stdio/TCP transports (``python -m repro serve``) and a thin
-  client with a streaming iterator/callback API;
+  :mod:`repro.service.client` — a JSON-lines envelope protocol
+  (requests, replies, server-push events with per-connection sequence
+  ids), the transport-agnostic session host and a thin client with a
+  streaming iterator/callback API.  The host is served over TCP or
+  stdio (``python -m repro serve``) by :mod:`repro.fleet.transport`;
 * :mod:`repro.service.storelock` — lease-based coordination so N server
   processes can share one ``--cache-dir`` (and exchange pair-test memo
   deltas through it);
@@ -59,8 +59,6 @@ __all__ = [
     "ServerUnavailableError",
     "UnsupportedOpError",
     "ServerEvent",
-    "serve_stdio",
-    "serve_tcp",
 ]
 
 
@@ -100,10 +98,10 @@ def build_engine(
 
 
 def __getattr__(name: str):
-    if name in ("PedServer", "serve_stdio", "serve_tcp"):
-        from . import server
+    if name == "PedServer":
+        from .session_host import PedServer
 
-        return getattr(server, name)
+        return PedServer
     if name in (
         "PedClient",
         "PedRequestError",

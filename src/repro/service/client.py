@@ -58,6 +58,9 @@ catches that one type instead of string-matching messages.
 **Transport failures.**  A connect refusal, a reset socket or a broken
 pipe raises :class:`ServerUnavailableError` (type ``connection``) — a
 typed signal callers can branch on instead of catching raw ``OSError``.
+Once the connection has ended (the reader saw EOF), outstanding
+requests fail with it and every new request raises it at once, instead
+of waiting out a timeout nothing could ever beat.
 :meth:`PedClient.connect` takes ``retries``/``backoff``/``jitter``:
 transient connect errors are retried with exponential backoff plus
 jitter up to the bound.  Retries default *off* so tests (and anything
@@ -190,6 +193,9 @@ class PedClient:
         self._listener_ids = itertools.count(1)
         self._ids = itertools.count(1)
         self._closed = False
+        #: Set (under ``_pending_lock``) once the reader thread is gone:
+        #: nothing would ever resolve a request registered after that.
+        self._eof = False
         self._reader = threading.Thread(
             target=self._read_loop, name="ped-client-reader", daemon=True
         )
@@ -319,7 +325,7 @@ class PedClient:
         except (OSError, ValueError):
             pass  # stream torn down under the reader
         finally:
-            self._fail_pending("connection closed")
+            self._fail_pending("connection closed", eof=True)
 
     def _read_lines_binary(self) -> None:
         """JSON-lines over a byte stream; hands off to the frame loop
@@ -473,15 +479,28 @@ class PedClient:
                 _error_from(op, reply.get("error") or {})
             )
 
-    def _fail_pending(self, why: str) -> None:
+    def _fail_pending(self, why: str, eof: bool = False) -> None:
+        """Fail every outstanding request; ``eof`` (the reader is gone)
+        also fails every later one at once."""
+
         with self._pending_lock:
+            if eof:
+                self._eof = True
             pending, self._pending = dict(self._pending), {}
             self._ops.clear()
             self._event_sinks.clear()
             self._batch_sinks.clear()
         for future in pending.values():
             if not future.done():
-                future.set_exception(PedRequestError("connection", why))
+                future.set_exception(ServerUnavailableError(why))
+
+    def _register(self, rid, op: str, future: Future) -> None:
+        """Track one outgoing request (caller holds ``_pending_lock``)."""
+
+        if self._closed or self._eof:
+            raise ServerUnavailableError(f"connection closed; {op!r} not sent")
+        self._pending[rid] = future
+        self._ops[rid] = op
 
     # ------------------------------------------------------------------
     # requests
@@ -516,8 +535,7 @@ class PedClient:
             req["stream"] = True
         future: Future = Future()
         with self._pending_lock:
-            self._pending[rid] = future
-            self._ops[rid] = op
+            self._register(rid, op, future)
             if on_event is not None:
                 self._event_sinks[rid] = on_event
             if on_batch is not None:
@@ -576,8 +594,7 @@ class PedClient:
         rid = next(self._ids)
         future: Future = Future()
         with self._pending_lock:
-            self._pending[rid] = future
-            self._ops[rid] = protocol.FRAMES_OP
+            self._register(rid, protocol.FRAMES_OP, future)
             self._frames_rid = rid
         req = {"id": rid, "op": protocol.FRAMES_OP, "mode": "binary"}
         with self._write_lock:

@@ -26,7 +26,7 @@ shared memo and get one flat ``{key: number}`` dict:
   ``server.uptime_s`` — live transport gauges (how many clients are
   connected right now, the high-water mark, and how long this server
   process has been up), read from the server when one is attached.
-* ``net.bytes_in`` / ``net.bytes_out`` — wire bytes both transports
+* ``net.bytes_in`` / ``net.bytes_out`` — wire bytes the transport
   actually read and wrote (JSON lines and binary frames alike).
   ``net.bytes_out_raw`` is what the same traffic would have cost
   uncompressed, so ``net.compress_ratio = bytes_out / bytes_out_raw``

@@ -341,14 +341,16 @@ COMPRESS_MAX_RATIO = 0.9
 #: zlib level for wire compression (6 = zlib's own default trade-off).
 COMPRESS_LEVEL = 6
 
-#: Event-coalescing knobs shared by both transports: a buffered burst
-#: flushes when it reaches COALESCE_MAX events, when any non-coalescible
-#: envelope (a reply, a broadcast) must go out behind it, or when the
-#: flush window expires — progress events trade at most this much
+#: Event-coalescing knobs of the transport's write loop: a burst of
+#: progress events flushes when it reaches COALESCE_MAX events, when any
+#: non-coalescible envelope (a reply, a broadcast) arrives behind it, or
+#: when the window expires — progress events trade at most this much
 #: latency for riding a shared frame, and only on connections that
-#: negotiated compression.
+#: negotiated compression.  An edit's reanalysis emits its progress in
+#: bursts a few milliseconds apart, so the window spans more than one
+#: burst; terminal replies never wait on it.
 COALESCE_MAX = 32
-COALESCE_WINDOW = 0.005
+COALESCE_WINDOW = 0.015
 
 _OP_COPY = 1
 _OP_INSERT = 2

@@ -4,9 +4,9 @@
 hosts any number of concurrent, named
 :class:`~repro.editor.session.PedSession` instances and executes
 protocol requests (see :mod:`repro.service.protocol` for the envelope
-grammar) against them.  Transports (stdio, TCP — see
-:mod:`repro.service.server`) feed it one request dict at a time and
-write back whatever envelopes it produces.
+grammar) against them.  The transport (stdio or TCP — see
+:mod:`repro.fleet.transport`) feeds it one request dict at a time and
+writes back whatever envelopes it produces.
 
 **Event core.**  :meth:`PedServer.execute` takes an optional ``emit``
 callback; a request carrying ``"stream": true`` has its analysis
@@ -161,9 +161,9 @@ class PedServer:
         self._listener_ids = 0
         self._tls = threading.local()
         self.shutdown_event = threading.Event()
-        #: Live transport gauges: every front end (threaded stdio/TCP,
-        #: asyncio fleet transport) counts its clients here, and
-        #: ``metrics`` reports them as ``server.connections.open/.peak``.
+        #: Live transport gauges: every connection (stdio or TCP)
+        #: counts itself here, and ``metrics`` reports them as
+        #: ``server.connections.open/.peak``.
         self.connections = ConnectionGauge()
         #: Process start mark for the ``server.uptime_s`` gauge.
         self.started_monotonic = time.monotonic()

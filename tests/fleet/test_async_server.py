@@ -1,7 +1,7 @@
 """Protocol error paths and ordering over the asyncio transport.
 
-The same :class:`PedServer` that the threaded front end drives runs
-behind :class:`AsyncTransport` here; every abuse a client can inflict —
+A :class:`PedServer` runs behind :class:`AsyncTransport` here; every
+abuse a client can inflict —
 oversized request lines, malformed JSON, unknown ops, disconnecting
 mid-stream — must produce a structured error (or a clean teardown)
 without killing the server or wedging other connections.

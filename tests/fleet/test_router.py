@@ -5,6 +5,7 @@ deterministic); the kill tests run a real ``python -m repro fleet
 shard`` subprocess so death is a SIGKILL, not a polite drain.
 """
 
+import itertools
 import json
 import os
 import re
@@ -42,6 +43,16 @@ def _programs(n=8):
         )
         for i in range(n)
     ]
+
+
+def _names_owned_by(ring, shard, n):
+    """``n`` program/session names whose ring owner is ``shard``: the
+    ring hashes ephemeral ports, so fixed names can all land on one
+    shard."""
+
+    names = (f"k{i:03d}" for i in itertools.count())
+    owned = (k for k in names if ring.preference(k)[0] == shard)
+    return list(itertools.islice(owned, n))
 
 
 @pytest.fixture
@@ -111,12 +122,15 @@ def test_unknown_op_passes_through(rclient):
     assert err.value.type == "unknown-op"
 
 
-def test_corpus_fanout_matches_single_host(rclient):
+def test_corpus_fanout_matches_single_host(rclient, fleet):
     """The tentpole parity claim: a corpus routed across two shards
     produces byte-identical aggregates and per-program fingerprints to
     the same corpus on one host."""
 
-    programs = _programs(8)
+    addrs, router, _ = fleet
+    names = _names_owned_by(router.ring, addrs[0], 4)
+    names += _names_owned_by(router.ring, addrs[1], 4)
+    programs = [(name, src) for name, (_n, src) in zip(names, _programs(8))]
     reply = rclient.corpus_submit(programs, wait=True)
     assert reply["complete"] is True
     assert reply["total"] == 8 and reply["errors"] == 0
@@ -301,6 +315,45 @@ def test_dead_shard_rehashes_to_survivor():
             proc.wait(timeout=10)
 
 
+def test_killed_idle_shard_rehashes_at_once():
+    """SIGKILL a shard whose cached client sits idle: the next request
+    keyed to it fails fast on the dead connection and rehashes onto
+    the survivor instead of waiting out the forward timeout."""
+
+    doomed_proc, doomed = _spawn_shard()
+    live_proc, live = _spawn_shard()
+    router = FleetRouter([doomed, live], retries=0, backoff=0.01)
+    try:
+        transport = AsyncTransport(router)
+        rport = transport.start_background()
+        keys = _names_owned_by(router.ring, doomed, 2)
+        with PedClient.connect(port=rport) as client:
+            source = generate_program()
+            client.request("open", session=keys[0], source=source, wait=120)
+            reader = router._clients[doomed]._reader
+            doomed_proc.send_signal(signal.SIGKILL)
+            doomed_proc.wait(timeout=10)
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+
+            start = time.monotonic()
+            opened = client.request(
+                "open", session=keys[1], source=source, wait=120
+            )
+            assert opened["session"] == keys[1]
+            metrics = client.request("metrics", wait=60)["metrics"]
+            assert time.monotonic() - start < 10.0
+            assert metrics["router.rehash"] >= 1
+            assert client.request("ping")["fleet"]["dead"] == [doomed]
+    finally:
+        transport.stop_background()
+        router.close()
+        for proc in (doomed_proc, live_proc):
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+
+
 def test_kill_mid_corpus_retries_in_flight_programs():
     """SIGKILL a shard while its sub-batch is streaming results: the
     router rehashes the in-flight programs onto the survivor and the
@@ -312,7 +365,13 @@ def test_kill_mid_corpus_retries_in_flight_programs():
     try:
         transport = AsyncTransport(router)
         rport = transport.start_background()
-        programs = _programs(12)
+        # The doomed shard owns 9 of the 12 programs, so whichever
+        # progress event comes first it still has work in flight.
+        names = _names_owned_by(router.ring, doomed, 9)
+        names += _names_owned_by(router.ring, live, 3)
+        programs = [
+            (name, src) for name, (_n, src) in zip(names, _programs(12))
+        ]
         killed = threading.Event()
 
         with PedClient.connect(port=rport) as client:

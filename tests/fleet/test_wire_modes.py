@@ -7,6 +7,7 @@ and both ends compressed (where the router relays coalesced shard
 bursts as single batch events).
 """
 
+import itertools
 import threading
 
 import pytest
@@ -22,7 +23,23 @@ SIMPLE = (
     " 10   continue\n"
     "      end\n"
 )
-PROGRAMS = [{"name": f"p{i}", "source": SIMPLE} for i in range(6)]
+
+
+def _programs(ring, per_shard=3):
+    """Three programs owned by each of the two shards.  The ring hashes
+    ephemeral ports, so fixed names could all land on one shard — and
+    then only one shard client (one wire negotiation) ever exists."""
+
+    owned = {}
+    picked = []
+    for i in itertools.count():
+        name = f"p{i}"
+        owner = ring.preference(name)[0]
+        if owned.get(owner, 0) < per_shard:
+            owned[owner] = owned.get(owner, 0) + 1
+            picked.append(name)
+        if len(picked) == 2 * per_shard:
+            return [{"name": n, "source": SIMPLE} for n in picked]
 
 
 def _build(wire: str):
@@ -49,6 +66,7 @@ def _teardown(shards, router, rtransport):
 
 def _run(client_mode: str, wire: str):
     shards, router, rtransport, rport = _build(wire)
+    programs = _programs(router.ring)
     try:
         events = []
         lock = threading.Lock()
@@ -64,7 +82,7 @@ def _run(client_mode: str, wire: str):
             if client_mode == "compress":
                 assert client.negotiate_compression() is True
             handle = client.submit(
-                "corpus.submit", programs=PROGRAMS, job="j", wait=True,
+                "corpus.submit", programs=programs, job="j", wait=True,
                 stream=True, on_event=on_event,
             )
             reply = handle.result(120)
@@ -77,6 +95,7 @@ def _run(client_mode: str, wire: str):
                       for k in ("total", "done", "errors", "complete")},
             "value": value,
             "programs": sorted(p for p, _, _ in progress),
+            "submitted": sorted(p["name"] for p in programs),
             "dones": sorted(d for _, d, _ in progress),
             "totals": sorted({t for _, _, t in progress}),
             "router_counters": dict(router.stats.counters),
@@ -101,7 +120,7 @@ def test_mixed_peer_fleet_parity(client_mode, wire):
     }
     # Fleet-wide renumbering survives every hop combination: each
     # program reported once, done counts 1..6, totals fleet-wide.
-    assert result["programs"] == sorted(p["name"] for p in PROGRAMS)
+    assert result["programs"] == result["submitted"]
     assert result["dones"] == [1, 2, 3, 4, 5, 6]
     assert result["totals"] == [6]
     counters = result["router_counters"]
@@ -124,4 +143,4 @@ def test_all_modes_agree_on_aggregates():
     for other in results[1:]:
         assert other["value"] == base["value"]
         assert other["reply"] == base["reply"]
-        assert other["programs"] == base["programs"]
+        assert other["programs"] == other["submitted"]

@@ -99,3 +99,25 @@ def test_send_failure_raises_typed_error():
     assert err.value.type == "connection"
     assert isinstance(err.value, ServerUnavailableError)
     client.close()
+
+
+def test_request_after_server_stops_fails_fast():
+    """Once the reader has seen EOF, nothing can ever answer: a new
+    request raises at once instead of waiting out its timeout."""
+
+    srv = PedServer(max_workers=2)
+    transport = AsyncTransport(srv)
+    port = transport.start_background()
+    client = PedClient.connect(port=port)
+    try:
+        assert client.request("ping", wait=30)["pong"] is True
+        transport.stop_background()
+        client._reader.join(timeout=5.0)
+        assert not client._reader.is_alive()
+        start = time.monotonic()
+        with pytest.raises(ServerUnavailableError):
+            client.request("ping", wait=3.0)
+        assert time.monotonic() - start < 1.0
+    finally:
+        client.close()
+        srv.close()

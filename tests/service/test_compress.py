@@ -2,26 +2,26 @@
 
 Hostile-input coverage for the two new frame kinds (compressed,
 multi-record), the adaptive ship-raw guards, the ``frames`` ->
-``compress`` negotiation ladder on both transports, and the invisibility
+``compress`` negotiation ladder over TCP, and the invisibility
 bar: a compressed connection sees the identical event sequence and
 fingerprint a raw JSON connection sees — serially and with ``jobs=2``.
 """
 
 import json
 import struct
-import threading
 import zlib
 
 import pytest
 
-from repro.fleet import AsyncTransport
-from repro.service import PedClient, PedRequestError, PedServer, serve_tcp
+from repro.service import PedClient, PedRequestError, PedServer
 from repro.service import protocol
 from repro.service.protocol import (
     FrameDecoder,
     FrameEncoder,
     ProtocolError,
 )
+
+from ..serving import served
 
 SIMPLE = (
     "      program p\n"
@@ -267,28 +267,15 @@ def test_oversize_skip_spans_a_compressed_frame():
 
 
 # ----------------------------------------------------------------------
-# negotiation ladder + end-to-end invisibility, both transports
+# negotiation ladder + end-to-end invisibility
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(params=["threaded", "asyncio"])
-def server(request):
+@pytest.fixture(params=["asyncio"])  # the id names the transport
+def server():
     srv = PedServer(max_workers=4)
-    if request.param == "threaded":
-        tcp = serve_tcp(srv)
-        threading.Thread(
-            target=tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        ).start()
-        yield srv, tcp.server_address[1]
-        tcp.shutdown()
-        tcp.server_close()
-    else:
-        transport = AsyncTransport(srv)
-        port = transport.start_background()
+    with served(srv) as port:
         yield srv, port
-        transport.stop_background()
     srv.close()
 
 
@@ -376,14 +363,8 @@ def test_parity_with_parallel_jobs():
 
     def run(jobs: int):
         srv = PedServer(jobs=jobs, max_workers=4)
-        tcp = serve_tcp(srv)
-        threading.Thread(
-            target=tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        ).start()
         try:
-            with PedClient.connect(port=tcp.server_address[1]) as c:
+            with served(srv) as port, PedClient.connect(port=port) as c:
                 assert c.negotiate_compression() is True
                 events = [
                     (ev.kind, json.dumps(ev.data, sort_keys=True))
@@ -393,8 +374,6 @@ def test_parity_with_parallel_jobs():
                 fp = c.request("fingerprint", session="j")
             return sorted(events), fp
         finally:
-            tcp.shutdown()
-            tcp.server_close()
             srv.close()
 
     serial_events, serial_fp = run(1)

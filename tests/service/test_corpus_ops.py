@@ -8,7 +8,6 @@ ops: ``corpus.submit`` (sync + streamed + background), ``corpus.status``,
 :class:`UnsupportedOpError` the client raises for ``unknown-op``.
 """
 
-import threading
 import time
 
 import pytest
@@ -18,9 +17,10 @@ from repro.service import (
     PedRequestError,
     PedServer,
     UnsupportedOpError,
-    serve_tcp,
 )
 from repro.workloads.generator import generate_program
+
+from ..serving import served
 
 PROGRAMS = [
     {
@@ -45,14 +45,8 @@ SIMPLE = (
 @pytest.fixture
 def server():
     srv = PedServer(max_workers=4)
-    tcp = serve_tcp(srv)
-    thread = threading.Thread(
-        target=tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    yield srv, tcp.server_address[1]
-    tcp.shutdown()
-    tcp.server_close()
+    with served(srv) as port:
+        yield srv, port
     srv.close()
 
 

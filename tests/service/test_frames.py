@@ -3,8 +3,8 @@
 Covers the satellite checklist end to end: length-prefixed frame
 encode/decode with delta-encoded repeats, truncated frames, oversized
 frames, mid-frame disconnects, and JSON↔binary negotiation (including
-the fallback against a server that does not speak v5) — over both the
-threaded TCP server and the asyncio fleet transport.
+the fallback against a server that does not speak v5) — over the
+asyncio transport's TCP front end.
 """
 
 import json
@@ -14,14 +14,15 @@ import threading
 
 import pytest
 
-from repro.fleet import AsyncTransport
-from repro.service import PedClient, PedRequestError, PedServer, serve_tcp
+from repro.service import PedClient, PedRequestError, PedServer
 from repro.service import protocol
 from repro.service.protocol import (
     FrameDecoder,
     FrameEncoder,
     ProtocolError,
 )
+
+from ..serving import served
 
 SIMPLE = (
     "      program p\n"
@@ -167,28 +168,15 @@ def test_delta_checksum_mismatch_detected():
 
 
 # ----------------------------------------------------------------------
-# negotiation + end-to-end sessions, threaded and asyncio transports
+# negotiation + end-to-end sessions
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(params=["threaded", "asyncio"])
-def server(request):
+@pytest.fixture(params=["asyncio"])  # the id names the transport
+def server():
     srv = PedServer(max_workers=4)
-    if request.param == "threaded":
-        tcp = serve_tcp(srv)
-        threading.Thread(
-            target=tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        ).start()
-        yield srv, tcp.server_address[1]
-        tcp.shutdown()
-        tcp.server_close()
-    else:
-        transport = AsyncTransport(srv)
-        port = transport.start_background()
+    with served(srv) as port:
         yield srv, port
-        transport.stop_background()
     srv.close()
 
 

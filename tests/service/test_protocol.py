@@ -12,8 +12,10 @@ import threading
 
 import pytest
 
-from repro.service import PedClient, PedRequestError, PedServer, serve_tcp
+from repro.service import PedClient, PedRequestError, PedServer
 from repro.service import protocol
+
+from ..serving import served
 
 SIMPLE = (
     "      program p\n"
@@ -100,14 +102,8 @@ def test_envelope_shapes():
 @pytest.fixture
 def small_limit_server():
     srv = PedServer(max_workers=2, max_request_bytes=512)
-    tcp = serve_tcp(srv)
-    thread = threading.Thread(
-        target=tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    yield srv, tcp.server_address[1]
-    tcp.shutdown()
-    tcp.server_close()
+    with served(srv) as port:
+        yield srv, port
     srv.close()
 
 

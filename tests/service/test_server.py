@@ -6,13 +6,14 @@ the full wire path (framing, correlation ids, out-of-order replies).
 The stdio transport gets a separate subprocess smoke test.
 """
 
-import threading
 import time
 
 import pytest
 
-from repro.service import PedClient, PedRequestError, PedServer, serve_tcp
+from repro.service import PedClient, PedRequestError, PedServer
 from repro.workloads import SUITE
+
+from ..serving import served
 
 SIMPLE = (
     "      program p\n"
@@ -27,14 +28,8 @@ SIMPLE = (
 @pytest.fixture
 def server():
     srv = PedServer(max_workers=4)
-    tcp = serve_tcp(srv)
-    thread = threading.Thread(
-        target=tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    yield srv, tcp.server_address[1]
-    tcp.shutdown()
-    tcp.server_close()
+    with served(srv) as port:
+        yield srv, port
     srv.close()
 
 

@@ -20,8 +20,10 @@ import pytest
 
 from repro.incremental import AnalysisEngine
 from repro.incremental.fingerprint import fingerprint_digest
-from repro.service import PedClient, PedServer, serve_tcp
+from repro.service import PedClient, PedServer
 from repro.workloads.generator import generate_program
+
+from ..serving import served
 
 SIMPLE = (
     "      program p\n"
@@ -36,14 +38,8 @@ SIMPLE = (
 @pytest.fixture
 def server():
     srv = PedServer(max_workers=4)
-    tcp = serve_tcp(srv)
-    thread = threading.Thread(
-        target=tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    yield srv, tcp.server_address[1]
-    tcp.shutdown()
-    tcp.server_close()
+    with served(srv) as port:
+        yield srv, port
     srv.close()
 
 
