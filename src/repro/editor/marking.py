@@ -78,6 +78,8 @@ class MarkingStore:
         effect — exactly what the user wanted.
         """
 
+        if not self.marks:
+            return 0
         hits = 0
         for dep in graph.edges:
             marking = self.marks.get(key_of(dep))

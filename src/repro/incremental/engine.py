@@ -11,13 +11,19 @@ pipeline as keyed, cached stages:
   resulting unit is cached under the span's content digest.  An edit
   confined to one procedure reparses only that procedure.
 * **Summary caches** — MOD/REF, kill and section summaries are cached
-  per unit and invalidated transitively *up* the call graph (a change
-  propagates to callers); interprocedural constants are invalidated
-  *down* it (a change propagates to callees).  Dirty regions re-run the
-  original SCC fixpoints seeded from empty summaries, with clean units
-  contributing their cached values, so the result matches a from-scratch
-  computation.  A recomputation that reproduces the old value does not
-  bump the unit's summary revision, stopping invalidation cascades.
+  per unit and recomputed bottom-up with *early cutoff*: a unit is
+  re-folded only when it changed itself or a callee's summary came out
+  different (by the phase's own equality) earlier in the same walk, so
+  a recomputation that reproduces the old value stops the cascade at
+  that unit — and does not bump its summary revision, so dependence
+  entries keyed on it stay valid.  Recomputed recursive SCCs re-run the
+  original fixpoint seeded from empty summaries, with every other unit
+  contributing its cached value, so the result matches a from-scratch
+  computation.  The section summary carries the unit's formal
+  signature, through which call sites bind scalar actuals, so callers
+  read nothing of a callee beyond its summaries and a reordered formal
+  list is a new value.  Interprocedural constants are invalidated
+  *down* the call graph (a change propagates to callees).
 * **Dependence cache** — each unit's :class:`UnitAnalysis` is keyed by
   its parse revision, its assertion texts, its inherited constants and
   the summary revisions of its direct callees.  Cache hits restore the
@@ -64,7 +70,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dependence.driver import HOT_PATH, UnitAnalysis
 from ..dependence.hierarchy import SharedPairMemo
@@ -173,15 +179,9 @@ class _Run:
     revs: Dict[str, int] = field(default_factory=dict)
     changed: Set[str] = field(default_factory=set)
     ukeys: Dict[str, Optional[str]] = field(default_factory=dict)
+    #: Disk-restored ``{unit: {phase: value}}``, filled on first demand.
     warm: Dict[str, Dict[str, object]] = field(default_factory=dict)
     pa: Optional[ProgramAnalysis] = None
-
-    def warm_for(self, phase: str) -> Dict[str, object]:
-        return {
-            n: vals[phase]
-            for n, vals in self.warm.items()
-            if phase in vals
-        }
 
 
 def _closure(seed: Set[str], edges: Dict[str, Set[str]]) -> Set[str]:
@@ -615,10 +615,6 @@ class AnalysisEngine:
         # + callee subtree) matches a prior session's.
         if self._store is not None:
             run.ukeys = self._unit_summary_keys(run.cg, run.owners)
-            if run.changed:
-                run.warm = self._load_unit_summaries(
-                    run.ukeys, _closure(run.changed, run.cg.callers)
-                )
 
     def _node_modref(self, run: _Run) -> None:
         with self.stats.timer("modref"):
@@ -629,7 +625,7 @@ class AnalysisEngine:
                 local_summary,
                 lambda a, b: a.mod == b.mod and a.ref == b.ref,
                 ModRefInfo,
-                warm=run.warm_for("modref"),
+                warm=self._warm_lookup(run, "modref"),
             )
 
     def _node_kill(self, run: _Run) -> None:
@@ -642,7 +638,7 @@ class AnalysisEngine:
                 lambda a, b: a.scalars == b.scalars
                 and a.arrays == b.arrays,
                 KillInfo,
-                warm=run.warm_for("kill"),
+                warm=self._warm_lookup(run, "kill"),
             )
 
     def _node_sections(self, run: _Run) -> None:
@@ -655,7 +651,7 @@ class AnalysisEngine:
                 lambda a, b: not sections_differ(a, b),
                 SectionInfo,
                 max_passes=10,
-                warm=run.warm_for("sections"),
+                warm=self._warm_lookup(run, "sections"),
             )
 
     def _node_ipconst(self, run: _Run) -> None:
@@ -859,42 +855,61 @@ class AnalysisEngine:
         equal,
         default,
         max_passes: Optional[int] = None,
-        warm: Optional[Dict[str, object]] = None,
+        warm: Optional[Callable[[str], Optional[object]]] = None,
     ) -> None:
-        """Re-run one bottom-up summary fixpoint over the dirty region.
+        """Re-run one bottom-up summary fixpoint with early cutoff.
 
-        Dirty = changed units plus their transitive callers, so every SCC
-        is either entirely dirty or entirely clean; dirty units are
-        re-seeded with empty summaries (matching the from-scratch seeds)
-        while clean units contribute their cached values at the boundary.
+        The SCC schedule is walked callees-first.  A unit is *stale*
+        when it is in ``changed``, has no cached value, or one of its
+        callees outside its own group got a value in this walk that is
+        not ``equal`` to the cached one.  Only stale units recompute: a
+        non-recursive batch steps just its stale members, and a
+        recursive SCC with any stale member is reseeded with empty
+        summaries (matching the from-scratch seeds) and iterated whole.
+        Every other unit keeps its cached value, so a recomputation that
+        reproduces the old value stops the cascade right there.  This is
+        sound because a step reads only its unit's own AST and call
+        sites plus its callees' summaries (the section summary carries
+        the formal signature call sites bind through).
 
-        ``warm`` maps unit names to disk-restored summary values for this
-        phase: content-addressed on the unit's span plus its callee
-        subtree, such a value *is* what the step function would compute,
-        so warm units skip computation while keeping the dirty-unit
-        rev-bump and miss accounting (cache updates stay identical).
+        ``warm(name)`` returns a disk-restored value for a stale unit,
+        or ``None``: content-addressed on the unit's span plus its
+        callee subtree, such a value *is* what the step function would
+        compute, so a warm unit skips computation while keeping the
+        rev-bump and miss accounting of a recomputed one.
         """
 
         cache = self._summaries[phase]
         revs = self._summary_revs[phase]
-        dirty = _closure(changed, cg.callers)
-        work = {n: cache.get(n, default()) for n in cg.units}
-        for n in dirty:
-            work[n] = default()
-        warmed = set()
-        for n, value in (warm or {}).items():
-            if n in dirty:
-                work[n] = value
-                warmed.add(n)
+        work = {n: cache[n] for n in cg.units if n in cache}
+        moved: Set[str] = set()  # recomputed to a value unlike the cache
+        recomputed: List[str] = []
         for group, recursive in _scc_schedule(cg):
-            live = [n for n in group if n in dirty and n not in warmed]
-            if not live:
+            members = set(group)
+            stale = [
+                n
+                for n in group
+                if n in changed
+                or n not in cache
+                or any(
+                    c in moved and c not in members
+                    for c in cg.callees.get(n, ())
+                )
+            ]
+            if not stale:
                 continue
             if not recursive:
                 # Same-level, non-recursive units: their callees are
                 # final and they cannot read each other's summaries, so
                 # one step call per unit *is* its fixpoint — and the
                 # whole batch fans out across the pool.
+                live = []
+                for n in stale:
+                    value = warm(n) if warm is not None else None
+                    if value is None:
+                        live.append(n)
+                    else:
+                        work[n] = value
                 payloads = [
                     _summary_payload(phase, n, cg, work) for n in live
                 ]
@@ -902,26 +917,33 @@ class AnalysisEngine:
                     live, self._pool.map("summary", payloads)
                 ):
                     work[n] = new
-                continue
-            scc_changed = True
-            passes = 0
-            while scc_changed and (max_passes is None or passes < max_passes):
-                scc_changed = False
-                passes += 1
-                for n in live:
-                    new = step(cg.units[n], cg, work)
-                    if not equal(new, work[n]):
-                        work[n] = new
-                        scc_changed = True
-        for n in cg.units:
-            if n in dirty:
-                self.stats.miss(phase)
-                if n not in cache or not equal(work[n], cache[n]):
-                    revs[n] = revs.get(n, 0) + 1
-                cache[n] = work[n]
             else:
-                self.stats.hit(phase)
-        self._emit_progress(phase, dirty=len(dirty), units=len(cg.units))
+                stale = group
+                for n in group:
+                    work[n] = default()
+                scc_changed = True
+                passes = 0
+                while scc_changed and (
+                    max_passes is None or passes < max_passes
+                ):
+                    scc_changed = False
+                    passes += 1
+                    for n in group:
+                        new = step(cg.units[n], cg, work)
+                        if not equal(new, work[n]):
+                            work[n] = new
+                            scc_changed = True
+            for n in stale:
+                if n not in cache or not equal(work[n], cache[n]):
+                    moved.add(n)
+            recomputed.extend(stale)
+        for n in recomputed:
+            if n in moved:
+                revs[n] = revs.get(n, 0) + 1
+            cache[n] = work[n]
+        self.stats.miss(phase, len(recomputed))
+        self.stats.hit(phase, len(cg.units) - len(recomputed))
+        self._emit_progress(phase, dirty=len(recomputed), units=len(cg.units))
 
     def _update_ip_constants(self, cg: CallGraph, changed: Set[str]) -> None:
         """Top-down counterpart: constants flow caller → callee, so the
@@ -946,20 +968,26 @@ class AnalysisEngine:
             inherited[n] = {}
         targets = {n for n in dirty if cg.callers.get(n)}  # roots inherit nothing
         callers_needed = {s.caller for s in cg.sites if s.callee in targets}
+        # A caller's folded environment depends only on its inherited
+        # constants, which move only for targets: fold every caller
+        # once, then refold just the targets whose constants moved.
+        const_maps = {}
+        refold = callers_needed
         for _ in range(5):  # same Jacobi bound as compute_ip_constants
-            round_changed = False
-            const_maps = {
-                c: propagate_constants(cg.units[c], inherited=inherited[c])
-                for c in callers_needed
-            }
+            for c in refold:
+                const_maps[c] = propagate_constants(
+                    cg.units[c], inherited=inherited[c]
+                )
             proposals = gather_site_proposals(cg, const_maps, targets=targets)
+            moved = set()
             for n in targets:
                 new = resolve_slot(proposals[n])
                 if new != inherited[n]:
                     inherited[n] = new
-                    round_changed = True
-            if not round_changed:
+                    moved.add(n)
+            if not moved:
                 break
+            refold = moved & callers_needed
         for n in cg.units:
             if n in dirty:
                 if n not in cache or inherited[n] != cache[n]:
@@ -1317,29 +1345,42 @@ class AnalysisEngine:
                 ).hexdigest()
         return keys
 
-    def _load_unit_summaries(
-        self,
-        ukeys: Dict[str, Optional[str]],
-        dirty: Set[str],
-    ) -> Dict[str, Dict[str, object]]:
-        """Disk-restored ``{unit: {phase: value}}`` for dirty units.
+    def _warm_lookup(
+        self, run: _Run, phase: str
+    ) -> Optional[Callable[[str], Optional[object]]]:
+        """``name -> value`` restoring ``phase`` summaries from disk, or
+        ``None`` without a store.
 
-        Only units about to be recomputed are looked up; in-memory
-        caches already cover the clean ones.
+        Called only for units about to be recomputed (in-memory caches
+        cover the rest); each unit's record is read once per walk, on
+        first demand, and serves every phase.
         """
 
-        warm: Dict[str, Dict[str, object]] = {}
-        for n in sorted(dirty):
-            key = ukeys.get(n)
-            if key is None:
-                continue
-            values = self._store.load_unit_summary(key)
-            if values:
-                warm[n] = values
-                self.stats.bump("disk.usum_hit")
-            else:
-                self.stats.bump("disk.usum_miss")
-        return warm
+        if self._store is None:
+            return None
+
+        def lookup(name: str):
+            values = run.warm.get(name)
+            if values is None:
+                values = run.warm[name] = self._load_unit_summary(
+                    run.ukeys.get(name)
+                )
+            return values.get(phase)
+
+        return lookup
+
+    def _load_unit_summary(self, key: Optional[str]) -> Dict[str, object]:
+        """One unit's disk-restored ``{phase: value}`` (empty on a miss
+        or for a unit without a content key)."""
+
+        if key is None:
+            return {}
+        values = self._store.load_unit_summary(key)
+        if values:
+            self.stats.bump("disk.usum_hit")
+            return values
+        self.stats.bump("disk.usum_miss")
+        return {}
 
     def _spill_unit_summaries(
         self, ukeys: Dict[str, Optional[str]]

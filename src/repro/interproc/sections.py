@@ -73,9 +73,16 @@ class ArraySectionSummary:
 
 @dataclass
 class SectionInfo:
-    """Per-unit section summaries keyed by external location."""
+    """Per-unit section summaries keyed by external location.
+
+    ``formals`` is the unit's signature — each formal in declaration
+    order with its is-array flag.  A call site binds the scalar formals
+    to its actuals through it, so a caller's sections read nothing of
+    a callee beyond this summary.
+    """
 
     arrays: Dict[Location, ArraySectionSummary] = field(default_factory=dict)
+    formals: Tuple[Tuple[str, bool], ...] = ()
 
 
 def linear_to_expr(lin: Linear) -> Optional[Expr]:
@@ -131,7 +138,7 @@ def compute_sections(cg: CallGraph) -> Dict[str, SectionInfo]:
 
 def _differs(a: SectionInfo, b: SectionInfo) -> bool:
     def key(info: SectionInfo):
-        return {
+        return info.formals, {
             loc: [(r.is_write, tuple(map(_dim_key, r.dims))) for r in s.records]
             for loc, s in info.arrays.items()
         }
@@ -153,7 +160,9 @@ def _unit_sections(
     summaries: Dict[str, SectionInfo],
 ) -> SectionInfo:
     table: SymbolTable = unit.symtab  # type: ignore[assignment]
-    info = SectionInfo()
+    info = SectionInfo(
+        formals=tuple((f, table.symbols[f].is_array) for f in unit.formals)
+    )
     sites_by_sid: Dict[int, List[CallSite]] = {}
     for site in cg.sites_in(unit.name):
         sites_by_sid.setdefault(site.sid, []).append(site)
@@ -266,10 +275,9 @@ def _unit_sections(
         callee_info = summaries.get(site.callee)
         if callee_info is None:
             return
-        callee_unit = cg.units[site.callee]
         for summary in callee_info.arrays.values():
             for name, dims_list in _translate_summary(
-                summary, site, callee_unit, unit
+                summary, site, callee_info.formals, unit
             ):
                 for is_write, dims in dims_list:
                     # Re-express loop-variant points as ranges over the
@@ -332,17 +340,17 @@ def _widen_over_loops(dim: DimSummary, loop_stack, table) -> DimSummary:
 
 
 def _scalar_binding(
-    callee_unit: ProcedureUnit, site: CallSite, caller: ProcedureUnit
+    formals: Tuple[Tuple[str, bool], ...],
+    site: CallSite,
+    caller: ProcedureUnit,
 ) -> Dict[str, Linear]:
-    """Map callee formal scalars to caller Linear forms where possible."""
+    """Map callee formal scalars (from the callee's signature) to caller
+    Linear forms where possible."""
 
     binding: Dict[str, Linear] = {}
     caller_table: SymbolTable = caller.symtab  # type: ignore[assignment]
-    for idx, formal in enumerate(callee_unit.formals):
-        if idx >= len(site.args):
-            continue
-        fsym = callee_unit.symtab.get(formal)  # type: ignore[union-attr]
-        if fsym is None or fsym.is_array:
+    for idx, (formal, is_array) in enumerate(formals):
+        if idx >= len(site.args) or is_array:
             continue
         binding[formal] = linear_of_expr(site.args[idx], caller_table)
     return binding
@@ -363,13 +371,14 @@ def _subst(lin: Linear, binding: Dict[str, Linear]) -> Optional[Linear]:
 def _translate_summary(
     summary: ArraySectionSummary,
     site: CallSite,
-    callee_unit: ProcedureUnit,
+    formals: Tuple[Tuple[str, bool], ...],
     caller: ProcedureUnit,
 ):
-    """Yield ``(caller_array_name, [(is_write, dims)])`` for one summary."""
+    """Yield ``(caller_array_name, [(is_write, dims)])`` for one summary
+    of a callee with signature ``formals``."""
 
     caller_table: SymbolTable = caller.symtab  # type: ignore[assignment]
-    binding = _scalar_binding(callee_unit, site, caller)
+    binding = _scalar_binding(formals, site, caller)
     loc = summary.location
 
     def translate_dims(record: AccessRecord) -> Optional[List[DimSummary]]:
@@ -479,7 +488,6 @@ def make_section_provider(
     def provider(st: CallStmt, caller: ProcedureUnit) -> Optional[List[ArrayAccess]]:
         if st.name not in cg.units:
             return None
-        callee_unit = cg.units[st.name]
         info = sections.get(st.name)
         if info is None:
             return None
@@ -494,7 +502,9 @@ def make_section_provider(
                     summary.rank,
                     [r for r in summary.records if r.is_write],
                 )
-            for name, recs in _translate_summary(summary, site, callee_unit, caller):
+            for name, recs in _translate_summary(
+                summary, site, info.formals, caller
+            ):
                 for is_write, dims in recs:
                     sect: List[SectionDim] = []
                     ok = True

@@ -50,7 +50,9 @@ log = logging.getLogger(__name__)
 #: of a whole-program kinds map, new ``usum`` (per-unit summary) and
 #: ``memo`` (shared pair-test memo) record kinds, UnitAnalysis gained
 #: memo_export and the tester gained shared-memo counters.
-FORMAT_VERSION = 3
+#: v4: SectionInfo carries the unit's formal signature (``formals``),
+#: which early cutoff relies on; records without it must not load.
+FORMAT_VERSION = 4
 
 _MAGIC = "repro-cache"
 

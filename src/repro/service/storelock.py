@@ -12,26 +12,30 @@ pair-test memo, updated by read-merge-write — and that is what
 store (``<root>/locks/<name>.lease``) recording ``{holder, pid,
 expires}``:
 
-* ``free`` — no lease file.  ``acquire`` creates it with
-  ``O_CREAT | O_EXCL`` (the atomic arbiter: exactly one creator wins)
-  and verifies by reading its own record back.
+* ``free`` — no lease file.  ``acquire`` writes its record to a temp
+  file of its own in the lock directory and hard-links it to the lease
+  path (the atomic arbiter: exactly one link wins, and the file appears
+  with its whole record, so no reader can mistake a lease being
+  created for a corrupt one), then verifies by reading its own record
+  back.
 * ``held`` — file exists, ``expires`` in the future.  Waiters poll with
   a small sleep until the deadline; an ``acquire`` timeout returns
   ``False`` (callers skip the guarded work — it is an optimization,
   never a correctness requirement).
 * ``stale`` — file exists but ``expires`` passed, i.e. the holder
   crashed or hung past its TTL.  The next waiter *takes over*: it logs
-  the dead holder, unlinks the stale file and loops back to the
-  ``O_CREAT | O_EXCL`` race.  Crashed-holder recovery is therefore a
-  logged warning (with the takeover reason), not a fatal condition.  A
-  corrupt/unreadable record is treated exactly like a stale one, and so
+  the dead holder, unlinks the stale file and loops back to the link
+  race.  Crashed-holder recovery is therefore a logged warning (with
+  the takeover reason), not a fatal condition.  A corrupt/unreadable
+  record (leases are never written in place, so only a damaged or
+  foreign file) is treated exactly like a stale one, and so
   is a record carrying *our own* holder token — the lease is not
   reentrant, so finding our token means a previous incarnation of this
   process orphaned it (staleness compares holder tokens, never bare
   pids, which the OS reuses across restarts).
 
 **Takeover race.**  Two waiters can both observe the same stale lease
-and race the takeover; ``O_EXCL`` plus the post-create read-back
+and race the takeover; the exclusive link plus the post-create read-back
 verification resolve the common interleavings, but a millisecond-scale
 window remains in which both believe they hold the lease.  That is
 acceptable *by design*: every guarded writer in this codebase performs
@@ -50,6 +54,7 @@ import json
 import logging
 import os
 import socket
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -111,7 +116,7 @@ class StoreLease:
 
         A corrupt record returns ``{"holder": None, "expires": 0}`` —
         indistinguishable from stale, which is exactly the treatment it
-        deserves (the writer died mid-write or predates this format).
+        deserves (a damaged file, or one that predates this format).
         """
 
         try:
@@ -129,11 +134,25 @@ class StoreLease:
             return {"holder": None, "pid": None, "expires": 0.0}
 
     def _try_create(self) -> bool:
+        """Race to create the lease file, complete with its record.
+
+        The record goes to a temp file private to this attempt, which
+        is then hard-linked to the lease path: the link either creates
+        the file with its whole content at once or fails because the
+        lease exists, so no reader ever sees an empty lease file.
+        """
+
+        tmp = None
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(
-                self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
+            fd, tmp = tempfile.mkstemp(
+                dir=self.path.parent,
+                prefix=f".{self.path.name}.",
+                suffix=".tmp",
             )
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(self._record())
+            os.link(tmp, self.path)
         except FileExistsError:
             return False
         except OSError as exc:
@@ -141,11 +160,12 @@ class StoreLease:
             # skips the guarded optimization), never crash the analysis.
             log.warning("cannot create lease %s: %s", self.path, exc)
             return False
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(self._record())
-        except OSError:
-            return False
+        finally:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
         # Read-back verification: shrinks the takeover race window — a
         # concurrent stale-takeover may have unlinked and recreated the
         # file between our create and now.
@@ -167,7 +187,7 @@ class StoreLease:
         states, each with its own logged reason:
 
         * the TTL expired — the holder crashed or hung past its lease;
-        * the record is corrupt/unreadable — the writer died mid-write;
+        * the record is corrupt/unreadable — a damaged or foreign file;
         * the record carries *our own* holder token — this exact
           host/pid/thread wrote it in a previous incarnation (the lease
           is not reentrant, so a live self-wait is impossible), i.e.

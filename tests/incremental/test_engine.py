@@ -108,22 +108,51 @@ def test_second_analysis_is_all_hits():
     assert engine.stats.stage("dependence").hits == 3
 
 
-def test_single_unit_edit_dirties_only_its_region():
+_STAGES = ("parse", "modref", "kill", "sections", "ipconst", "dependence")
+
+
+def _misses_after_edit(edited):
     engine = AnalysisEngine()
     engine.analyze(THREE_UNITS)
     stats = engine.stats
-    before = {s: stats.stage(s).misses for s in ("parse", "modref", "ipconst", "dependence")}
-    edited = THREE_UNITS.replace("* 2.0", "* 3.0")
+    before = {s: stats.stage(s).misses for s in _STAGES}
     _, pa = engine.analyze(edited)
-    assert stats.stage("parse").misses - before["parse"] == 1
-    # Bottom-up phases close over callers: scale + main are dirty, init is not.
-    assert stats.stage("modref").misses - before["modref"] == 2
-    # Top-down constants close over callees: only scale is dirty.
-    assert stats.stage("ipconst").misses - before["ipconst"] == 1
-    # scale's summaries recompute to identical values, so no revision
-    # bump reaches main: only the edited unit's dependence stage reruns.
-    assert stats.stage("dependence").misses - before["dependence"] == 1
     assert program_fingerprint(pa) == program_fingerprint(_scratch(edited))
+    return {s: stats.stage(s).misses - before[s] for s in _STAGES}
+
+
+def test_single_unit_edit_dirties_only_its_region():
+    misses = _misses_after_edit(THREE_UNITS.replace("* 2.0", "* 3.0"))
+    assert misses["parse"] == 1
+    # Early cutoff: scale's summaries recompute to values equal to the
+    # cached ones, so main (its caller) keeps its own in every phase.
+    assert misses["modref"] == 1
+    assert misses["kill"] == 1
+    assert misses["sections"] == 1
+    # Top-down constants close over callees: only scale is dirty.
+    assert misses["ipconst"] == 1
+    # No revision bump reaches main either: only the edited unit's
+    # dependence stage reruns.
+    assert misses["dependence"] == 1
+
+
+def test_callee_summary_change_refolds_its_caller():
+    """The converse: an edit that changes the callee's section summary
+    must reach its caller, while the phases whose value stayed put
+    still stop at the callee."""
+
+    misses = _misses_after_edit(
+        THREE_UNITS.replace(
+            "do i = 1, n\n         a(i) = a(i) * 2.0",
+            "do i = 2, n\n         a(i) = a(i) * 2.0",
+        )
+    )
+    assert misses["parse"] == 1
+    assert misses["sections"] == 2  # scale, then main
+    assert misses["modref"] == 1
+    assert misses["kill"] == 1
+    # scale's sections revision moved, so main's dependence key did too.
+    assert misses["dependence"] == 2
 
 
 def test_assertion_change_reanalyzes_without_reparse():

@@ -8,6 +8,7 @@ warning, never a crash) and corrupt-record handling.
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -231,3 +232,35 @@ def test_threaded_mutual_exclusion(tmp_path):
         t.join(timeout=60.0)
     assert state["done"] == 4
     assert state["max_inside"] == 1
+
+
+def test_contended_lease_is_never_mistaken_for_corrupt(tmp_path):
+    """Live holders cycling one lease: no waiter may ever read a lease
+    being created as corrupt and break it (no holder crashes here, so
+    any takeover is a bug)."""
+
+    path = tmp_path / "x.lease"
+    stats = [EngineStats() for _ in range(4)]
+
+    def worker(i):
+        lease = StoreLease(path, holder=f"w{i}", ttl=30.0, stats=stats[i])
+        for _ in range(150):
+            assert lease.acquire(timeout=30.0)
+            lease.release()
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(s.counter("lease.acquired") for s in stats) == 600
+    assert sum(s.counter("lease.takeover") for s in stats) == 0
+    assert os.listdir(tmp_path) == []  # no lease, no leftover temp file
