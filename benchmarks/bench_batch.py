@@ -46,7 +46,7 @@ from repro.pipeline import CorpusRunner
 from repro.service import PedClient, PedServer, WorkerPool
 from repro.workloads.generator import generate_program
 
-from conftest import OUT_DIR, save_artifact
+from conftest import OUT_DIR, names_owned_by, save_artifact
 
 SIZES = (10, 20, 40, 80)
 ACCEPT_SIZE = 40
@@ -186,18 +186,8 @@ def test_batched_fingerprints_across_execution_modes(benchmark):
         pool.close()
     assert fp_jobs == fp_serial
 
-    # The same corpus through a single host and a routed 2-shard fleet.
-    programs = [("forty", source)] + [
-        (f"side{i}", generate_program(n_routines=3 + i, n_fields=2, grid=8))
-        for i in range(3)
-    ]
-    runner = CorpusRunner(features=FeatureSet(), stats=EngineStats())
-    local = runner.submit(programs)
-    runner.run(local)
-    local_digests = {
-        r["program"]: r["digest"] for r in local.result_records()
-    }
-
+    # The same corpus through a single host and a routed 2-shard fleet,
+    # under names that put two programs on each shard.
     shards, addrs = [], []
     for _ in range(2):
         shard = PedServer(max_workers=4)
@@ -208,6 +198,19 @@ def test_batched_fingerprints_across_execution_modes(benchmark):
     rtransport = AsyncTransport(router)
     rport = rtransport.start_background()
     try:
+        names = names_owned_by(router.ring, addrs[0], 2)
+        names += names_owned_by(router.ring, addrs[1], 2)
+        sources = [source] + [
+            generate_program(n_routines=3 + i, n_fields=2, grid=8)
+            for i in range(3)
+        ]
+        programs = list(zip(names, sources))
+        runner = CorpusRunner(features=FeatureSet(), stats=EngineStats())
+        local = runner.submit(programs)
+        runner.run(local)
+        local_digests = {
+            r["program"]: r["digest"] for r in local.result_records()
+        }
         with PedClient.connect(port=rport) as client:
             reply = client.corpus_submit(programs, wait=True)
             assert reply["complete"] and reply["errors"] == 0, reply

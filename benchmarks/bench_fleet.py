@@ -27,7 +27,7 @@ from repro.pipeline import CorpusRunner
 from repro.service import PedClient, PedServer
 from repro.workloads.generator import generate_program
 
-from conftest import OUT_DIR, save_artifact
+from conftest import OUT_DIR, names_owned_by, save_artifact
 
 N_CONNECTIONS = 500
 SWEEPS = 3
@@ -111,33 +111,8 @@ def test_500_concurrent_connections_sustained(benchmark):
 
 
 def test_routed_corpus_matches_single_host(benchmark):
-    programs = [
-        (
-            f"bench{i:02d}",
-            generate_program(
-                n_routines=2 + i % 4,
-                n_fields=2,
-                grid=8 + 4 * (i % 2),
-                steps=2 + i % 3,
-            ),
-        )
-        for i in range(N_PROGRAMS)
-    ]
-
-    # Single-host reference run.
-    runner = CorpusRunner(features=FeatureSet(), stats=EngineStats())
-    t0 = time.perf_counter()
-    local = runner.submit(programs)
-    runner.run(local)
-    single_host_s = time.perf_counter() - t0
-    local_aggs = {
-        name: runner.query(local, name)[0] for name in AGG_NAMES
-    }
-    local_digests = {
-        r["program"]: r["digest"] for r in local.result_records()
-    }
-
-    # The same corpus through a 2-shard routed fleet.
+    # The fleet starts first: the ring hashes its shards' ephemeral
+    # ports, so the program names are picked to split over both shards.
     shards, addrs = [], []
     for _ in range(2):
         shard = PedServer(max_workers=4)
@@ -148,6 +123,38 @@ def test_routed_corpus_matches_single_host(benchmark):
     rtransport = AsyncTransport(router)
     rport = rtransport.start_background()
     try:
+        half = N_PROGRAMS // 2
+        names = names_owned_by(router.ring, addrs[0], half, "bench")
+        names += names_owned_by(
+            router.ring, addrs[1], N_PROGRAMS - half, "bench"
+        )
+        programs = [
+            (
+                name,
+                generate_program(
+                    n_routines=2 + i % 4,
+                    n_fields=2,
+                    grid=8 + 4 * (i % 2),
+                    steps=2 + i % 3,
+                ),
+            )
+            for i, name in enumerate(names)
+        ]
+
+        # Single-host reference run.
+        runner = CorpusRunner(features=FeatureSet(), stats=EngineStats())
+        t0 = time.perf_counter()
+        local = runner.submit(programs)
+        runner.run(local)
+        single_host_s = time.perf_counter() - t0
+        local_aggs = {
+            name: runner.query(local, name)[0] for name in AGG_NAMES
+        }
+        local_digests = {
+            r["program"]: r["digest"] for r in local.result_records()
+        }
+
+        # The same corpus through the 2-shard routed fleet.
         with PedClient.connect(port=rport) as client:
             t0 = time.perf_counter()
             reply = client.corpus_submit(programs, wait=True)

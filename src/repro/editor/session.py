@@ -34,7 +34,7 @@ does not.
 from __future__ import annotations
 
 import logging
-import re
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -57,18 +57,13 @@ log = logging.getLogger(__name__)
 #: (loop variable, occurrence of that variable among the unit's loops).
 LoopAnchor = Tuple[str, int]
 
-#: A standalone ``END`` statement line (optionally labeled) — the cheap
-#: snapshot-fragment boundary :meth:`PedSession._intern_pieces` cuts at.
-_END_STMT = re.compile(r"(?:\d+\s+)?end", re.IGNORECASE)
-
-
 @dataclass
 class _Snapshot:
-    #: Interned source fragments (cut at ``END`` statement lines, so one
-    #: fragment per program unit in practice); joining them reproduces
-    #: the program text exactly.  Fragments are shared across snapshots,
-    #: so N history entries of a lightly edited program cost far less
-    #: than N full copies.
+    #: Interned source fragments (the engine's unit spans, so one
+    #: fragment per program unit); joining them reproduces the program
+    #: text exactly.  Fragments are shared across snapshots, so N
+    #: history entries of a lightly edited program cost far less than N
+    #: full copies.
     pieces: Tuple[str, ...]
     assertions: Dict[str, List[str]]
     marks: Dict
@@ -152,18 +147,46 @@ class PedSession:
 
         Runs through the incremental engine: only units whose source
         span, assertions or interprocedural inputs changed are actually
-        recomputed.
+        recomputed.  Markings, reclassifications and verdicts are then
+        refreshed only where they can differ from what the engine handed
+        back: in units it recomputed or restored, and in units holding a
+        marking or reclassification.  The latter are reported to the
+        engine as changed in place, so its next walk restores them.
+        Every other unit is the pristine analysis, on which a verdict
+        refresh changes nothing.
         """
 
         self.warnings = []
-        self.sf, self.analysis = self.engine.analyze(
+        engine = self.engine
+        self.sf, self.analysis = engine.analyze(
             self.source, assertions=self.assertion_texts
         )
         self._remap_overrides()
-        for ua in self.analysis.units.values():
-            self.markings.apply(ua.graph)
-            self._apply_overrides(ua)
-            self._recompute_verdicts(ua)
+        held = self._units_with_marks() | self.overrides.keys()
+        touched = engine.refreshed | held
+        for name, ua in self.analysis.units.items():
+            if name in touched:
+                self.markings.apply(ua.graph)
+                self._apply_overrides(ua)
+                self._recompute_verdicts(ua)
+        engine.note_mutated(held)
+
+    def _units_with_marks(self) -> set:
+        """Units a stored marking can land in.  Marking keys name their
+        endpoints' source lines, and a unit's statements lie between its
+        first statement and the next unit's."""
+
+        if not self.markings.marks:
+            return set()
+        units = self.sf.units
+        firsts = [u.line for u in units]
+        held = set()
+        for _kind, _var, src, dst, _vector in self.markings.marks:
+            for line in (src, dst):
+                i = bisect_right(firsts, line) - 1
+                if i >= 0:
+                    held.add(units[i].name)
+        return held
 
     def _loop_anchors(self, ua: UnitAnalysis) -> List[LoopAnchor]:
         counts: Dict[str, int] = {}
@@ -343,31 +366,20 @@ class PedSession:
         return self._intern_pool.setdefault(text, text)
 
     def _intern_pieces(self, source: str) -> Tuple[str, ...]:
-        """Source as a tuple of interned fragments.
+        """Source as a tuple of interned fragments: the texts of the
+        engine's unit spans, which it keeps for the sources it analyzed
+        last (an analyzed source is all this is asked for).
 
-        Fragments are cut at standalone ``END`` statements — a cheap
-        line scan, not a full tokenize, because this runs on *every*
-        mutation and only feeds snapshot interning: pieces always
-        concatenate back to ``source`` exactly, so a missed boundary
-        merely coarsens sharing, never corrupts a snapshot.  Unedited
-        units keep byte-identical fragment texts across snapshots and
-        collapse to one interned string each.
+        Unedited units keep byte-identical span texts across snapshots
+        and collapse to one interned string each.  Span texts end every
+        line with ``\\n``; a source they do not reassemble exactly (other
+        line breaks, no final newline) is kept as one fragment.
         """
 
-        pieces: List[str] = []
-        buf: List[str] = []
-        for line in source.splitlines(keepends=True):
-            buf.append(line)
-            if line[:1] in ("c", "C", "*", "!"):
-                continue  # fixed-form comment, never a boundary
-            if _END_STMT.fullmatch(line.strip()):
-                pieces.append(self._intern("".join(buf)))
-                buf = []
-        if buf:
-            pieces.append(self._intern("".join(buf)))
-        if not pieces:
+        texts = [span.text for span in self.engine.spans(source)]
+        if "".join(texts) != source:
             return (self._intern(source),)
-        return tuple(pieces)
+        return tuple(self._intern(text) for text in texts)
 
     def _current_snapshot(self) -> _Snapshot:
         return _Snapshot(
@@ -483,8 +495,10 @@ class PedSession:
         except MarkingError as exc:
             self._undo.pop()
             raise PedError(str(exc)) from exc
-        for ua in self.analysis.units.values():
-            self._recompute_verdicts(ua)
+        # The edge lives in the current unit's graph: only its verdicts
+        # can move.
+        self._recompute_verdicts(self.unit_analysis)
+        self.engine.note_mutated((self.current_unit,))
         self.journal.append("mark", dep=dep_id, marking=marking)
         return f"dependence #{dep_id} on {dep.var} marked {marking}"
 

@@ -6,10 +6,12 @@ that cheap by owning the parse → interprocedural-summary → dependence
 pipeline as keyed, cached stages:
 
 * **Parse cache** — the source is split into per-unit spans
-  (:mod:`repro.incremental.splitter`); each span is parsed on its own,
-  padded with blank lines so statement numbering stays absolute, and the
-  resulting unit is cached under the span's content digest.  An edit
-  confined to one procedure reparses only that procedure.
+  (:mod:`repro.incremental.splitter`), spliced from the previous split
+  so an edit re-reads only the spans around the lines it changed; each
+  span is parsed on its own, padded with blank lines so statement
+  numbering stays absolute, and the resulting unit is cached under the
+  span's content digest.  An edit confined to one procedure reparses
+  only that procedure.
 * **Summary caches** — MOD/REF, kill and section summaries are cached
   per unit and recomputed bottom-up with *early cutoff*: a unit is
   re-folded only when it changed itself or a callee's summary came out
@@ -22,14 +24,18 @@ pipeline as keyed, cached stages:
   computation.  The section summary carries the unit's formal
   signature, through which call sites bind scalar actuals, so callers
   read nothing of a callee beyond its summaries and a reordered formal
-  list is a new value.  Interprocedural constants are invalidated
-  *down* the call graph (a change propagates to callees).
+  list is a new value.  The bottom-up schedule is kept while no callee
+  set changes.  Interprocedural constants are invalidated *down* the
+  call graph (a change propagates to callees); each caller's constant
+  fold is kept under its parse revision and inherited constants.
 * **Dependence cache** — each unit's :class:`UnitAnalysis` is keyed by
   its parse revision, its assertion texts, its inherited constants and
-  the summary revisions of its direct callees.  Cache hits restore the
-  pristine edge markings and loop verdicts recorded at analysis time
-  (sessions mutate both in place), so a hit is indistinguishable from a
-  fresh analysis.
+  the summary revisions of its direct callees; a key is rebuilt only
+  for units one of those inputs may have moved for.  Sessions mutate
+  edge markings and loop verdicts in place and report which units they
+  touched (:meth:`AnalysisEngine.note_mutated`); a hit on such a unit
+  restores the pristine state recorded at analysis time, so every hit
+  is indistinguishable from a fresh analysis.
 
 Assertion and reclassification changes therefore reanalyze without any
 reparse; marking changes never touch the engine at all.  Safety valves:
@@ -177,6 +183,8 @@ class _Run:
     cg: Optional[CallGraph] = None
     owners: Dict[str, Tuple[_SpanEntry, int]] = field(default_factory=dict)
     revs: Dict[str, int] = field(default_factory=dict)
+    callee_sets: Dict[str, tuple] = field(default_factory=dict)
+    caller_sets: Dict[str, tuple] = field(default_factory=dict)
     changed: Set[str] = field(default_factory=set)
     ukeys: Dict[str, Optional[str]] = field(default_factory=dict)
     #: Disk-restored ``{unit: {phase: value}}``, filled on first demand.
@@ -279,6 +287,7 @@ class AnalysisEngine:
         self._summary_revs: Dict[str, Dict[str, int]] = {p: {} for p in _PHASES}
         self._deps: Dict[str, _DepEntry] = {}
         self._last: Optional[_ProgramState] = None
+        self._reset_walk_memos()
         self._spilled_spans: Set[str] = set()
         #: Program-scoped pair-test memo: one per engine by default, or
         #: injected (the Ped server shares one across session engines).
@@ -342,6 +351,39 @@ class AnalysisEngine:
         self._rev_next += 1
         return rev
 
+    def _reset_walk_memos(self) -> None:
+        """Forget what lets a walk skip unchanged units (on a fresh
+        engine, a flush and a disk warm start alike)."""
+
+        #: Feature-restricted kill summaries (``kills_view``), refreshed
+        #: per unit when its kill summary is recomputed.
+        self._kill_views: Dict[str, KillInfo] = {}
+        #: Per caller: the ``(parse revision, inherited constants)`` it
+        #: was last folded under, and ``propagate_constants``' map.
+        self._const_maps: Dict[str, Tuple[tuple, object]] = {}
+        #: ``((unit order, callee sets), schedule)`` of the last summary
+        #: schedule: it is a function of exactly those.
+        self._schedule: Optional[Tuple[tuple, list]] = None
+        #: Units whose dependence key may have moved since the last
+        #: dependence stage completed; ``None`` means every unit.
+        self._dep_stale: Optional[Set[str]] = None
+        #: The assertion texts that stage keyed its entries with.
+        self._dep_asserts: Dict[str, tuple] = {}
+        #: Units whose cached analysis a session changed in place
+        #: (:meth:`note_mutated`); the next walk restores them.
+        self._mutated: Set[str] = set()
+        #: Units the last walk analyzed afresh or restored to their
+        #: pristine state; every other unit's analysis is the object the
+        #: walk before handed out, untouched since.
+        self.refreshed: Set[str] = set()
+
+    def note_mutated(self, names) -> None:
+        """Record that the caller changed these units' analyses in place
+        (edge markings, loop verdicts): the next walk restores their
+        pristine state, and no other unit's."""
+
+        self._mutated.update(names)
+
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
@@ -351,12 +393,13 @@ class AnalysisEngine:
 
         self._spans.clear()
         self._splits.clear()
-        for phase in _PHASES:
-            self._summaries[phase].clear()
-            self._summary_revs[phase].clear()
+        # New dicts, not cleared ones: analyses handed out hold them.
+        self._summaries = {p: {} for p in _PHASES}
+        self._summary_revs = {p: {} for p in _PHASES}
         self._deps.clear()
         self._last = None
         self._node_keys = {}
+        self._reset_walk_memos()
 
     def invalidate(self) -> None:
         """Alias for :meth:`clear`; call after mutating cached ASTs in
@@ -369,6 +412,12 @@ class AnalysisEngine:
         """Release the worker pool (if this engine owns processes)."""
 
         self._pool.close()
+
+    def spans(self, source: str) -> List[UnitSpan]:
+        """``source``'s unit spans: free for the last two sources
+        analyzed, spliced from the last split otherwise."""
+
+        return self._split(source)
 
     def changed_units(self, old_source: str, new_source: str) -> Set[str]:
         """Names of units whose span content differs between two
@@ -436,12 +485,8 @@ class AnalysisEngine:
                 self._absorb_memo_deltas()
             run = _Run(source=source, asserts=asserts)
             self._walk_graph(run)
-            cg = run.cg
             self._last = _ProgramState(
-                run.kinds,
-                run.revs,
-                {n: tuple(sorted(cg.callees[n])) for n in cg.units},
-                {n: tuple(sorted(cg.callers[n])) for n in cg.units},
+                run.kinds, run.revs, run.callee_sets, run.caller_sets
             )
             memo = self._shared_memo
             stats.counters["memo.shared_hits"] = memo.hits
@@ -555,12 +600,15 @@ class AnalysisEngine:
 
     def _split(self, source: str) -> List[UnitSpan]:
         """``source``'s unit spans, from the last-two-splits memo when
-        it holds them.  A split skips lexing spans the parse cache
-        already holds; a split that raises is not remembered."""
+        it holds them.  Otherwise the most recent split is spliced: only
+        the spans around the lines that differ from it are split again,
+        and of those only spans the parse cache lacks are lexed.  A
+        split that raises is not remembered."""
 
         spans = self._splits.pop(source, None)
         if spans is None:
-            spans = split_units(source, known=self._spans)
+            previous = next(reversed(self._splits.items()), None)
+            spans = split_units(source, known=self._spans, previous=previous)
         self._splits[source] = spans
         if len(self._splits) > 2:
             del self._splits[next(iter(self._splits))]
@@ -609,19 +657,23 @@ class AnalysisEngine:
         run.revs = {
             u.name: e.rev for e in run.entries for u in e.units
         }
-        run.changed = self._detect_changes(run.cg, run.revs)
+        cg = run.cg
+        run.callee_sets = {n: tuple(sorted(cg.callees[n])) for n in cg.units}
+        run.caller_sets = {n: tuple(sorted(cg.callers[n])) for n in cg.units}
+        run.changed = self._detect_changes(run)
+        if self._dep_stale is not None:
+            self._dep_stale |= run.changed
         # Content keys for per-unit summary records: a cold open of a
         # never-seen program warm-starts any unit whose key (span digest
         # + callee subtree) matches a prior session's.
         if self._store is not None:
-            run.ukeys = self._unit_summary_keys(run.cg, run.owners)
+            run.ukeys = self._unit_summary_keys(run)
 
     def _node_modref(self, run: _Run) -> None:
         with self.stats.timer("modref"):
             self._update_bottom_up(
                 "modref",
-                run.cg,
-                run.changed,
+                run,
                 local_summary,
                 lambda a, b: a.mod == b.mod and a.ref == b.ref,
                 ModRefInfo,
@@ -630,23 +682,28 @@ class AnalysisEngine:
 
     def _node_kill(self, run: _Run) -> None:
         with self.stats.timer("kill"):
-            self._update_bottom_up(
+            recomputed = self._update_bottom_up(
                 "kill",
-                run.cg,
-                run.changed,
+                run,
                 unit_kills,
                 lambda a, b: a.scalars == b.scalars
                 and a.arrays == b.arrays,
                 KillInfo,
                 warm=self._warm_lookup(run, "kill"),
             )
+            if recomputed:
+                kills = self._summaries["kill"]
+                views = self._kill_views = dict(self._kill_views)
+                for n, view in kills_view(
+                    {n: kills[n] for n in recomputed}, self.features
+                ).items():
+                    views[n] = view
 
     def _node_sections(self, run: _Run) -> None:
         with self.stats.timer("sections"):
             self._update_bottom_up(
                 "sections",
-                run.cg,
-                run.changed,
+                run,
                 unit_sections,
                 lambda a, b: not sections_differ(a, b),
                 SectionInfo,
@@ -656,7 +713,7 @@ class AnalysisEngine:
 
     def _node_ipconst(self, run: _Run) -> None:
         with self.stats.timer("ipconst"):
-            self._update_ip_constants(run.cg, run.changed)
+            self._update_ip_constants(run)
 
     def _node_dependence(self, run: _Run) -> None:
         pa, adopted = self._run_dependence(
@@ -680,11 +737,12 @@ class AnalysisEngine:
     def _parse_and_bind(self, spans: List[UnitSpan]) -> List[_SpanEntry]:
         entries: List[Optional[_SpanEntry]] = [None] * len(spans)
         to_parse: List[int] = []
+        hits = 0
         with self.stats.timer("parse"):
             for i, span in enumerate(spans):
                 entry = self._spans.get(span.digest)
                 if entry is not None:
-                    self.stats.hit("parse")
+                    hits += 1
                     entries[i] = entry
                     continue
                 self.stats.miss("parse")
@@ -704,6 +762,8 @@ class AnalysisEngine:
                         entries[i] = entry
                         continue
                 to_parse.append(i)
+            if hits:
+                self.stats.hit("parse", hits)
             if to_parse:
                 payloads = [
                     {
@@ -823,40 +883,66 @@ class AnalysisEngine:
                     cg.callers[cand.callee].add(unit.name)
         return cg
 
-    def _detect_changes(self, cg: CallGraph, revs: Dict[str, int]) -> Set[str]:
+    def _detect_changes(self, run: _Run) -> Set[str]:
         prev = self._last
-        current = set(cg.units)
-        for phase in _PHASES:
-            for stale in [n for n in self._summaries[phase] if n not in current]:
-                del self._summaries[phase][stale]
-                self._summary_revs[phase].pop(stale, None)
-        for stale in [n for n in self._deps if n not in current]:
-            del self._deps[stale]
+        current = run.cg.units
+        if prev is None or prev.revs.keys() != current.keys():
+            self._drop_units_not_in(current)
         if prev is None:
-            return current
+            return set(current)
         return {
             n
             for n in current
-            if prev.revs.get(n) != revs[n]
-            or prev.callee_sets.get(n) != tuple(sorted(cg.callees[n]))
-            or prev.caller_sets.get(n) != tuple(sorted(cg.callers[n]))
+            if prev.revs.get(n) != run.revs[n]
+            or prev.callee_sets.get(n) != run.callee_sets[n]
+            or prev.caller_sets.get(n) != run.caller_sets[n]
         }
+
+    def _drop_units_not_in(self, current) -> None:
+        """Forget cached results of units the program no longer has
+        (summary dicts are replaced, never edited: analyses handed out
+        hold them)."""
+
+        for phase in _PHASES:
+            cache = self._summaries[phase]
+            if any(n not in current for n in cache):
+                self._summaries[phase] = {
+                    n: v for n, v in cache.items() if n in current
+                }
+                revs = self._summary_revs[phase]
+                for n in [n for n in revs if n not in current]:
+                    del revs[n]
+        self._kill_views = {
+            n: v for n, v in self._kill_views.items() if n in current
+        }
+        for memo in (self._deps, self._const_maps):
+            for n in [n for n in memo if n not in current]:
+                del memo[n]
 
     # ------------------------------------------------------------------
     # stage: interprocedural summaries
     # ------------------------------------------------------------------
 
+    def _summary_schedule(self, run: _Run) -> List[Tuple[List[str], bool]]:
+        """:func:`_scc_schedule` of this walk's call graph, kept from the
+        walk before while the unit order and every callee set are the
+        same (an edit inside a routine's body changes neither)."""
+
+        shape = (tuple(run.callee_sets), run.callee_sets)
+        if self._schedule is None or self._schedule[0] != shape:
+            self._schedule = (shape, _scc_schedule(run.cg))
+        return self._schedule[1]
+
     def _update_bottom_up(
         self,
         phase: str,
-        cg: CallGraph,
-        changed: Set[str],
+        run: _Run,
         step,
         equal,
         default,
         max_passes: Optional[int] = None,
         warm: Optional[Callable[[str], Optional[object]]] = None,
-    ) -> None:
+    ) -> List[str]:
         """Re-run one bottom-up summary fixpoint with early cutoff.
 
         The SCC schedule is walked callees-first.  A unit is *stale*
@@ -877,14 +963,18 @@ class AnalysisEngine:
         callee subtree, such a value *is* what the step function would
         compute, so a warm unit skips computation while keeping the
         rev-bump and miss accounting of a recomputed one.
+
+        Returns the recomputed units.  A unit whose value moved makes
+        its callers' dependence keys stale.
         """
 
+        cg, changed = run.cg, run.changed
         cache = self._summaries[phase]
         revs = self._summary_revs[phase]
-        work = {n: cache[n] for n in cg.units if n in cache}
+        work = dict(cache)
         moved: Set[str] = set()  # recomputed to a value unlike the cache
         recomputed: List[str] = []
-        for group, recursive in _scc_schedule(cg):
+        for group, recursive in self._summary_schedule(run):
             members = set(group)
             stale = [
                 n
@@ -937,37 +1027,46 @@ class AnalysisEngine:
                 if n not in cache or not equal(work[n], cache[n]):
                     moved.add(n)
             recomputed.extend(stale)
+        if recomputed:
+            cache = self._summaries[phase] = dict(cache)
         for n in recomputed:
             if n in moved:
                 revs[n] = revs.get(n, 0) + 1
+                if self._dep_stale is not None:
+                    self._dep_stale |= cg.callers[n]
             cache[n] = work[n]
         self.stats.miss(phase, len(recomputed))
         self.stats.hit(phase, len(cg.units) - len(recomputed))
         self._emit_progress(phase, dirty=len(recomputed), units=len(cg.units))
+        return recomputed
 
-    def _update_ip_constants(self, cg: CallGraph, changed: Set[str]) -> None:
+    def _update_ip_constants(self, run: _Run) -> None:
         """Top-down counterpart: constants flow caller → callee, so the
         dirty region closes over callees; clean callers contribute their
-        cached (already folded) environments."""
+        cached (already folded) environments.
 
+        A caller's fold (``propagate_constants``) is a function of its
+        parse revision and its inherited constants, so it is kept under
+        that pair: an edit inside a callee re-folds no caller whose text
+        and constants stayed put, while an edit that moves a caller's
+        constants (its own ``parameter`` or a call into it) does."""
+
+        cg = run.cg
         cache = self._summaries["ipconst"]
         revs = self._summary_revs["ipconst"]
-        dirty = _closure(changed, cg.callees)
-        for n in cg.units:
-            if n in dirty:
-                self.stats.miss("ipconst")
-            else:
-                self.stats.hit("ipconst")
+        dirty = _closure(run.changed, cg.callees)
+        self.stats.miss("ipconst", len(dirty))
+        self.stats.hit("ipconst", len(cg.units) - len(dirty))
         self._emit_progress(
             "ipconst", dirty=len(dirty), units=len(cg.units)
         )
         if not dirty:
             return
-        inherited = {n: dict(cache.get(n, {})) for n in cg.units}
+        targets = {n for n in dirty if cg.callers.get(n)}  # roots inherit nothing
+        callers_needed = set().union(*(cg.callers[n] for n in targets))
+        inherited = {n: cache.get(n, {}) for n in callers_needed}
         for n in dirty:
             inherited[n] = {}
-        targets = {n for n in dirty if cg.callers.get(n)}  # roots inherit nothing
-        callers_needed = {s.caller for s in cg.sites if s.callee in targets}
         # A caller's folded environment depends only on its inherited
         # constants, which move only for targets: fold every caller
         # once, then refold just the targets whose constants moved.
@@ -975,8 +1074,8 @@ class AnalysisEngine:
         refold = callers_needed
         for _ in range(5):  # same Jacobi bound as compute_ip_constants
             for c in refold:
-                const_maps[c] = propagate_constants(
-                    cg.units[c], inherited=inherited[c]
+                const_maps[c] = self._fold(
+                    c, cg.units[c], run.revs[c], inherited[c]
                 )
             proposals = gather_site_proposals(cg, const_maps, targets=targets)
             moved = set()
@@ -988,11 +1087,27 @@ class AnalysisEngine:
             if not moved:
                 break
             refold = moved & callers_needed
-        for n in cg.units:
-            if n in dirty:
-                if n not in cache or inherited[n] != cache[n]:
-                    revs[n] = revs.get(n, 0) + 1
-                cache[n] = inherited[n]
+        cache = self._summaries["ipconst"] = dict(cache)
+        for n in dirty:
+            if n not in cache or inherited[n] != cache[n]:
+                revs[n] = revs.get(n, 0) + 1
+                if self._dep_stale is not None:
+                    self._dep_stale.add(n)
+            cache[n] = inherited[n]
+
+    def _fold(
+        self, name: str, unit: ProcedureUnit, rev: int, inherited: Dict
+    ):
+        """``propagate_constants(unit, inherited=inherited)``, kept per
+        unit under ``(rev, inherited)``."""
+
+        key = (rev, tuple(sorted(inherited.items())))
+        held = self._const_maps.get(name)
+        if held is not None and held[0] == key:
+            return held[1]
+        folded = propagate_constants(unit, inherited=inherited)
+        self._const_maps[name] = (key, folded)
+        return folded
 
     # ------------------------------------------------------------------
     # stage: per-unit dependence analysis
@@ -1008,6 +1123,15 @@ class AnalysisEngine:
     ) -> Tuple[ProgramAnalysis, bool]:
         """Per-unit dependence analysis: cache walk plus one pooled batch.
 
+        A unit's cache key is rebuilt only when one of its inputs may have
+        moved since the last dependence stage: its span was reparsed or
+        its call edges changed, its assertion texts or inherited
+        constants changed, or a callee's summary got a new revision
+        (the summary phases collect these in ``_dep_stale``).  Every
+        other unit is a hit without building its key.  A hit's pristine
+        edge markings and verdicts are restored only if a session
+        reported changing them (:meth:`note_mutated`).
+
         Misses are collected and dispatched through the pool in call-graph
         order; each task payload is self-contained, so the per-unit result
         is identical inline or in a worker.  Units that came back from a
@@ -1016,16 +1140,18 @@ class AnalysisEngine:
         that cached analyses alias the canonical program AST.  Returns the
         program analysis and whether any adoption happened (the caller
         then rebuilds the source file from the span entries).
+
+        The analysis holds the engine's summary dicts themselves, not
+        copies: the engine replaces a summary dict whenever it changes
+        one, so a handed-out analysis never sees a later walk.
         """
 
         feats = self.features
         stats = self.stats
-        kv = kills_view(self._summaries["kill"], feats)  # type: ignore[arg-type]
-        modref = dict(self._summaries["modref"])
-        sections = dict(self._summaries["sections"])
-        constants = {
-            n: dict(v) for n, v in self._summaries["ipconst"].items()
-        }
+        kv = self._kill_views
+        modref = self._summaries["modref"]
+        sections = self._summaries["sections"]
+        constants = self._summaries["ipconst"]
         pa = ProgramAnalysis(
             sf,
             feats,
@@ -1039,28 +1165,43 @@ class AnalysisEngine:
         kr = self._summary_revs["kill"]
         sr = self._summary_revs["sections"]
         adopted = False
+        stale = self._dep_stale
+        if stale is not None:
+            before = self._dep_asserts
+            stale = stale | {
+                n
+                for n in before.keys() | asserts.keys()
+                if before.get(n) != asserts.get(n)
+            }
+        refreshed: Set[str] = set()
+        hits = 0
         with stats.timer("dependence"):
             misses: List[Tuple[str, tuple]] = []
             for name in cg.units:
-                key = (
-                    revs[name],
-                    asserts.get(name, ()),
-                    tuple(sorted(constants.get(name, {}).items())),
-                    tuple(
-                        sorted(
-                            (c, mr.get(c, 0), kr.get(c, 0), sr.get(c, 0))
-                            for c in cg.callees[name]
-                        )
-                    ),
-                )
                 cached = self._deps.get(name)
-                if cached is not None and cached.key == key:
-                    stats.hit("dependence")
+                if stale is None or name in stale or cached is None:
+                    key = (
+                        revs[name],
+                        asserts.get(name, ()),
+                        tuple(sorted(constants.get(name, {}).items())),
+                        tuple(
+                            sorted(
+                                (c, mr.get(c, 0), kr.get(c, 0), sr.get(c, 0))
+                                for c in cg.callees[name]
+                            )
+                        ),
+                    )
+                    if cached is None or cached.key != key:
+                        stats.miss("dependence")
+                        misses.append((name, key))
+                        continue
+                hits += 1
+                if name in self._mutated:
                     _restore_pristine(cached)
-                    pa.units[name] = cached.ua
-                    continue
-                stats.miss("dependence")
-                misses.append((name, key))
+                    refreshed.add(name)
+                pa.units[name] = cached.ua
+            if hits:
+                stats.hit("dependence", hits)
             if misses:
                 memo = self._dep_memo()
                 profile = HOT_PATH.profile_tiers
@@ -1130,6 +1271,11 @@ class AnalysisEngine:
                         },
                     )
                     pa.units[name] = ua
+                    refreshed.add(name)
+        self._dep_stale = set()
+        self._dep_asserts = asserts
+        self._mutated = set()
+        self.refreshed = refreshed
         return pa, adopted
 
     def _dep_memo(self) -> Optional[SharedPairMemo]:
@@ -1187,6 +1333,8 @@ class AnalysisEngine:
         self._deps = dict(deps)
         self._last = last
         self._rev_next = max(int(rev_next), self._rev_next)
+        self._reset_walk_memos()
+        self._kill_views = kills_view(self._summaries["kill"], self.features)
         self._spilled_spans.update(spans)
         self.stats.bump("disk.warm_start")
         return True
@@ -1308,9 +1456,7 @@ class AnalysisEngine:
 
     # -- per-unit summary records ---------------------------------------
 
-    def _unit_summary_keys(
-        self, cg: CallGraph, owners: Dict[str, Tuple[_SpanEntry, int]]
-    ) -> Dict[str, Optional[str]]:
+    def _unit_summary_keys(self, run: _Run) -> Dict[str, Optional[str]]:
         """Recursive content key per unit, callees-first.
 
         A unit's key digests the feature set, its name, its span digest
@@ -1320,9 +1466,10 @@ class AnalysisEngine:
         not per-unit content), and ``None`` poisons every caller above.
         """
 
+        cg, owners = run.cg, run.owners
         feats = features_digest(self.features)
         keys: Dict[str, Optional[str]] = {}
-        for group, recursive in _scc_schedule(cg):
+        for group, recursive in self._summary_schedule(run):
             if recursive:
                 for n in group:
                     keys[n] = None

@@ -12,7 +12,11 @@ import pytest
 
 from repro.assertions.engine import AssertionDB
 from repro.fortran.symbols import parse_and_bind
-from repro.incremental import AnalysisEngine, program_fingerprint
+from repro.incremental import (
+    AnalysisEngine,
+    program_fingerprint,
+    split_units,
+)
 from repro.interproc.program import FeatureSet, analyze_program
 from repro.workloads import SUITE
 
@@ -232,3 +236,201 @@ def test_stats_snapshot_and_render():
     assert "dependence" in text and "hit%" in text
     engine.stats.reset()
     assert engine.stats.analyses == 0
+
+
+# -- what a one-line edit costs --------------------------------------------
+#
+# A stencil edit inside one ``upd<r>`` of the 60-routine generated program
+# (the edit_loop benchmark's session) must cost work in that routine only:
+# the split re-reads the routine and at most one neighbour on each side,
+# no caller is constant-folded again, the summary schedule is kept, and no
+# cached graph is restored (the session holds no marks).
+
+
+def _generated_session():
+    from repro.editor import PedSession
+    from repro.workloads.generator import generate_program
+
+    return PedSession(generate_program(n_routines=60))
+
+
+def _line_of(source, text, after=None):
+    """1-based line of the first line equal to ``text`` (after the line
+    equal to ``after``, when given)."""
+
+    lines = source.splitlines()
+    start = lines.index(after) if after is not None else 0
+    return lines.index(text, start) + 1
+
+
+def _cold_fingerprint(source):
+    _, pa = AnalysisEngine().analyze(source)
+    return program_fingerprint(pa)
+
+
+class _WorkCounts:
+    """What the engine did since :meth:`reset`: physical lines each
+    splitter logical-line pass read, ``propagate_constants`` calls as
+    ``(stage, unit name)`` (the ``ipconst`` stage folds callers, the
+    ``dependence`` stage the unit it analyzes), ``_scc_schedule`` calls,
+    and units whose pristine graph was restored."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.lines_read, self.folds, self.restores = [], [], []
+        self.schedules = 0
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    from repro.dependence import driver
+    from repro.incremental import engine, splitter
+
+    counts = _WorkCounts()
+    real_logical_lines = splitter.logical_lines
+    real_schedule = engine._scc_schedule
+    real_restore = engine._restore_pristine
+
+    def lines_read(text):
+        counts.lines_read.append(len(text.splitlines()))
+        return real_logical_lines(text)
+
+    def schedule(cg):
+        counts.schedules += 1
+        return real_schedule(cg)
+
+    def restore(entry):
+        counts.restores.append(entry.ua.unit.name)
+        return real_restore(entry)
+
+    def fold(module, stage):
+        real = module.propagate_constants
+
+        def counting(unit, *args, **kwargs):
+            counts.folds.append((stage, unit.name))
+            return real(unit, *args, **kwargs)
+
+        monkeypatch.setattr(module, "propagate_constants", counting)
+
+    monkeypatch.setattr(splitter, "logical_lines", lines_read)
+    monkeypatch.setattr(engine, "_scc_schedule", schedule)
+    monkeypatch.setattr(engine, "_restore_pristine", restore)
+    fold(engine, "ipconst")
+    fold(driver, "dependence")
+    return counts
+
+
+def test_one_line_edit_costs_only_its_unit(work_counts):
+    session = _generated_session()
+    source = session.source
+    spans = dict(
+        zip([u.name for u in session.sf.units], split_units(source))
+    )
+    lines = source.splitlines()
+    upd7 = spans["upd7"]
+    line = next(
+        n
+        for n in range(upd7.start_line, upd7.end_line + 1)
+        if lines[n - 1].lstrip().startswith("x(i) = x(i) +")
+    )
+    text = lines[line - 1]
+    work_counts.reset()
+    session.edit(line, line, text + " + 1.0")
+
+    around = sum(
+        spans[n].end_line - spans[n].start_line + 1
+        for n in ("upd6", "upd7", "upd8")
+    )
+    assert 0 < sum(work_counts.lines_read) <= around
+    assert {unit for _stage, unit in work_counts.folds} == {"upd7"}
+    assert work_counts.schedules == 0
+    assert work_counts.restores == []
+    assert program_fingerprint(session.analysis) == _cold_fingerprint(
+        session.source
+    )
+
+
+def test_caller_is_refolded_when_its_inherited_constants_move(work_counts):
+    """``driver``'s text is unchanged, but the constant its caller passes
+    is not: the fold key holds inherited constants."""
+
+    session = _generated_session()
+    line = _line_of(session.source, "         call driver(n)")
+    work_counts.reset()
+    session.edit(line, line, "         call driver(8)")
+    assert ("ipconst", "driver") in work_counts.folds
+    assert session.analysis.ip_constants["driver"] == {"m": 8}
+    assert program_fingerprint(session.analysis) == _cold_fingerprint(
+        session.source
+    )
+
+
+def test_caller_parameter_edit_moves_every_callee_constant():
+    """With ``k = 3`` each ``upd<r>`` loop runs one iteration and turns
+    parallel: every callee's dependence key moved with its constants,
+    although no callee's text did."""
+
+    session = _generated_session()
+    line = _line_of(
+        session.source,
+        "      parameter (n = 16)",
+        after="      subroutine driver(m)",
+    )
+    session.edit(line, line, "      parameter (n = 3)")
+    analysis = session.analysis
+    for r in range(60):
+        assert analysis.ip_constants[f"upd{r}"] == {"k": 3}
+        assert all(
+            info.parallelizable
+            for info in analysis.units[f"upd{r}"].loop_info.values()
+        )
+    assert program_fingerprint(analysis) == _cold_fingerprint(session.source)
+
+
+#: ``mid`` passes its formal on to ``leaf``, whose loop is parallel only
+#: while the offset it inherits is at least 10.
+CHAIN = (
+    "      program main\n"
+    "      real a(100)\n"
+    "      call mid(a, 10)\n"
+    "      end\n"
+    "      subroutine mid(y, k)\n"
+    "      real y(100)\n"
+    "      call leaf(y, k)\n"
+    "      end\n"
+    "      subroutine leaf(x, k)\n"
+    "      real x(100)\n"
+    "      do i = 1, 10\n"
+    "         x(i + k) = x(i) + 1.0\n"
+    "      enddo\n"
+    "      end\n"
+)
+
+
+def test_constants_move_two_calls_down():
+    engine = AnalysisEngine()
+    _, pa = engine.analyze(CHAIN)
+    assert pa.ip_constants["leaf"] == {"k": 10}
+    assert all(i.parallelizable for i in pa.units["leaf"].loop_info.values())
+    edited = CHAIN.replace("call mid(a, 10)", "call mid(a, 5)")
+    _, pa = engine.analyze(edited)
+    assert pa.ip_constants["leaf"] == {"k": 5}
+    assert not any(
+        i.parallelizable for i in pa.units["leaf"].loop_info.values()
+    )
+    assert program_fingerprint(pa) == _cold_fingerprint(edited)
+
+
+def test_new_call_edge_recomputes_the_schedule(work_counts):
+    engine = AnalysisEngine()
+    engine.analyze(THREE_UNITS)
+    edited = THREE_UNITS.replace(
+        "         a(i) = a(i) * 2.0\n",
+        "         a(i) = a(i) * 2.0\n      call init(a, n)\n",
+    )
+    work_counts.reset()
+    _, pa = engine.analyze(edited)
+    assert work_counts.schedules == 1
+    assert program_fingerprint(pa) == _cold_fingerprint(edited)

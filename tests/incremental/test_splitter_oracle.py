@@ -5,15 +5,18 @@ seeded random inserts, deletes and replacements of junk lines chosen to
 sit on the splitter's edge cases (``END`` spellings, labels, inline
 comments, continuations, directives, lex errors).  Both splitters must
 return identical spans and digests, or raise the same exception type
-with the same message.  Skipping the lexing of ``known`` spans must
-never change the outcome either.
+with the same message.  Each variant is also split by splicing: from
+its base program's split and from the split of the last variant that
+split cleanly (what an engine holds after a rejected edit), and along a
+chain where each clean variant is mutated again.  Skipping the lexing
+of ``known`` spans must never change any of these outcomes either.
 """
 
 import random
 
 import pytest
 
-from repro.incremental import split_units
+from repro.incremental import UnitSpan, split_units
 from repro.workloads import SUITE
 from repro.workloads.generator import generate_program
 
@@ -45,9 +48,9 @@ for _routines in (1, 5, 30):
         )
 
 
-def _mutate(rng: random.Random, lines):
+def _mutate(rng: random.Random, lines, edits=None):
     lines = list(lines)
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(edits or rng.randint(1, 4)):
         op = rng.choice(("insert", "delete", "replace"))
         if op != "insert" and lines:
             at = rng.randrange(len(lines))
@@ -68,29 +71,68 @@ def _outcome(split, source, **kwargs):
         return (type(exc).__name__, str(exc))
 
 
+def _splits(source, want, base, previous, whole=True):
+    """Every way to split ``source``: with each ``known`` set, spliced
+    from each of the ``previous`` splits and (``whole``) not spliced."""
+
+    knowns = {"none known": (), "base known": base[2]}
+    if isinstance(want, list):
+        knowns["result known"] = {span[3] for span in want}
+    got = {}
+    for label, known in knowns.items():
+        if whole:
+            got[label] = _outcome(split_units, source, known=known)
+        for origin, (old, spans, _digests) in previous.items():
+            got[f"{label}, spliced from {origin}"] = _outcome(
+                split_units, source, known=known, previous=(old, spans)
+            )
+    return got
+
+
+def _clean_split(source, outcome):
+    spans = [UnitSpan(*span) for span in outcome]
+    return source, spans, {span.digest for span in spans}
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_split_matches_reference_on_mutated_sources(name):
     source = PROGRAMS[name]
-    original = {s.digest for s in split_units(source)}
+    base = _clean_split(source, _outcome(reference_split_units, source))
+    last_clean = base
     rng = random.Random(name)
     mismatches = []
     for _ in range(VARIANTS):
         mutated = _mutate(rng, source.splitlines())
         want = _outcome(reference_split_units, mutated)
-        got = {
-            "none known": _outcome(split_units, mutated),
-            # What an engine that analyzed the unmutated program knows.
-            "original known": _outcome(
-                split_units, mutated, known=original
-            ),
-        }
-        if isinstance(want, list):
-            got["result known"] = _outcome(
-                split_units, mutated, known={span[3] for span in want}
-            )
+        got = _splits(
+            mutated, want, base, {"base": base, "previous": last_clean}
+        )
         for label, outcome in got.items():
             if outcome != want:
                 mismatches.append((label, mutated, want, outcome))
+        if isinstance(want, list):
+            last_clean = _clean_split(mutated, want)
+    assert not mismatches, mismatches[0]
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_splice_follows_a_chain_of_edits(name):
+    source = PROGRAMS[name]
+    current = _clean_split(source, _outcome(reference_split_units, source))
+    base = current
+    rng = random.Random(f"chain:{name}")
+    mismatches = []
+    for _ in range(VARIANTS):
+        mutated = _mutate(rng, current[0].splitlines(), edits=1)
+        want = _outcome(reference_split_units, mutated)
+        got = _splits(
+            mutated, want, base, {"previous": current}, whole=False
+        )
+        for label, outcome in got.items():
+            if outcome != want:
+                mismatches.append((label, mutated, want, outcome))
+        if isinstance(want, list):
+            current = _clean_split(mutated, want)
     assert not mismatches, mismatches[0]
 
 
