@@ -20,9 +20,9 @@ into ``benchmarks/out/batchtest.json``:
 
    Fingerprints must be byte-identical scalar vs batched at every size
    in every mode, and the batched engine must stay byte-identical to
-   itself across execution modes: serial, ``--jobs 2`` worker pool,
-   and a 2-shard consistent-hash fleet.  M1 tier statistics must be
-   bit-identical with and without the memo.
+   itself across execution modes: a single host and a 2-shard
+   consistent-hash fleet.  M1 tier statistics must be bit-identical
+   with and without the memo.
 
 2. *Binary delta frames* — a streamed edit session over the
    length-prefixed binary frame protocol with pane deltas transfers
@@ -39,11 +39,11 @@ from repro.dependence import driver
 from repro.evaluation.hierarchy_stats import dependence_test_stats
 from repro.fleet import AsyncTransport, FleetRouter
 from repro.fortran import parse_and_bind
-from repro.incremental import AnalysisEngine, program_fingerprint
+from repro.incremental import program_fingerprint
 from repro.incremental.stats import EngineStats
 from repro.interproc import FeatureSet, analyze_program
 from repro.pipeline import CorpusRunner
-from repro.service import PedClient, PedServer, WorkerPool
+from repro.service import PedClient, PedServer
 from repro.workloads.generator import generate_program
 
 from conftest import OUT_DIR, names_owned_by, save_artifact
@@ -165,28 +165,12 @@ def test_batched_tester_speedup_by_size(benchmark):
 
 
 def test_batched_fingerprints_across_execution_modes(benchmark):
-    """Serial, --jobs 2 and a 2-shard fleet must all produce the same
-    bytes with batching on (default hot path)."""
+    """A single host and a 2-shard fleet must produce the same bytes
+    with batching on (default hot path)."""
 
     source = generate_program(n_routines=ACCEPT_SIZE)
 
-    # Serial vs worker-pool engines on the 40-routine program.
-    serial_engine = AnalysisEngine()
-    pool = WorkerPool(2, stats=EngineStats())
-    jobs_engine = AnalysisEngine(pool=pool)
-    try:
-        _, pa_serial = serial_engine.analyze(source)
-        _, pa_jobs = benchmark.pedantic(
-            jobs_engine.analyze, args=(source,),
-            rounds=1, iterations=1, warmup_rounds=0,
-        )
-        fp_serial = program_fingerprint(pa_serial)
-        fp_jobs = program_fingerprint(pa_jobs)
-    finally:
-        pool.close()
-    assert fp_jobs == fp_serial
-
-    # The same corpus through a single host and a routed 2-shard fleet,
+    # One corpus through a single host and a routed 2-shard fleet,
     # under names that put two programs on each shard.
     shards, addrs = [], []
     for _ in range(2):
@@ -207,7 +191,10 @@ def test_batched_fingerprints_across_execution_modes(benchmark):
         programs = list(zip(names, sources))
         runner = CorpusRunner(features=FeatureSet(), stats=EngineStats())
         local = runner.submit(programs)
-        runner.run(local)
+        benchmark.pedantic(
+            runner.run, args=(local,),
+            rounds=1, iterations=1, warmup_rounds=0,
+        )
         local_digests = {
             r["program"]: r["digest"] for r in local.result_records()
         }
@@ -231,8 +218,6 @@ def test_batched_fingerprints_across_execution_modes(benchmark):
         "execution_modes",
         {
             "routines": ACCEPT_SIZE,
-            "serial_fingerprint": fp_serial,
-            "jobs2_identical": fp_jobs == fp_serial,
             "fleet_shards": 2,
             "fleet_digests_identical": fleet_digests == local_digests,
         },

@@ -16,10 +16,6 @@ the incremental cost of the individual interactions a user performs:
 * reopening a previously analyzed program with ``--cache-dir`` must
   start warm from the persistent store, far below the cold-open cost
   (``benchmarks/out/warmstart.json``);
-* per-unit fan-out with ``--jobs`` must stay fingerprint-identical to
-  serial, with the wall-clock comparison recorded to
-  ``benchmarks/out/parallel.json`` (the speedup itself is only asserted
-  when the machine actually has multiple cores);
 * the shared pair-test memo and per-span warm starts must pay off
   across sessions *and* across programs: a warm-memo reopen beats the
   cold open by 1.5x or more, and a cold open of a *sibling* program
@@ -256,69 +252,6 @@ def test_warm_start_reopen(benchmark):
         benchmark.pedantic(warm_open, rounds=3, iterations=1, warmup_rounds=0)
 
 
-def test_parallel_vs_serial_analysis(benchmark):
-    """Cold spec77 analysis, serial vs ``--jobs 2``: structurally
-    identical results, with the wall-clock numbers recorded to
-    ``benchmarks/out/parallel.json``.  The speedup is asserted only on
-    genuinely multi-core machines — on a single core the process pool
-    can only add overhead, which the artifact records honestly."""
-
-    from repro.incremental import AnalysisEngine, program_fingerprint
-    from repro.service import build_engine
-
-    source = SUITE["spec77"].source
-    serial = AnalysisEngine()
-
-    def cold_serial():
-        serial.clear()
-        serial.analyze(source)
-
-    serial_s = _best_of(cold_serial, rounds=3)
-    serial_fp = program_fingerprint(serial.analyze(source)[1])
-
-    parallel = build_engine(jobs=2)
-    try:
-        parallel.analyze(source)  # first use spawns the worker processes
-
-        def cold_parallel():
-            parallel.clear()
-            parallel.analyze(source)
-
-        parallel_s = _best_of(cold_parallel, rounds=3)
-        _, pa = parallel.analyze(source)
-        assert program_fingerprint(pa) == serial_fp
-        assert parallel.stats.counter("pool.tasks") > 0
-        utilization = parallel.stats.pool_utilization()
-    finally:
-        parallel.close()
-
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        assert parallel_s < serial_s, (
-            f"on {cores} cores, parallel cold analysis ({parallel_s:.4f}s) "
-            f"must beat serial ({serial_s:.4f}s)"
-        )
-
-    save_artifact(
-        "parallel.json",
-        json.dumps(
-            {
-                "program": "spec77",
-                "jobs": 2,
-                "cpu_cores": cores,
-                "serial_cold_s": serial_s,
-                "parallel_cold_s": parallel_s,
-                "speedup": serial_s / parallel_s,
-                "pool_utilization": utilization,
-                "fingerprint_identical": True,
-            },
-            indent=2,
-        )
-        + "\n",
-    )
-    benchmark.pedantic(cold_serial, rounds=1, iterations=1, warmup_rounds=0)
-
-
 def test_cross_program_warm_reuse(benchmark):
     """Cross-session and cross-program reuse on a 40-routine workload:
 
@@ -440,7 +373,6 @@ def test_multiprocess_warm_reopen(benchmark):
         cold = build_engine(cache_dir=str(Path(scratch) / "own"))
         _, pa_cold = cold.analyze(source)
         cold_s = time.perf_counter() - t0
-        cold.close()
 
         # Process A (a real subprocess) populates the shared store.
         shared = str(Path(scratch) / "shared")
@@ -453,7 +385,6 @@ def test_multiprocess_warm_reopen(benchmark):
             "from repro.workloads.generator import generate_program\n"
             "engine = build_engine(cache_dir=sys.argv[1])\n"
             f"engine.analyze(generate_program(n_routines={n_routines}))\n"
-            "engine.close()\n"
         )
         subprocess.run(
             [sys.executable, "-c", writer, shared],

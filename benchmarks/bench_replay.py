@@ -106,7 +106,6 @@ def test_restore_speedup(benchmark, tmp_path):
         session = replay_journal(journal)
         elapsed = time.perf_counter() - t0
         digest = fingerprint_digest(session.analysis)
-        session.close()
         return elapsed, digest
 
     def warm_restore():

@@ -16,11 +16,12 @@
 ``python -m repro tables``          — regenerate the evaluation tables
 ``python -m repro suite NAME``      — dump a suite program's source
 
-``ped``, ``analyze`` and ``auto`` all take ``--jobs N`` (fan per-unit
-analysis out over N worker processes; ``--jobs auto`` sizes the pool to
-the observed batch width) and ``--cache-dir PATH`` (persist analysis
-results so reopening a file starts warm); both default off, reproducing
-the classic serial in-memory pipeline.
+``ped``, ``analyze``, ``auto``, ``serve`` and ``fleet shard`` take
+``--cache-dir PATH`` (persist analysis results so reopening a file
+starts warm; default off, the classic in-memory pipeline).  ``serve``,
+``fleet shard`` and ``corpus analyze`` take ``--jobs N``: corpus
+programs are analyzed on N worker processes (default 1, inline).  A
+session always analyzes its own edits inline.
 """
 
 from __future__ import annotations
@@ -35,22 +36,18 @@ def _read(path: str) -> str:
 
 
 def _engine(args: argparse.Namespace, features=None):
-    """An engine honouring the shared ``--jobs``/``--cache-dir`` flags."""
+    """An engine honouring the ``--cache-dir`` and ``--profile`` flags."""
 
     from .service import build_engine
 
-    if getattr(args, "profile", False):
+    if args.profile:
         # ``--profile`` also times the dependence tester per tier; the
         # timings surface as ``tier.<name>_s`` counters in the stats
-        # table (and ride dep payloads into worker processes).
+        # table.
         from .dependence.driver import HOT_PATH
 
         HOT_PATH.profile_tiers = True
-    return build_engine(
-        features=features,
-        jobs=getattr(args, "jobs", 1) or 1,
-        cache_dir=getattr(args, "cache_dir", None),
-    )
+    return build_engine(features=features, cache_dir=args.cache_dir)
 
 
 def cmd_ped(args: argparse.Namespace) -> int:
@@ -81,7 +78,6 @@ def cmd_ped(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}")
     if args.profile:
         print(session.engine.stats.render())
-    session.engine.close()
     return 0
 
 
@@ -112,7 +108,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.profile:
         print()
         print(engine.stats.render())
-    engine.close()
     return 0
 
 
@@ -135,7 +130,6 @@ def cmd_auto(args: argparse.Namespace) -> int:
         print(result.source)
     if args.profile:
         print(engine.stats.render())
-    engine.close()
     return 0
 
 
@@ -146,7 +140,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service import MAX_REQUEST_BYTES, PedServer
 
     server = PedServer(
-        jobs=args.jobs or 1,
+        jobs=args.jobs,
         cache_dir=args.cache_dir,
         max_workers=args.workers,
         max_request_bytes=args.max_request_bytes or MAX_REQUEST_BYTES,
@@ -227,7 +221,7 @@ def cmd_corpus_analyze(args: argparse.Namespace) -> int:
     programs = _corpus_programs(args)
     features = FeatureSet.minimal() if args.minimal else FeatureSet()
     stats = EngineStats()
-    pool = make_pool(args.jobs or 1, stats=stats)
+    pool = make_pool(args.jobs, stats=stats)
     runner = CorpusRunner(pool=pool, features=features, stats=stats)
     try:
         job = runner.submit(programs)
@@ -434,39 +428,28 @@ def main(argv=None) -> int:
 
     profile_help = "print incremental-engine stage timers and cache stats"
 
-    def jobs_value(text):
-        if text == "auto":
-            return "auto"
-        try:
-            return int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer or 'auto', got {text!r}"
-            )
-
-    def service_flags(p):
-        p.add_argument(
-            "-j",
-            "--jobs",
-            type=jobs_value,
-            default=1,
-            metavar="N",
-            help=(
-                "analyze units on N worker processes, or 'auto' to size "
-                "the pool to the observed batch width (default: serial)"
-            ),
-        )
+    def cache_flag(p):
         p.add_argument(
             "--cache-dir",
             metavar="PATH",
             help="persist analysis results under PATH for warm starts",
         )
 
+    def jobs_flag(p):
+        p.add_argument(
+            "-j",
+            "--jobs",
+            type=int,
+            default=1,
+            metavar="N",
+            help="analyze corpus programs on N worker processes",
+        )
+
     p = sub.add_parser("ped", help="interactive Ped session over a file")
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write the edited source on exit")
     p.add_argument("--profile", action="store_true", help=profile_help)
-    service_flags(p)
+    cache_flag(p)
     p.set_defaults(fn=cmd_ped)
 
     p = sub.add_parser("analyze", help="loop verdicts for a file")
@@ -474,7 +457,7 @@ def main(argv=None) -> int:
     p.add_argument("--minimal", action="store_true", help="baseline analysis")
     p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument("--profile", action="store_true", help=profile_help)
-    service_flags(p)
+    cache_flag(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("auto", help="automatic best-effort parallelizer")
@@ -482,7 +465,7 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output")
     p.add_argument("--eager", action="store_true", help="ignore profitability")
     p.add_argument("--profile", action="store_true", help=profile_help)
-    service_flags(p)
+    cache_flag(p)
     p.set_defaults(fn=cmd_auto)
 
     def server_flags(p):
@@ -504,7 +487,8 @@ def main(argv=None) -> int:
                 "payload-too-large error (default 4 MiB)"
             ),
         )
-        service_flags(p)
+        cache_flag(p)
+        jobs_flag(p)
 
     p = sub.add_parser(
         "serve", help="Ped session server (JSON-lines protocol)"
@@ -549,7 +533,7 @@ def main(argv=None) -> int:
     p.add_argument(
         "--json", metavar="PATH", help="write records + rollups as JSON"
     )
-    service_flags(p)
+    jobs_flag(p)
     p.set_defaults(fn=cmd_corpus_analyze)
 
     p = csub.add_parser(
@@ -687,7 +671,17 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_suite)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    from .fortran.errors import FortranError
+
+    try:
+        return args.fn(args)
+    except FortranError as exc:
+        if not hasattr(args, "file"):
+            raise
+        # A front-end diagnostic on the user's file is an answer, not
+        # a crash: one line naming the file and position.
+        print(f"repro: {args.file}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,23 +33,16 @@ def parse(source: str) -> SourceFile:
     return parse_and_bind(source)
 
 
-def _service_engine(features, jobs, cache_dir) -> AnalysisEngine:
+def _store_engine(features, cache_dir) -> AnalysisEngine:
     from ..service import build_engine
 
-    return build_engine(features=features, jobs=jobs, cache_dir=cache_dir)
-
-
-def _wants_pool(jobs) -> bool:
-    """Does a ``jobs`` value (int or ``"auto"``) call for worker processes?"""
-
-    return jobs == "auto" or (isinstance(jobs, int) and jobs > 1)
+    return build_engine(features=features, cache_dir=cache_dir)
 
 
 def analyze(
     source: str,
     features: Optional[FeatureSet] = None,
     engine: Optional[AnalysisEngine] = None,
-    jobs=1,
     cache_dir=None,
 ) -> ProgramAnalysis:
     """Full whole-program analysis of Fortran source text.
@@ -57,12 +50,11 @@ def analyze(
     Passing an :class:`AnalysisEngine` reuses its caches across calls
     (and its feature set wins); otherwise a fresh engine runs a cold
     analysis equivalent to the classic ``analyze_program`` pipeline.
-    ``jobs``/``cache_dir`` configure that fresh engine with worker
-    processes and/or a persistent warm-start cache.
+    ``cache_dir`` gives that fresh engine a persistent warm-start cache.
     """
 
     if engine is None:
-        engine = _service_engine(features, jobs, cache_dir)
+        engine = _store_engine(features, cache_dir)
     _, pa = engine.analyze(source)
     return pa
 
@@ -71,18 +63,16 @@ def open_session(
     source: str,
     features: Optional[FeatureSet] = None,
     engine: Optional[AnalysisEngine] = None,
-    jobs=1,
     cache_dir=None,
 ) -> PedSession:
     """Open an interactive Ped session over the source text.
 
-    ``jobs > 1`` (or ``"auto"``) analyzes procedures on worker
-    processes; ``cache_dir`` makes reopening the same program start from
-    the on-disk cache.
+    ``cache_dir`` makes reopening the same program start from the
+    on-disk cache.
     """
 
-    if engine is None and (_wants_pool(jobs) or cache_dir):
-        engine = _service_engine(features, jobs, cache_dir)
+    if engine is None and cache_dir:
+        engine = _store_engine(features, cache_dir)
     return PedSession(source, features=features, engine=engine)
 
 
@@ -104,15 +94,14 @@ def parallelize_program(
     features: Optional[FeatureSet] = None,
     require_profitable: bool = True,
     engine: Optional[AnalysisEngine] = None,
-    jobs=1,
     cache_dir=None,
 ) -> AutoResult:
     """Automatic mode: parallelize every loop the analysis alone proves
     safe (outermost-first; loops inside an already-parallel loop are left
     sequential, matching single-level parallel hardware)."""
 
-    if engine is None and (_wants_pool(jobs) or cache_dir):
-        engine = _service_engine(features, jobs, cache_dir)
+    if engine is None and cache_dir:
+        engine = _store_engine(features, cache_dir)
     session = PedSession(source, features=features, engine=engine)
     transform = Parallelize()
     result = AutoResult(source)

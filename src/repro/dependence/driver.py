@@ -218,9 +218,6 @@ class UnitAnalysis:
     tester: DependenceTester
     pair_results: List[PairResult] = field(default_factory=list)
     stmt_index: Optional[UnitStatementIndex] = None
-    #: Shared-memo export (fresh entries + counter deltas) recorded by
-    #: worker tasks for merge-back; nulled once the engine absorbs it.
-    memo_export: Optional[Dict[str, object]] = None
     #: Wall seconds of the whole graph build (pair testing + scalar +
     #: control dependences) and of the array-pair testing stage alone —
     #: what ``bench_batch.py`` compares batched vs scalar.  Read with

@@ -111,74 +111,40 @@ class SharedPairMemo:
     key widened with the oracle digest, nest depth and PARAMETER slice
     (everything unit-local the local key left implicit).
 
-    Worker-pool protocol: the memo is pickled into each worker payload;
-    workers record fresh entries and counter deltas, :meth:`export` them
-    with the task result, and the engine :meth:`absorb`\\ s the export
-    into the live memo.  The pending/absorbed counter split makes this
-    exactly-once in both the serial path (export and absorb touch the
-    *same* object) and the worker path (a pickled copy exports).
+    Every :meth:`lookup` counts one hit or one miss.  :meth:`absorb`
+    merges entries proved elsewhere (a sibling process through the
+    store, a peer server through gossip) without touching the counters.
     """
 
     #: Deterministic capacity cap — entries beyond this are computed but
     #: not stored, so long sessions stay bounded and parity stays exact.
     MAX_ENTRIES = 65536
-    #: Above this entry count, engines ship workers an *empty* memo
-    #: instead of pickling the full table into every payload; workers
-    #: still export fresh entries for merge-back.
-    MAX_SHIP = 4096
 
     def __init__(self, entries: Optional[Dict[tuple, tuple]] = None) -> None:
         self.entries: Dict[tuple, tuple] = dict(entries or {})
-        self._fresh: Dict[tuple, tuple] = {}
-        self._absorbed_hits = 0
-        self._absorbed_misses = 0
-        self._pending_hits = 0
-        self._pending_misses = 0
-
-    @property
-    def hits(self) -> int:
-        return self._absorbed_hits + self._pending_hits
-
-    @property
-    def misses(self) -> int:
-        return self._absorbed_misses + self._pending_misses
+        self.hits = 0
+        self.misses = 0
 
     def lookup(self, key: tuple) -> Optional[tuple]:
         value = self.entries.get(key)
         if value is not None:
-            self._pending_hits += 1
+            self.hits += 1
         else:
-            self._pending_misses += 1
+            self.misses += 1
         return value
 
     def store(self, key: tuple, value: tuple) -> None:
         if key in self.entries or len(self.entries) >= self.MAX_ENTRIES:
             return
         self.entries[key] = value
-        self._fresh[key] = value
 
-    def export(self) -> Dict[str, object]:
-        """Drain fresh entries and pending counters for merge-back."""
+    def absorb(self, export: Dict[str, object]) -> None:
+        """Merge ``export["entries"]`` up to :data:`MAX_ENTRIES`."""
 
-        fresh, self._fresh = self._fresh, {}
-        hits, self._pending_hits = self._pending_hits, 0
-        misses, self._pending_misses = self._pending_misses, 0
-        return {"entries": fresh, "hits": hits, "misses": misses}
-
-    def absorb(self, export: Optional[Dict[str, object]]) -> None:
-        """Merge an :meth:`export` (possibly from a pickled copy)."""
-
-        if not export:
-            return
         for key, value in export.get("entries", {}).items():
             if len(self.entries) >= self.MAX_ENTRIES:
                 break
-            # Already present in the serial (same-object) path; new in
-            # the worker path.  Either way, not re-marked fresh: the
-            # engine owns persistence of absorbed entries directly.
             self.entries.setdefault(key, value)
-        self._absorbed_hits += export.get("hits", 0)
-        self._absorbed_misses += export.get("misses", 0)
 
 
 def _classic_pair(src: ArrayAccess, snk: ArrayAccess) -> bool:

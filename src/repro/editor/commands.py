@@ -242,9 +242,7 @@ class CommandInterpreter:
         from ..service.metrics import merged_metrics, render_metrics
 
         engine = self.session.engine
-        metrics = merged_metrics(
-            engine.stats, pool=engine.pool, memo=engine.shared_memo
-        )
+        metrics = merged_metrics(engine.stats, memo=engine.shared_memo)
         return engine.stats.render() + "\n\n" + render_metrics(metrics)
 
     def _cmd_graph(self, rest: str) -> str:

@@ -133,15 +133,6 @@ class PedSession:
     # analysis lifecycle
     # ------------------------------------------------------------------
 
-    def close(self) -> None:
-        """Release engine-owned resources (worker processes).
-
-        Only call when the session owns its engine; server-hosted
-        sessions share one pool and must not close it.
-        """
-
-        self.engine.close()
-
     def reanalyze(self) -> None:
         """(Re)parse and (re)analyze; re-apply markings and overrides.
 

@@ -1,8 +1,8 @@
 """The fleet serving tier: many hosts behind one addressable front end.
 
 The session service (:mod:`repro.service`) scales one *process* — a
-worker pool per server, lease-coordinated sharing of one cache dir per
-machine.  This package scales the *fleet*:
+corpus worker pool per server, lease-coordinated sharing of one cache
+dir per machine.  This package scales the *fleet*:
 
 * :mod:`repro.fleet.transport` — the one front end: an :mod:`asyncio`
   transport speaking the :mod:`repro.service.protocol` envelopes over

@@ -45,25 +45,18 @@ appears or disappears), and :meth:`AnalysisEngine.invalidate` must be
 called after in-place AST mutation (transformations), since cached units
 alias the session's AST.
 
-The service layer plugs in at two seams:
+Span parses, same-level summary steps and per-unit dependence analyses
+run inline, in a fixed order, through a private
+:class:`~repro.service.pool.SerialPool`: each is a task of
+:mod:`repro.service.tasks`, a function of its payload alone.
 
-* **Worker pool** — span parses, same-level summary steps and per-unit
-  dependence analyses are dispatched through a
-  :class:`~repro.service.pool.SerialPool` (inline, the default) or a
-  :class:`~repro.service.pool.WorkerPool` (processes).  Dispatch order
-  and merge order are fixed, and each task is a pure function of its
-  payload, so results are structurally identical either way.  A unit
-  analyzed in a worker comes back as a fresh object graph; the engine
-  *adopts* the worker's AST as canonical (swapping it into the span
-  entry and the call graph) so the invariant that cached analyses alias
-  the program's AST keeps holding.
-* **Persistent store** — with a :class:`~repro.service.persist.
-  PersistentStore` attached, a cold engine first tries a whole-program
-  warm start (every cache restored from one content-addressed record),
-  parse misses fall back to per-span disk records (validated against
-  the current unit-kind map before acceptance), and every analysis
-  spills its results back.  Any invalid or corrupt record degrades to
-  recomputation.
+The service layer plugs in through the **persistent store**: with a
+:class:`~repro.service.persist.PersistentStore` attached, a cold engine
+first tries a whole-program warm start (every cache restored from one
+content-addressed record), parse misses fall back to per-span disk
+records (validated against the current unit-kind map before
+acceptance), and every analysis spills its results back.  Any invalid
+or corrupt record degrades to recomputation.
 
 Known approximation: interprocedural constants iterate at most the same
 five Jacobi rounds as the from-scratch pass, so on call chains deeper
@@ -181,7 +174,6 @@ class _Run:
     sf: Optional[SourceFile] = None
     kinds: Dict[str, str] = field(default_factory=dict)
     cg: Optional[CallGraph] = None
-    owners: Dict[str, Tuple[_SpanEntry, int]] = field(default_factory=dict)
     revs: Dict[str, int] = field(default_factory=dict)
     callee_sets: Dict[str, tuple] = field(default_factory=dict)
     caller_sets: Dict[str, tuple] = field(default_factory=dict)
@@ -208,7 +200,7 @@ def _scc_schedule(cg: CallGraph) -> List[Tuple[List[str], bool]]:
 
     Non-recursive SCCs (the overwhelmingly common case in Fortran 77)
     at the same call-graph depth cannot read each other's summaries, so
-    they form one parallel batch; recursive SCCs keep their serial
+    they form one batch of single step calls; recursive SCCs keep their
     fixpoint iteration.  Batches are emitted callees-first, so by the
     time a group runs every summary it can read is final.
     """
@@ -269,13 +261,12 @@ class AnalysisEngine:
         self,
         features: Optional[FeatureSet] = None,
         stats: Optional[EngineStats] = None,
-        pool=None,
         store=None,
         shared_memo: Optional[SharedPairMemo] = None,
     ) -> None:
         self.features = features or FeatureSet()
         self.stats = stats or EngineStats()
-        self._pool = pool if pool is not None else SerialPool(stats=self.stats)
+        self._pool = SerialPool()
         self._store = store
         self._rev_next = 1
         self._spans: Dict[str, _SpanEntry] = {}
@@ -316,10 +307,6 @@ class AnalysisEngine:
         #: Per-node outcome of the last :meth:`analyze` (see
         #: :meth:`node_report`).
         self._last_report: List[NodeResult] = []
-
-    @property
-    def pool(self):
-        return self._pool
 
     @property
     def store(self):
@@ -407,11 +394,6 @@ class AnalysisEngine:
         content-keyed caches."""
 
         self.clear()
-
-    def close(self) -> None:
-        """Release the worker pool (if this engine owns processes)."""
-
-        self._pool.close()
 
     def spans(self, source: str) -> List[UnitSpan]:
         """``source``'s unit spans: free for the last two sources
@@ -647,13 +629,6 @@ class AnalysisEngine:
         self._emit_progress(
             "callgraph", units=len(run.cg.units), sites=len(run.cg.sites)
         )
-        # Which span entry (and slot) owns each unit — needed to adopt
-        # ASTs analyzed in worker processes back as canonical.
-        run.owners = {
-            u.name: (entry, i)
-            for entry in run.entries
-            for i, u in enumerate(entry.units)
-        }
         run.revs = {
             u.name: e.rev for e in run.entries for u in e.units
         }
@@ -716,19 +691,7 @@ class AnalysisEngine:
             self._update_ip_constants(run)
 
     def _node_dependence(self, run: _Run) -> None:
-        pa, adopted = self._run_dependence(
-            run.sf, run.cg, run.asserts, run.revs, run.owners
-        )
-        if adopted:
-            # Units analyzed in worker processes came back as fresh
-            # object graphs and were swapped into their span entries;
-            # rebuild the source file so sessions and cached analyses
-            # alias the same ASTs.
-            run.sf = SourceFile(
-                [u for e in run.entries for u in e.units]
-            )
-            pa.source = run.sf
-        run.pa = pa
+        run.pa = self._run_dependence(run.sf, run.cg, run.asserts, run.revs)
 
     # ------------------------------------------------------------------
     # stage: parse + bind
@@ -991,8 +954,7 @@ class AnalysisEngine:
             if not recursive:
                 # Same-level, non-recursive units: their callees are
                 # final and they cannot read each other's summaries, so
-                # one step call per unit *is* its fixpoint — and the
-                # whole batch fans out across the pool.
+                # one step call per unit *is* its fixpoint.
                 live = []
                 for n in stale:
                     value = warm(n) if warm is not None else None
@@ -1119,9 +1081,8 @@ class AnalysisEngine:
         cg: CallGraph,
         asserts: Dict[str, tuple],
         revs: Dict[str, int],
-        owners: Dict[str, Tuple[_SpanEntry, int]],
-    ) -> Tuple[ProgramAnalysis, bool]:
-        """Per-unit dependence analysis: cache walk plus one pooled batch.
+    ) -> ProgramAnalysis:
+        """Per-unit dependence analysis: cache walk plus one batch.
 
         A unit's cache key is rebuilt only when one of its inputs may have
         moved since the last dependence stage: its span was reparsed or
@@ -1132,14 +1093,9 @@ class AnalysisEngine:
         edge markings and verdicts are restored only if a session
         reported changing them (:meth:`note_mutated`).
 
-        Misses are collected and dispatched through the pool in call-graph
-        order; each task payload is self-contained, so the per-unit result
-        is identical inline or in a worker.  Units that came back from a
-        worker process are *adopted*: the worker's AST copy replaces the
-        span entry's (and the call graph's) unit, preserving the invariant
-        that cached analyses alias the canonical program AST.  Returns the
-        program analysis and whether any adoption happened (the caller
-        then rebuilds the source file from the span entries).
+        Misses are collected and analyzed in call-graph order; each
+        analysis reads the program's own unit AST, so cached analyses
+        alias the program AST.
 
         The analysis holds the engine's summary dicts themselves, not
         copies: the engine replaces a summary dict whenever it changes
@@ -1164,7 +1120,6 @@ class AnalysisEngine:
         mr = self._summary_revs["modref"]
         kr = self._summary_revs["kill"]
         sr = self._summary_revs["sections"]
-        adopted = False
         stale = self._dep_stale
         if stale is not None:
             before = self._dep_asserts
@@ -1204,14 +1159,12 @@ class AnalysisEngine:
                 stats.hit("dependence", hits)
             if misses:
                 memo = self._dep_memo()
-                profile = HOT_PATH.profile_tiers
                 payloads = []
                 for name, _key in misses:
                     callees = sorted(cg.callees.get(name, ()))
                     payloads.append(
                         {
                             "unit": cg.units[name],
-                            "profile": profile,
                             "callee_units": {
                                 c: cg.units[c] for c in callees
                             },
@@ -1248,19 +1201,6 @@ class AnalysisEngine:
                         stats.bump("dep.pair_s", ua.pair_seconds)
                     if ua.build_seconds:
                         stats.bump("dep.build_s", ua.build_seconds)
-                    export, ua.memo_export = ua.memo_export, None
-                    if export is not None:
-                        # Merge worker-proved entries (or, with the
-                        # serial pool, the live memo's drained pending
-                        # state) into the program-scoped memo.
-                        self._shared_memo.absorb(export)
-                    if ua.unit is not cg.units[name]:
-                        # Worker-analyzed copy: make it the canonical AST.
-                        entry, slot = owners[name]
-                        entry.units[slot] = ua.unit
-                        entry.candidates = None
-                        cg.units[name] = ua.unit
-                        adopted = True
                     self._deps[name] = _DepEntry(
                         key,
                         ua,
@@ -1276,26 +1216,15 @@ class AnalysisEngine:
         self._dep_asserts = asserts
         self._mutated = set()
         self.refreshed = refreshed
-        return pa, adopted
+        return pa
 
     def _dep_memo(self) -> Optional[SharedPairMemo]:
-        """The memo to ship with dependence payloads, or ``None``.
-
-        Worker pools pickle the payload per task; once the memo grows
-        past :data:`SharedPairMemo.MAX_SHIP` entries the engine ships a
-        fresh empty memo instead (workers still export their fresh
-        entries, so merge-back keeps working) rather than serializing
-        the full table into every payload.
-        """
+        """The program-scoped memo dependence tasks read and extend, or
+        ``None`` when cross-unit sharing is switched off."""
 
         if not (HOT_PATH.share_pairs and HOT_PATH.memoize_pairs):
             return None
-        memo = self._shared_memo
-        if getattr(self._pool, "parallel", False) and (
-            len(memo.entries) > SharedPairMemo.MAX_SHIP
-        ):
-            return SharedPairMemo()
-        return memo
+        return self._shared_memo
 
     # ------------------------------------------------------------------
     # stage: persistence (warm starts)
@@ -1379,9 +1308,8 @@ class AnalysisEngine:
 
         Runs at the top of every analysis (record reads are atomic, so
         no lease is needed): entries in the store's singleton record but
-        not yet in the live memo are absorbed through the same
-        exactly-once :meth:`SharedPairMemo.absorb` path the worker-pool
-        merge uses, counted as ``memo.delta_absorbed``.  Absorbing more
+        not yet in the live memo are merged in with
+        :meth:`SharedPairMemo.absorb`, counted as ``memo.delta_absorbed``.  Absorbing more
         verdicts can never change results — every entry is fully
         content-addressed — it only replays work a sibling already did.
         """
@@ -1466,7 +1394,8 @@ class AnalysisEngine:
         not per-unit content), and ``None`` poisons every caller above.
         """
 
-        cg, owners = run.cg, run.owners
+        cg = run.cg
+        digests = {u.name: e.digest for e in run.entries for u in e.units}
         feats = features_digest(self.features)
         keys: Dict[str, Optional[str]] = {}
         for group, recursive in self._summary_schedule(run):
@@ -1475,7 +1404,7 @@ class AnalysisEngine:
                     keys[n] = None
                 continue
             for n in group:
-                parts = [feats, n, owners[n][0].digest]
+                parts = [feats, n, digests[n]]
                 poisoned = False
                 for callee in sorted(cg.callees.get(n, ())):
                     ck = keys.get(callee)

@@ -9,7 +9,7 @@ the outside, so full-vs-incremental comparisons come from real
 instrumentation.
 
 The service layer reports through the same object via free-form
-``counters``: the worker pool contributes ``pool.tasks`` /
+``counters``: the corpus pool contributes ``pool.tasks`` /
 ``pool.batches`` / ``pool.busy_s`` / ``pool.wall_s`` (utilization is
 derived as busy ÷ wall at render time) plus the ``pool.queue_depth``
 and ``pool.workers`` gauges, the disk cache contributes ``disk.hit`` /

@@ -15,7 +15,7 @@ makes the pipeline first-class:
   of per-program results (obstacle ranking, dependence-test tier
   histograms, transformation applicability);
 * :mod:`repro.pipeline.corpus` — corpus jobs: batch analysis of many
-  programs over the worker pool, with cached aggregate queries.
+  programs over the corpus pool, with cached aggregate queries.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Corpus-scale batch analysis over the pipeline-node graph.
 
 One corpus job holds N named programs; each program runs the whole
-per-program graph as a self-contained task (so the batch fans out over
-the service worker pool — the payload carries everything, exactly like
-the engine's per-unit tasks), producing a compact **result record**:
+per-program graph as a self-contained task (so the batch can fan out
+over a :class:`~repro.service.pool.WorkerPool` — the payload carries
+everything and the record it returns is small), producing a compact
+**result record**:
 loop/parallelizability totals, the obstacle histogram, the
 dependence-test tier histogram, transformation-applicability counts and
 the program's analysis fingerprint digest.  Aggregate nodes
@@ -68,10 +69,10 @@ def obstacle_category(text: str) -> str:
 def analyze_program_result(payload: Dict) -> Dict:
     """Analyze one corpus program end to end — a pure, picklable task.
 
-    Runs the canonical engine pipeline (serial, no shared state) on the
+    Runs the canonical engine pipeline (inline, no shared state) on the
     payload's source and projects the analysis onto the corpus result
-    record.  Front-end and analysis errors become ``error`` records
-    rather than exceptions: one broken program must not sink the batch.
+    record.  Every analysis error becomes an ``error`` record rather
+    than an exception: one broken program must not sink the batch.
     """
 
     from ..incremental.engine import AnalysisEngine
@@ -282,8 +283,7 @@ class CorpusRunner:
     ) -> Dict:
         names = job.pending()
         total = len(job.programs)
-        width = max(1, getattr(self.pool, "jobs", 1))
-        chunk_size = max(1, width * self.CHUNK_PER_WORKER)
+        chunk_size = self.pool.jobs * self.CHUNK_PER_WORKER
         done_before = total - len(names)
         completed = 0
         for start in range(0, len(names), chunk_size):

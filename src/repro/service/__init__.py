@@ -1,10 +1,10 @@
-"""The analysis service layer: parallel workers, persistence, serving.
+"""The analysis service layer: task pools, persistence, serving.
 
-Three cooperating subsystems on top of the incremental engine:
+Cooperating subsystems on top of the incremental engine:
 
-* :mod:`repro.service.pool` / :mod:`repro.service.tasks` — fan
-  independent per-unit work (parse, summary steps, dependence) out
-  across worker processes, with a deterministic inline fallback;
+* :mod:`repro.service.tasks` / :mod:`repro.service.pool` — the task
+  kinds the engine runs inline (parse, summary steps, dependence), and
+  the process pool that fans corpus batches out one program per task;
 * :mod:`repro.service.diskcache` / :mod:`repro.service.persist` — a
   content-addressed on-disk store that lets a reopened session start
   warm;
@@ -22,7 +22,7 @@ Three cooperating subsystems on top of the incremental engine:
   report.
 
 ``build_engine`` is the one-stop factory the CLI and sessions use to
-turn ``--jobs`` / ``--cache-dir`` into a configured engine.
+turn ``--cache-dir`` into a configured engine.
 
 The server/client pair is imported lazily: they depend on the editor
 package, which itself builds on the engine this package supplies.
@@ -35,7 +35,7 @@ from typing import Optional
 from .diskcache import DiskCache, FORMAT_VERSION
 from .metrics import merged_metrics, render_metrics
 from .persist import PersistentStore
-from .pool import ElasticWorkerPool, SerialPool, WorkerPool, make_pool
+from .pool import SerialPool, WorkerPool, make_pool
 from .protocol import MAX_REQUEST_BYTES, PROTOCOL_VERSION
 from .storelock import StoreLease
 
@@ -46,7 +46,6 @@ __all__ = [
     "StoreLease",
     "SerialPool",
     "WorkerPool",
-    "ElasticWorkerPool",
     "make_pool",
     "merged_metrics",
     "render_metrics",
@@ -64,34 +63,28 @@ __all__ = [
 
 def build_engine(
     features=None,
-    jobs=1,
     cache_dir: Optional[str] = None,
     stats=None,
-    pool=None,
     store=None,
     shared_memo=None,
 ):
     """An :class:`~repro.incremental.AnalysisEngine` wired for service.
 
-    ``jobs > 1`` attaches a process pool (``"auto"`` an elastic one),
-    ``cache_dir`` a persistent store; the defaults reproduce the classic
-    serial, in-memory engine.  Explicit ``pool`` / ``store`` /
-    ``shared_memo`` arguments (e.g. the server's shared instances) win
-    over the convenience flags.
+    ``cache_dir`` attaches a persistent store; the defaults reproduce
+    the classic in-memory engine.  Explicit ``store`` / ``shared_memo``
+    arguments (e.g. the server's shared instances) win over the
+    convenience flag.
     """
 
     from ..incremental.engine import AnalysisEngine
     from ..incremental.stats import EngineStats
 
     stats = stats or EngineStats()
-    if pool is None:
-        pool = make_pool(jobs, stats=stats)
     if store is None and cache_dir:
         store = PersistentStore.at(cache_dir, stats=stats)
     return AnalysisEngine(
         features=features,
         stats=stats,
-        pool=pool,
         store=store,
         shared_memo=shared_memo,
     )

@@ -52,7 +52,10 @@ log = logging.getLogger(__name__)
 #: memo_export and the tester gained shared-memo counters.
 #: v4: SectionInfo carries the unit's formal signature (``formals``),
 #: which early cutoff relies on; records without it must not load.
-FORMAT_VERSION = 4
+#: v5: UnitAnalysis lost memo_export and SharedPairMemo its
+#: pending/absorbed counter split (engines no longer ship work to
+#: worker processes).
+FORMAT_VERSION = 5
 
 _MAGIC = "repro-cache"
 

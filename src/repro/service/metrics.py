@@ -4,15 +4,16 @@ The satellite rule this module enforces: the server's ``metrics`` op and
 the editor's ``stats`` command must report the *same keys with the same
 meanings*, so a dashboard scraping the server and a user eyeballing the
 CLI never argue about names.  :func:`merged_metrics` is the single
-producer — both callers hand it their stats object, worker pool and
+producer — both callers hand it their stats object, corpus pool and
 shared memo and get one flat ``{key: number}`` dict:
 
 * ``pool.workers`` / ``pool.queue_depth`` (+ ``.peak``) — live gauges
-  re-read from the pool itself, so the snapshot reflects *now*, not the
-  last time a batch happened to publish.
+  of the corpus pool, the width re-read from the pool itself, so the
+  snapshot reflects *now*, not the last time a batch happened to
+  publish.
 * ``pool.tasks`` / ``pool.batches`` / ``pool.busy_s`` / ``pool.wall_s``
-  / ``pool.utilization`` — cumulative work volume and the derived
-  busy-over-wall speedup.
+  / ``pool.utilization`` — cumulative corpus work volume and the
+  derived busy-over-wall speedup.
 * ``memo.shared_hits`` / ``memo.shared_misses`` / ``memo.shared_hit_rate``
   / ``memo.entries`` — shared pair-test memo totals, read from the memo
   object (the authoritative source) rather than whichever engine last

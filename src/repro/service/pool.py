@@ -1,36 +1,32 @@
-"""Worker pools: fan per-unit analysis tasks out across processes.
+"""Pools: run tasks inline, or fan corpus programs out across processes.
 
 Two interchangeable backends execute :func:`repro.service.tasks.run_task`:
 
-* :class:`SerialPool` — the deterministic in-process fallback (``--jobs
-  1`` and most tests).  Tasks run inline, in submission order, on the
-  caller's objects (no pickling), so it is byte-for-byte the classic
-  serial pipeline.
+* :class:`SerialPool` — tasks run inline, in submission order, on the
+  caller's objects (no pickling).  Every session engine runs its parse,
+  summary and dependence tasks through a private, stats-less one, and
+  it is the ``--jobs 1`` corpus backend.
 * :class:`WorkerPool` — a ``ProcessPoolExecutor`` that pickles payloads
-  out and results back.  Submission order is preserved (``executor.map``),
-  so merges on the main process are deterministic; a broken pool (killed
-  worker, unpicklable payload) degrades to inline execution with a
-  logged warning rather than failing the analysis.
+  out and results back; it serves corpus batches, one whole program per
+  task (``serve --jobs N``, ``corpus analyze --jobs N``).  Submission
+  order is preserved (``executor.map``), so merges on the main process
+  are deterministic; a broken pool (killed worker, unpicklable payload)
+  degrades to inline execution with a logged warning rather than
+  failing the batch.
 
-:class:`ElasticWorkerPool` (``--jobs auto``) extends the process pool
-with batch-width-driven sizing: it grows to the observed batch width
-immediately (capped deterministically) and shrinks only after several
-consecutive narrow batches, so steady workloads keep their workers.
-
-All pools report utilization into
-:class:`~repro.incremental.stats.EngineStats` counters when attached:
-``pool.tasks`` / ``pool.batches`` (work volume), ``pool.busy_s`` (summed
-task seconds across workers) and ``pool.wall_s`` (main-process wait),
-from which the stats renderer derives utilization.  The process pool
-additionally publishes a ``pool.queue_depth`` gauge (with a
-``pool.queue_depth.peak`` high watermark) as each batch drains, and a
-``pool.workers`` gauge whenever an executor is (re)created.
+A pool with stats attached reports utilization into
+:class:`~repro.incremental.stats.EngineStats` counters: ``pool.tasks``
+/ ``pool.batches`` (work volume), ``pool.busy_s`` (summed task seconds
+across workers) and ``pool.wall_s`` (main-process wait), from which the
+stats renderer derives utilization.  The process pool additionally
+publishes a ``pool.queue_depth`` gauge (with a ``pool.queue_depth.peak``
+high watermark) as each batch drains, a ``pool.workers`` gauge when its
+executor starts, and ``pool.broken`` when a batch falls back inline.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
@@ -41,10 +37,9 @@ log = logging.getLogger(__name__)
 
 
 class SerialPool:
-    """Inline task execution: the ``--jobs 1`` / test fallback."""
+    """Inline task execution: session engines and ``--jobs 1`` corpora."""
 
     jobs = 1
-    parallel = False
 
     def __init__(self, stats=None) -> None:
         self.stats = stats
@@ -71,15 +66,13 @@ class SerialPool:
 
 
 class WorkerPool:
-    """Process-pool execution of analysis tasks, created lazily.
+    """Process-pool execution of corpus tasks, created lazily.
 
-    The executor starts on first use (so constructing an engine with
-    ``--jobs N`` costs nothing until a batch is actually dispatched) and
-    is shared for the pool's lifetime — across analyses, sessions and
-    server clients.  ``map`` may be called from multiple threads.
+    The executor starts on first use (so a server started with
+    ``--jobs N`` costs nothing until a corpus batch is actually
+    dispatched) and is shared for the pool's lifetime.  ``map`` may be
+    called from multiple threads.
     """
-
-    parallel = True
 
     def __init__(self, jobs: int, stats=None) -> None:
         if jobs < 2:
@@ -121,8 +114,6 @@ class WorkerPool:
                         "pool.queue_depth", len(payloads) - len(out)
                     )
         except Exception as exc:  # noqa: BLE001 — degrade, never fail
-            if _is_analysis_error(exc):
-                raise
             log.warning(
                 "worker pool failed (%s: %s); falling back to inline "
                 "execution for this batch",
@@ -159,70 +150,9 @@ class WorkerPool:
         self.close()
 
 
-class ElasticWorkerPool(WorkerPool):
-    """A worker pool that sizes itself to the observed batch width.
-
-    ``--jobs auto``: starts small (2 workers), grows immediately to the
-    width of any wider batch (bounded by a deterministic ``cap``), and
-    shrinks only after :data:`SHRINK_PATIENCE` consecutive batches at
-    half the current size or less — one narrow batch between wide ones
-    (a summary level with few dirty units, say) keeps the workers warm.
-    Sizing depends only on the batch-width sequence, never on timing, so
-    parity tests see the same pool shape on every run; each resize
-    recreates the executor lazily and republishes the ``pool.workers``
-    gauge.
-    """
-
-    #: Upper bound when the machine offers more cores; keeps ``auto``
-    #: deterministic across similarly-sized CI machines.
-    DEFAULT_CAP = 8
-    #: Consecutive narrow batches tolerated before shrinking.
-    SHRINK_PATIENCE = 3
-
-    def __init__(self, cap: Optional[int] = None, stats=None) -> None:
-        if cap is None:
-            cap = min(os.cpu_count() or 1, self.DEFAULT_CAP)
-        super().__init__(2, stats=stats)
-        self.cap = max(2, cap)
-        self._narrow_batches = 0
-
-    def map(self, kind: str, payloads: Sequence[Dict]) -> List:
-        if len(payloads) >= 2:
-            # Singletons run inline in the base class; they say nothing
-            # about the width the pool should hold.
-            self._resize(len(payloads))
-        return super().map(kind, payloads)
-
-    def _resize(self, width: int) -> None:
-        target = max(2, min(self.cap, width))
-        if target > self.jobs:
-            self._shutdown_executor()
-            self.jobs = target
-            self._narrow_batches = 0
-        elif target <= self.jobs // 2:
-            self._narrow_batches += 1
-            if self._narrow_batches >= self.SHRINK_PATIENCE:
-                self._shutdown_executor()
-                self.jobs = target
-                self._narrow_batches = 0
-        else:
-            self._narrow_batches = 0
-
-
-def _is_analysis_error(exc: Exception) -> bool:
-    """Fortran front-end errors are results, not pool failures: the
-    session's edit-rollback path depends on seeing them."""
-
-    from ..fortran.errors import FortranError
-
-    return isinstance(exc, FortranError)
-
-
 def make_pool(jobs, stats=None):
-    """``--jobs N`` / ``--jobs auto`` → the right pool backend."""
+    """``--jobs N`` → the corpus pool backend."""
 
-    if jobs == "auto":
-        return ElasticWorkerPool(stats=stats)
     if jobs and jobs > 1:
         return WorkerPool(jobs, stats=stats)
     return SerialPool(stats=stats)

@@ -23,8 +23,9 @@ rendering stale analysis.
 **Corpus batch.**  Besides per-session editing, the host runs
 corpus-scale batch analysis: ``corpus.submit`` registers named programs
 with a :class:`~repro.pipeline.corpus.CorpusRunner` that fans their
-end-to-end analyses over the server's worker pool (streaming requests
-get one ``analysis.progress`` event per finished program),
+end-to-end analyses over the server's corpus pool (``--jobs N`` worker
+processes; streaming requests get one ``analysis.progress`` event per
+finished program),
 ``corpus.status`` polls a background batch and ``corpus.query`` answers
 fleet-wide aggregate rollups (obstacle ranking, dependence-test tiers,
 transformation applicability) cached under content keys.  The
@@ -55,12 +56,12 @@ so ``metrics`` reports transport traffic even for a session-bound
 request (the merge overlays ``net.*`` from the host onto the engine's
 own counters).
 
-All sessions share the server's worker pool, persistent store and
-shared pair-test memo, so a server with ``--jobs``/``--cache-dir``
-gives every client parallel analysis and warm starts for free — and N
-server *processes* pointed at one ``--cache-dir`` exchange memo deltas
-and warm records through the store's lease-coordinated singleton
-records (:mod:`repro.service.storelock`).
+Session engines analyze inline, on the request's worker thread; all
+sessions share the server's persistent store and shared pair-test memo,
+so a server with ``--cache-dir`` gives every client warm starts for
+free — and N server *processes* pointed at one ``--cache-dir`` exchange
+memo deltas and warm records through the store's lease-coordinated
+singleton records (:mod:`repro.service.storelock`).
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class PedServer:
         #: processes warm this one).
         self.shared_memo = SharedPairMemo()
         #: Corpus-batch executor: jobs fan their per-program analyses
-        #: over the same worker pool the sessions use, and aggregate
-        #: queries cache under content keys on the server stats.
+        #: over the corpus pool, and aggregate queries cache under
+        #: content keys on the server stats.
         self.corpus = CorpusRunner(
             pool=self.pool, features=self.features, stats=self.stats
         )
@@ -253,11 +254,11 @@ class PedServer:
         return managed
 
     def _session_engine(self):
-        """A per-session engine sharing the server's pool and store.
+        """A per-session engine sharing the server's store and memo.
 
         Each session gets its own :class:`EngineStats` (so per-session
-        stage numbers stay meaningful) while pool and disk counters
-        accumulate on the shared server stats they were created with.
+        stage numbers stay meaningful) while disk counters accumulate on
+        the shared server stats the store was created with.
         """
 
         from ..incremental.engine import AnalysisEngine
@@ -265,7 +266,6 @@ class PedServer:
         return AnalysisEngine(
             features=self.features,
             stats=EngineStats(),
-            pool=self.pool,
             store=self.store,
             shared_memo=self.shared_memo,
         )
@@ -476,9 +476,9 @@ class PedServer:
             managed = self.sessions.pop(name, None)
         if managed is None:
             raise _UnknownSession(f"no session named {name!r}")
-        # The engine shares the server's pool/store: nothing to release —
-        # but the durable journal handle closes (the file itself stays,
-        # so ``session.restore`` can resurrect the session later).
+        # The engine holds nothing to release, but the durable journal
+        # handle closes (the file itself stays, so ``session.restore``
+        # can resurrect the session later).
         if managed.journal_file is not None:
             managed.journal_file.close()
         return {"closed": name}
@@ -752,7 +752,7 @@ class PedServer:
 
     def _replay(self, journal, upto, progress_phase: str):
         """Replay a journal prefix on a scratch engine (sharing the
-        server's pool/store/memo, so previously seen states are warm),
+        server's store/memo, so previously seen states are warm),
         streaming one progress event per record."""
 
         emit = self._emit()

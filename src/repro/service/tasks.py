@@ -1,14 +1,15 @@
-"""The unit tasks the analysis service fans out.
+"""The task kinds the pools run.
 
-Each task is a pure function of a picklable payload — no references into
-the calling engine's object graph — so the same function runs unchanged
-inline (:class:`~repro.service.pool.SerialPool`) or in a worker process
-(:class:`~repro.service.pool.WorkerPool`).  Three task kinds cover the
-per-unit work of one analysis pass:
+Each task is a function of its payload alone — it holds no reference
+to the calling engine.  Session engines run the three per-unit kinds
+inline (:class:`~repro.service.pool.SerialPool`); corpus batches may
+ship ``corpus`` tasks to worker processes
+(:class:`~repro.service.pool.WorkerPool`), so that payload and its
+result record are picklable.
 
 * ``parse`` — parse one source span (padded to its absolute start line)
-  into unbound procedure units; binding stays on the main process since
-  it needs the whole unit set.
+  into unbound procedure units; binding stays with the engine since it
+  needs the whole unit set.
 * ``summary`` — one bottom-up summary step (MOD/REF, kill or sections)
   for one unit, given its call sites and its callees' current summaries.
   Used for batches of same-level, non-recursive units, where a single
@@ -18,14 +19,13 @@ per-unit work of one analysis pass:
   task rebuilds the providers over a minimal call graph that answers
   exactly the same queries the whole-program graph would.
 * ``corpus`` — one whole corpus program end to end (the coarsest grain):
-  a fresh serial engine analyzes the payload's source and projects the
+  a fresh engine analyzes the payload's source and projects the
   result onto the corpus record (:func:`repro.pipeline.corpus.
   analyze_program_result`).  Errors come back as records, not raises.
 
-Determinism: every task output is a pure function of its payload, and
-the pool preserves submission order, so serial and parallel runs are
-structurally identical (the parity tests assert it fingerprint-for-
-fingerprint).
+Every dispatch goes through :func:`run_task`, and the pool preserves
+submission order, so serial and process-pool corpus runs produce the
+same records in the same order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import time
 from typing import Dict, List, Sequence
 
 from ..assertions.engine import AssertionDB
-from ..dependence.driver import HOT_PATH, UnitAnalysis, analyze_unit
+from ..dependence.driver import UnitAnalysis, analyze_unit
 from ..fortran.ast_nodes import ProcedureUnit
 from ..fortran.parser import parse_source
 from ..interproc.callgraph import CallGraph, CallSite
@@ -109,27 +109,15 @@ def task_dependence(payload: Dict) -> UnitAnalysis:
         oracle = AssertionDB()
         for text in payload["asserts"]:
             oracle.add(text)
-    # Worker processes have their own HOT_PATH defaults; the payload
-    # carries the engine's ``--profile`` choice so per-tier timings are
-    # recorded wherever the unit actually runs.
-    HOT_PATH.profile_tiers = bool(payload.get("profile", False))
-    memo = payload.get("memo")
     config = unit_config(
         unit.name,
         features,
         providers,
         {unit.name: payload["constants"]},
         oracle,
-        shared_memo=memo,
+        shared_memo=payload["memo"],
     )
-    ua = analyze_unit(unit, config)
-    if memo is not None:
-        # Ship fresh entries and counter deltas back with the result;
-        # the engine absorbs them into the live program-scoped memo.
-        # (With SerialPool ``memo`` is the live object itself — export
-        # drains its pending state, so absorb still counts once.)
-        ua.memo_export = memo.export()
-    return ua
+    return analyze_unit(unit, config)
 
 
 def task_corpus(payload: Dict) -> Dict:
@@ -149,7 +137,7 @@ _TASKS = {
 
 
 def run_task(kind: str, payload: Dict):
-    """Dispatch one task; the only function worker processes execute."""
+    """Dispatch one task: the one entry point every pool calls."""
 
     return _TASKS[kind](payload)
 

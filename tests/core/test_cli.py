@@ -93,3 +93,50 @@ class TestPedCommand:
         assert code == 0
         assert "DOALL" in out
         assert "c$par doall" in out_file.read_text()
+
+
+class TestCorpusCommand:
+    def test_jobs_sets_width_not_results(self, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            code, out = run_cli(
+                ["corpus", "analyze", "--generate", "4", "--jobs", jobs],
+                capsys,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("4 program(s), 0 error(s)")
+
+    def test_cache_dir_is_not_a_corpus_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "corpus", "analyze", "--generate", "1",
+                    "--cache-dir", str(tmp_path),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
+
+class TestFrontEndErrors:
+    @pytest.mark.parametrize("command", ["analyze", "auto", "ped"])
+    def test_unparsable_file_is_one_line(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.f"
+        bad.write_text(
+            "      program p\n      do 10 i =\n 10   continue\n      end\n"
+        )
+        code = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"repro: {bad}: line 2:9: unexpected end of statement\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "auto", "ped"])
+    def test_jobs_is_a_usage_error(self, command, arc3d_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, arc3d_file, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

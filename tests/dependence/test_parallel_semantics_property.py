@@ -5,7 +5,8 @@ executing the loop's iterations in *any* order must produce the same
 results.  We generate random small programs, auto-parallelize with
 analysis alone, and compare interpreter runs under forward / reversed /
 shuffled DOALL ordering — a direct executable check of the dependence
-analyzer's soundness on whole programs.
+analyzer's soundness on whole programs.  The programs print ``s`` and
+every array element.
 """
 
 import hypothesis.strategies as st
@@ -72,7 +73,12 @@ def programs(draw):
         for text in body.splitlines():
             lines.append("         " + text)
         lines.append("      end do")
-    lines.append("      write (6, *) s, a(3), b(4), c(5)")
+    # Every element is printed, so a DOALL that corrupts any of them
+    # changes the output (the parser takes no implied-DO WRITE lists).
+    lines.append("      write (6, *) s")
+    lines.append("      do k = 1, n")
+    lines.append("         write (6, *) a(k), b(k), c(k)")
+    lines.append("      end do")
     lines.append("      end")
     return "\n".join(lines) + "\n"
 

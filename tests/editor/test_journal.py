@@ -164,7 +164,6 @@ def test_live_session_journal_round_trips_through_json():
     back = SessionJournal.from_wire(wired)
     assert back.records == session.journal.records
     assert back.base_source == SIMPLE
-    session.close()
 
 
 def test_replay_record_missing_argument():
@@ -184,4 +183,3 @@ def test_replay_journal_rebuilds_state():
     assert "2*i" in session.source
     # The replayed session journals its own replay — same records.
     assert session.journal.records == journal.records
-    session.close()

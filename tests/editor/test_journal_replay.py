@@ -90,8 +90,6 @@ def test_replay_parity_at_every_prefix():
         assert replayed.undo_depth == undo_depth
         # The replayed session rebuilt the identical journal prefix.
         assert replayed.journal.records == live.journal.records[:position]
-        replayed.close()
-    live.close()
 
 
 def test_replay_reproduces_selection_at_mutation_time():
@@ -102,8 +100,6 @@ def test_replay_reproduces_selection_at_mutation_time():
     replayed = replay_journal(live.journal, features=FEATURES)
     assert replayed.current_unit == "work"
     assert replayed.selected_loop is replayed.loops()[1].loop
-    replayed.close()
-    live.close()
 
 
 def test_snapshots_intern_shared_unit_texts():
@@ -127,7 +123,6 @@ def test_snapshots_intern_shared_unit_texts():
     assert snaps[-1].source == session._snapshots[
         max(session._snapshots)
     ].source
-    session.close()
 
 
 def test_eviction_bumps_counter_and_undo_falls_back_to_replay():
@@ -161,7 +156,6 @@ def test_eviction_bumps_counter_and_undo_falls_back_to_replay():
     for expect in states[1:]:
         session.redo()
         assert (fingerprint_digest(session.analysis), session.source) == expect
-    session.close()
 
 
 def test_failed_mutation_does_not_journal():
@@ -176,10 +170,8 @@ def test_failed_mutation_does_not_journal():
     # The session still works and journals the next good mutation.
     session.add_assertion("n >= 1")
     assert session.journal.records[-1].op == "assert"
-    session.close()
 
 
 def test_max_snapshots_floor_is_one():
     session = PedSession(SOURCE, max_snapshots=0)
     assert session._max_snapshots == 1
-    session.close()

@@ -268,7 +268,6 @@ def _assert_matches_replay(session):
     assert program_fingerprint(session.analysis) == program_fingerprint(
         replayed.analysis
     )
-    replayed.close()
 
 
 def test_session_undo_redo_matches_journal_replay():
@@ -320,7 +319,6 @@ def test_session_undo_redo_matches_journal_replay():
         for name in ("marked", "reclass")
         for info in session.analysis.units[name].loop_info.values()
     )
-    session.close()
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

@@ -1,12 +1,10 @@
 """Acceptance criterion for the event-sourced core: a scripted 8-edit
-session's journal replays byte-identical at EVERY prefix across all
-three execution modes —
+session's journal replays byte-identical at EVERY prefix in both
+execution modes —
 
 * **serial**: in-process :func:`replay_journal`;
-* **--jobs 2**: a :class:`PedServer` running its analyses through a
-  2-worker pool, replaying via the ``session.replay`` op;
-* **fleet**: the same op forwarded through a 2-shard consistent-hash
-  router.
+* **fleet**: the ``session.replay`` op forwarded through a 2-shard
+  consistent-hash router.
 
 "Byte-identical" is the analysis fingerprint digest — one hex string
 per prefix — plus the journal records themselves, which must come out
@@ -70,7 +68,6 @@ def scripted():
     for start, end, text in EDITS:
         session.edit(start, end, text)
     journal = SessionJournal.from_wire(session.journal.to_wire())
-    session.close()
     return journal
 
 
@@ -79,7 +76,6 @@ def _serial_prefix_digests(journal):
     for upto in range(len(journal) + 1):
         replayed = replay_journal(journal, upto)
         out.append(fingerprint_digest(replayed.analysis))
-        replayed.close()
     return out
 
 
@@ -107,27 +103,13 @@ def _server_prefix_digests(execute, total):
     return out
 
 
-def test_eight_edit_journal_replays_identically_in_all_three_modes(scripted):
+def test_eight_edit_journal_replays_identically_in_both_modes(scripted):
     journal = scripted
     assert len(journal) == len(EDITS)
     serial = _serial_prefix_digests(journal)
     assert len(set(serial)) > 1, "edits must actually change the analysis"
 
-    # Mode 2: --jobs 2 server.
-    jobs2 = PedServer(jobs=2, max_workers=4)
-    try:
-        log = _drive_server(jobs2.execute)
-        server_records = SessionJournal.from_wire(
-            {"version": 1, "base": SOURCE, "records": log["records"]}
-        ).records
-        assert server_records == journal.records, (
-            "server journal must match the scripted one"
-        )
-        jobs2_digests = _server_prefix_digests(jobs2.execute, log["total"])
-    finally:
-        jobs2.close()
-
-    # Mode 3: two shards behind the fleet router.
+    # Two shards behind the fleet router.
     shards = []
     addrs = []
     for _ in range(2):
@@ -139,6 +121,12 @@ def test_eight_edit_journal_replays_identically_in_all_three_modes(scripted):
     router = FleetRouter(addrs, retries=1, backoff=0.01)
     try:
         log = _drive_server(router.execute)
+        server_records = SessionJournal.from_wire(
+            {"version": 1, "base": SOURCE, "records": log["records"]}
+        ).records
+        assert server_records == journal.records, (
+            "server journal must match the scripted one"
+        )
         fleet_digests = _server_prefix_digests(router.execute, log["total"])
     finally:
         router.close()
@@ -146,7 +134,7 @@ def test_eight_edit_journal_replays_identically_in_all_three_modes(scripted):
             transport.stop_background()
             srv.close()
 
-    assert serial == jobs2_digests == fleet_digests
+    assert serial == fleet_digests
 
 
 def test_suite_transcripts_carry_replayable_journals():
@@ -173,5 +161,3 @@ def test_suite_transcripts_carry_replayable_journals():
     ]
     assert first == second
     assert first[-1] == fingerprint_digest(session.analysis)
-    session.close()
-    rebuilt.close()

@@ -2,14 +2,22 @@
 
 The satellite parity rule: every fleet-wide aggregate must equal the
 serial sum of the per-program results — rollups are pure and order-
-insensitive by construction, and these tests hold them to it.
+insensitive by construction, and these tests hold them to it.  A batch
+run on the process pool must give the serial runner's records and
+progress, also when the pool's workers die mid-batch.
 """
+
+import logging
+import os
+import signal
 
 import pytest
 
+from repro.incremental.stats import EngineStats
 from repro.pipeline import CorpusError, CorpusRunner, analyze_program_result
 from repro.pipeline.aggregate import aggregate_key, run_aggregate
 from repro.pipeline.corpus import obstacle_category
+from repro.service.pool import SerialPool, WorkerPool, make_pool
 from repro.workloads import SUITE
 from repro.workloads.generator import generate_program
 
@@ -194,3 +202,87 @@ class TestCorpusRunner:
         runner.run(job)
         with pytest.raises(CorpusError, match="unknown aggregate"):
             runner.query(job, "nope")
+
+
+#: Seven generated programs, then one the front end rejects: two chunks
+#: of four on a 2-worker pool, with the error record in the second.
+POOL_BATCH = [
+    (
+        f"p{i}",
+        generate_program(
+            n_routines=2 + i % 3, n_fields=2, grid=8, steps=2 + i % 4
+        ),
+    )
+    for i in range(7)
+] + [
+    (
+        "broken",
+        "      program p\n      do 10 i =\n 10   continue\n      end\n",
+    )
+]
+
+
+def run_batch(pool, on_progress=None):
+    """``(result records, [(done, total), ...])`` of one batch run."""
+
+    runner = CorpusRunner(pool=pool)
+    job = runner.submit(POOL_BATCH)
+    seen = []
+
+    def progress(record):
+        seen.append((record["done"], record["total"]))
+        if on_progress is not None:
+            on_progress(record)
+
+    runner.run(job, progress=progress)
+    return job.result_records(), seen
+
+
+@pytest.fixture(scope="module")
+def serial_batch():
+    return run_batch(SerialPool())
+
+
+class TestCorpusPool:
+    def test_make_pool_selects_backend(self):
+        assert isinstance(make_pool(1), SerialPool)
+        assert isinstance(make_pool(None), SerialPool)
+        four = make_pool(4)
+        assert type(four) is WorkerPool and four.jobs == 4
+        four.close()
+
+    def test_worker_pool_matches_serial(self, serial_batch):
+        records, progress = serial_batch
+        assert records[-1]["program"] == "broken"
+        assert "unexpected end of statement" in records[-1]["error"]
+        stats = EngineStats()
+        with WorkerPool(2, stats=stats) as pool:
+            assert run_batch(pool) == (records, progress)
+        assert stats.counter("pool.tasks") == len(POOL_BATCH)
+        assert stats.counter("pool.broken") == 0
+
+    def test_killed_workers_finish_inline(self, serial_batch, caplog):
+        stats = EngineStats()
+        pool = WorkerPool(2, stats=stats)
+
+        def kill_workers(record):
+            if record["done"] != 4:
+                return
+            workers = list(pool._executor._processes.values())
+            assert workers
+            for proc in workers:
+                os.kill(proc.pid, signal.SIGKILL)
+            for proc in workers:
+                proc.join(timeout=30)
+                assert not proc.is_alive()
+
+        with caplog.at_level(logging.WARNING, logger="repro.service.pool"):
+            with pool:
+                result = run_batch(pool, on_progress=kill_workers)
+        assert result == serial_batch
+        assert stats.counter("pool.broken") == 1
+        warnings = [
+            r for r in caplog.records if r.name == "repro.service.pool"
+        ]
+        assert len(warnings) == 1
+        assert "falling back to inline" in warnings[0].getMessage()

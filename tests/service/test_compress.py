@@ -4,7 +4,7 @@ Hostile-input coverage for the two new frame kinds (compressed,
 multi-record), the adaptive ship-raw guards, the ``frames`` ->
 ``compress`` negotiation ladder over TCP, and the invisibility
 bar: a compressed connection sees the identical event sequence and
-fingerprint a raw JSON connection sees — serially and with ``jobs=2``.
+fingerprint a raw JSON connection sees.
 """
 
 import json
@@ -356,30 +356,6 @@ def test_compressed_stream_ordering(server):
     seqs = [e.seq for e in events]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
     assert all(s < events[-1].seq for s in seqs[:-1])
-
-
-def test_parity_with_parallel_jobs():
-    """A jobs=2 server coalesces the same stream a serial one does."""
-
-    def run(jobs: int):
-        srv = PedServer(jobs=jobs, max_workers=4)
-        try:
-            with served(srv) as port, PedClient.connect(port=port) as c:
-                assert c.negotiate_compression() is True
-                events = [
-                    (ev.kind, json.dumps(ev.data, sort_keys=True))
-                    for ev in c.stream("open", session="j", source=SIMPLE)
-                    if ev.kind != "result"
-                ]
-                fp = c.request("fingerprint", session="j")
-            return sorted(events), fp
-        finally:
-            srv.close()
-
-    serial_events, serial_fp = run(1)
-    par_events, par_fp = run(2)
-    assert par_fp == serial_fp
-    assert par_events == serial_events
 
 
 def test_net_counters_surface_in_metrics(server):

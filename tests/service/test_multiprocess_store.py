@@ -36,7 +36,6 @@ source = generate_program(n_routines=n)
 for _ in range(2):
     engine = build_engine(cache_dir=cache_dir)
     engine.analyze(source)
-    engine.close()
 print("ok")
 """
 
@@ -93,7 +92,6 @@ def test_two_subprocess_writers_no_corruption_no_livelock(tmp_path):
     assert third.stats.counter("disk.warm_start") >= 1
     _, pa_scratch = AnalysisEngine().analyze(source)
     assert fingerprint_digest(pa) == fingerprint_digest(pa_scratch)
-    third.close()
 
 
 def test_overlapping_programs_share_memo_across_processes(tmp_path):
@@ -113,4 +111,3 @@ def test_overlapping_programs_share_memo_across_processes(tmp_path):
     # The singleton memo record survived both writers and is absorbable.
     assert engine.stats.counter("memo.delta_absorbed") > 0
     assert engine.stats.counter("disk.error") == 0
-    engine.close()

@@ -145,22 +145,3 @@ def test_features_enter_the_program_key(tmp_path):
     assert warm.stats.counter("disk.warm_start") == 0
     ref = AnalysisEngine(features=FeatureSet.minimal()).analyze(SOURCE)[1]
     assert program_fingerprint(pa) == program_fingerprint(ref)
-
-
-def test_parallel_and_persistent_compose(tmp_path):
-    """jobs=2 plus a store: still fingerprint-identical, still warm."""
-
-    cold = build_engine(jobs=2, cache_dir=tmp_path / "cache")
-    try:
-        _, pa_cold = cold.analyze(SOURCE)
-    finally:
-        cold.close()
-    warm = build_engine(jobs=2, cache_dir=tmp_path / "cache")
-    try:
-        _, pa_warm = warm.analyze(SOURCE)
-    finally:
-        warm.close()
-    assert warm.stats.counter("disk.warm_start") == 1
-    ref = AnalysisEngine().analyze(SOURCE)[1]
-    assert program_fingerprint(pa_cold) == program_fingerprint(ref)
-    assert program_fingerprint(pa_warm) == program_fingerprint(ref)
