@@ -29,7 +29,6 @@ interpreter so sessions can be scripted, replayed and tested:
 ``check``           Composition Editor: cross-procedure consistency
 ``summary``         per-unit parallel loop counts
 ``stats``           incremental-engine timers and cache hit rates
-``graph [plan ..]`` pipeline-node outcomes / what-if invalidation
 ``undo`` ``redo``   session history
 ``journal``         the session's mutation journal (the event log
                     undo/redo and crash restore replay)
@@ -45,6 +44,15 @@ from .filters import DependenceFilter, SourceFilter
 from .navigation import goto_hottest, ranked_loops
 from .panes import dependence_pane, loop_pane, variable_pane
 from .session import PedError, PedSession
+
+
+def _int(text: str):
+    """``text`` as an integer, or ``None`` when it is not one."""
+
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 class CommandInterpreter:
@@ -117,7 +125,10 @@ class CommandInterpreter:
         return "\n".join(rows) if rows else "(no loops)"
 
     def _cmd_select(self, rest: str) -> str:
-        self.session.select_loop(int(rest.strip()))
+        index = _int(rest)
+        if index is None:
+            return "error: usage: select <loop-index>"
+        self.session.select_loop(index)
         loop = self.session.selected_loop
         assert loop is not None
         return f"selected loop {loop.var} at line {loop.line}"
@@ -156,9 +167,10 @@ class CommandInterpreter:
 
     def _cmd_mark(self, rest: str) -> str:
         parts = rest.split()
-        if len(parts) != 2:
+        dep_id = _int(parts[0]) if len(parts) == 2 else None
+        if dep_id is None:
             return "error: usage: mark <dep-id> accepted|rejected|pending"
-        return self.session.mark_dependence(int(parts[0]), parts[1].lower())
+        return self.session.mark_dependence(dep_id, parts[1].lower())
 
     def _cmd_assert(self, rest: str) -> str:
         return self.session.add_assertion(rest)
@@ -170,38 +182,37 @@ class CommandInterpreter:
         return self.session.reclassify(parts[0], parts[1].lower())
 
     def _cmd_advice(self, rest: str) -> str:
-        name, kwargs = self._parse_transform_args(rest)
+        name, kwargs = self._parse_transform_args("advice", rest)
         advice = self.session.diagnose(name, **kwargs)
         return f"{name}: {advice.describe()}"
 
     def _cmd_apply(self, rest: str) -> str:
-        name, kwargs = self._parse_transform_args(rest)
+        name, kwargs = self._parse_transform_args("apply", rest)
         return self.session.apply(name, **kwargs)
 
-    def _parse_transform_args(self, rest: str):
+    def _parse_transform_args(self, cmd: str, rest: str):
         parts = rest.split()
         if not parts:
-            raise PedError("usage: apply <transformation> [key=value ...]")
+            raise PedError(f"usage: {cmd} <transformation> [key=value ...]")
         name = parts[0]
         kwargs = {}
         for token in parts[1:]:
-            if "=" not in token:
-                raise PedError(f"bad transformation argument {token!r}")
-            key, value = token.split("=", 1)
+            key, eq, value = token.partition("=")
             if key in ("factor", "size", "line"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
+                value = _int(value)
+            if not eq or value is None:
+                raise PedError(f"bad transformation argument {token!r}")
+            kwargs[key] = value
         return name, kwargs
 
     def _cmd_edit(self, rest: str) -> str:
         # edit A B | replacement text (may contain \n escapes)
         head, sep, text = rest.partition("|")
-        parts = head.split()
-        if len(parts) != 2 or not sep:
+        lines = [_int(part) for part in head.split()]
+        if len(lines) != 2 or None in lines or not sep:
             return "error: usage: edit <first> <last> | <replacement>"
         new_text = text.strip().replace("\\n", "\n")
-        return self.session.edit(int(parts[0]), int(parts[1]), new_text)
+        return self.session.edit(lines[0], lines[1], new_text)
 
     def _cmd_vars(self, rest: str) -> str:
         rows = variable_pane(self.session)
@@ -244,33 +255,6 @@ class CommandInterpreter:
         engine = self.session.engine
         metrics = merged_metrics(engine.stats, memo=engine.shared_memo)
         return engine.stats.render() + "\n\n" + render_metrics(metrics)
-
-    def _cmd_graph(self, rest: str) -> str:
-        """The pipeline-node graph: last analysis's per-node outcomes
-        (entry node, hit/recomputed/skipped states), or with ``plan
-        INPUT...`` what a change to the named inputs would re-run."""
-
-        engine = self.session.engine
-        parts = rest.split()
-        if parts and parts[0] == "plan":
-            if len(parts) < 2:
-                return "error: graph plan needs input names (e.g. 'assertions')"
-            from ..pipeline.graph import GraphError
-
-            try:
-                plan = engine.plan(parts[1:])
-            except GraphError as exc:
-                return f"error: {exc}"
-            would = ", ".join(plan["invalidated"]) or "(nothing)"
-            return (
-                f"entry: {plan['entry'] or '(nothing)'}\n"
-                f"would re-run: {would}"
-            )
-        report = engine.node_report()
-        rows = [f"entry: {report['entry'] or '(pure replay)'}"]
-        for row in report["nodes"]:
-            rows.append(f"  {row['node']:<12} {row['state']}")
-        return "\n".join(rows)
 
     def _cmd_callgraph(self, rest: str) -> str:
         """The program's call graph ('dot' argument emits Graphviz)."""
@@ -333,9 +317,8 @@ class CommandInterpreter:
     def _cmd_goto(self, rest: str) -> str:
         """Navigate to a dependence's endpoints: show both source lines."""
 
-        try:
-            dep_id = int(rest.strip())
-        except ValueError:
+        dep_id = _int(rest)
+        if dep_id is None:
             return "error: usage: goto <dep-id>"
         dep = self.session.find_dependence(dep_id)
         lines = self.session.source.splitlines()

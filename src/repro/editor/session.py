@@ -126,8 +126,6 @@ class PedSession:
         self.analysis: ProgramAnalysis = None  # type: ignore[assignment]
         self.last_message = ""
         self.reanalyze()
-        if self.sf.units:
-            self.current_unit = self.sf.units[0].name
 
     # ------------------------------------------------------------------
     # analysis lifecycle
@@ -145,6 +143,10 @@ class PedSession:
         engine as changed in place, so its next walk restores them.
         Every other unit is the pristine analysis, on which a verdict
         refresh changes nothing.
+
+        When the current unit is gone (an edit renamed or deleted it),
+        the session moves to the program's first unit, clears the loop
+        selection and says so in :attr:`warnings`.
         """
 
         self.warnings = []
@@ -152,6 +154,15 @@ class PedSession:
         self.sf, self.analysis = engine.analyze(
             self.source, assertions=self.assertion_texts
         )
+        if self.current_unit not in self.analysis.units:
+            gone = self.current_unit
+            self.current_unit = self.sf.units[0].name if self.sf.units else ""
+            self.loop_index = None
+            if gone:
+                self.warnings.append(
+                    f"unit {gone!r} no longer exists; the current unit "
+                    f"is now {self.current_unit!r}"
+                )
         self._remap_overrides()
         held = self._units_with_marks() | self.overrides.keys()
         touched = engine.refreshed | held

@@ -13,8 +13,8 @@ onto shard servers through a consistent-hash ring
 (:class:`~repro.fleet.ring.HashRing`), so a fleet of N shards serves
 one corpus with each program's analysis (and its session state, warm
 memos, cached records) living on exactly one shard.  Ops with no key
-(``graph.describe``) hash on the op name — any shard answers
-identically.
+hash on the op name; an op no shard knows comes back from its shard
+as the structured ``unknown-op`` error.
 
 **Fan-out.**  ``corpus.submit`` partitions the batch's programs onto
 the ring and forwards one sub-batch per shard in parallel; per-shard

@@ -3,7 +3,10 @@
 Ped's defining property is *interactive* analysis — it reanalyzes after
 every edit, assertion and transformation.  :class:`AnalysisEngine` makes
 that cheap by owning the parse → interprocedural-summary → dependence
-pipeline as keyed, cached stages:
+pipeline as keyed, cached stages.  Every analysis runs them in one fixed
+order — split, parse, callgraph, the summary stages the feature set
+enables (modref, kill, sections, ipconst), dependence — and the caches
+decide what each stage recomputes:
 
 * **Parse cache** — the source is split into per-unit spans
   (:mod:`repro.incremental.splitter`), spliced from the previous split
@@ -49,6 +52,12 @@ Span parses, same-level summary steps and per-unit dependence analyses
 run inline, in a fixed order, through a private
 :class:`~repro.service.pool.SerialPool`: each is a task of
 :mod:`repro.service.tasks`, a function of its payload alone.
+
+Streaming clients see one ``analysis.progress`` event per stage (one
+per unit in the dependence stage), then a per-walk ``graph`` summary,
+``{entry, hits, recomputed}``, that says where the inputs moved since
+the last walk: ``split`` for a new source, ``dependence`` for an
+assertion change alone, ``None`` for an identical rerun.
 
 The service layer plugs in through the **persistent store**: with a
 :class:`~repro.service.persist.PersistentStore` attached, a cold engine
@@ -96,12 +105,8 @@ from ..interproc.program import (
 )
 from ..interproc.sections import SectionInfo, sections_differ, unit_sections
 from ..analysis.constants import propagate_constants
-from ..pipeline.graph import PipelineGraph
-from ..pipeline.nodes import NodeResult
-from ..pipeline.program import build_program_graph
 from ..service.pool import SerialPool
 from ..service.persist import features_digest
-from .fingerprint import content_key
 from .splitter import UnitSpan, split_units
 from .stats import EngineStats
 
@@ -163,9 +168,9 @@ class _ProgramState:
 
 @dataclass
 class _Run:
-    """Mutable state of one pipeline walk, threaded through the node
-    runners in graph-schedule order (each runner reads what upstream
-    runners produced — the in-memory mirror of the declared edges)."""
+    """Mutable state of one pipeline walk, threaded through the stages
+    in their fixed order (each stage reads what earlier stages put
+    here)."""
 
     source: str
     asserts: Dict[str, tuple]
@@ -297,16 +302,9 @@ class AnalysisEngine:
         #: this to ``analysis.progress`` events for streaming clients;
         #: emission is observation-only and never alters results.
         self.progress = None
-        #: The pipeline-node graph this engine executes: stage order
-        #: comes from the declared edges (topological schedule), not a
-        #: hard-wired chain, and every node carries a content key.
-        self.graph: PipelineGraph = build_program_graph()
-        #: Node content keys of the previous analysis — the baseline
-        #: for node-level hit/miss accounting and entry detection.
-        self._node_keys: Dict[str, str] = {}
-        #: Per-node outcome of the last :meth:`analyze` (see
-        #: :meth:`node_report`).
-        self._last_report: List[NodeResult] = []
+        #: ``(source, assertions)`` of the last completed walk: what the
+        #: next walk's ``graph`` progress event reports moves against.
+        self._last_inputs: Optional[Tuple[str, tuple]] = None
 
     @property
     def store(self):
@@ -385,7 +383,7 @@ class AnalysisEngine:
         self._summary_revs = {p: {} for p in _PHASES}
         self._deps.clear()
         self._last = None
-        self._node_keys = {}
+        self._last_inputs = None
         self._reset_walk_memos()
 
     def invalidate(self) -> None:
@@ -441,12 +439,9 @@ class AnalysisEngine:
         reparse.  Returns the bound source file and the program analysis,
         exactly as ``analyze_program(parse_and_bind(source), ...)`` would.
 
-        Execution walks :attr:`graph` in schedule order: each node's
-        content key (node name over its declared inputs' keys) is
-        compared with the previous analysis to decide hit vs recomputed,
-        and the first recomputed node is the run's *entry* — for an
-        assertion-only change that is ``dependence``, with every upstream
-        node a hit (counters ``node.<name>.hit``, ``graph.entry.<node>``).
+        The stages run in one fixed order (:meth:`_walk`), and the walk
+        ends with a ``graph`` progress event saying where the inputs
+        moved since the last completed walk.
         """
 
         stats = self.stats
@@ -466,7 +461,7 @@ class AnalysisEngine:
                     self._load_program_state(prog_key)
                 self._absorb_memo_deltas()
             run = _Run(source=source, asserts=asserts)
-            self._walk_graph(run)
+            self._walk(run)
             self._last = _ProgramState(
                 run.kinds, run.revs, run.callee_sets, run.caller_sets
             )
@@ -479,105 +474,58 @@ class AnalysisEngine:
                 self._export_memo_deltas()
         return run.sf, run.pa
 
-    def _walk_graph(self, run: _Run) -> None:
-        """Execute the analysis graph in schedule order.
+    def _walk(self, run: _Run) -> None:
+        """Run the stages in their one order: split, parse, callgraph,
+        the summary stages the features enable (modref, kill, sections,
+        ipconst), dependence.  Every enabled stage runs on every walk;
+        its own caches (per-span parse, per-unit summaries and
+        dependence entries) decide what it recomputes.
 
-        Every node's key digests its declared inputs' keys, so hit/miss
-        falls out of pure key comparison against the previous walk; the
-        runners themselves always execute — their internal fine-grained
-        caches (per-span parse, per-unit summaries and dependence
-        entries) make a node-level hit near-free, and running them
-        unconditionally keeps results byte-identical to the classic
-        chain.  Disabled nodes are skipped with a sentinel key, so a
-        feature toggle shows up as a key change downstream.
+        The closing ``graph`` event depends only on the inputs: its
+        ``entry`` is ``split`` for a new source or a cold or cleared
+        engine (every enabled stage counted recomputed), ``dependence``
+        when only the assertions moved (that one stage recomputed) and
+        ``None`` for an identical rerun (none recomputed).
         """
 
-        stats = self.stats
-        keys: Dict[str, str] = {
-            "source": content_key("source", run.source),
-            "assertions": content_key(
-                "assertions", tuple(sorted(run.asserts.items()))
-            ),
-            "features": content_key(
-                "features", features_digest(self.features)
-            ),
-        }
-        runners = {
-            "split": self._node_split,
-            "parse": self._node_parse,
-            "callgraph": self._node_callgraph,
-            "modref": self._node_modref,
-            "kill": self._node_kill,
-            "sections": self._node_sections,
-            "ipconst": self._node_ipconst,
-            "dependence": self._node_dependence,
-        }
-        report: List[NodeResult] = []
-        for name in self.graph.schedule():
-            node = self.graph.nodes[name]
-            if not node.is_enabled(self.features):
-                keys[name] = content_key(name, "disabled")
-                report.append(
-                    NodeResult(name, keys[name], state="skipped")
-                )
-                continue
-            key = node.key(tuple(keys[i] for i in node.inputs))
-            # Decide hit/miss *before* running: the parse runner may
-            # clear() on a unit-kind-map change, which honestly demotes
-            # every later node of this walk to recomputed.
-            state = (
-                "hit" if self._node_keys.get(name) == key else "recomputed"
-            )
-            stats.bump(
-                f"node.{name}.{'hit' if state == 'hit' else 'miss'}"
-            )
-            runners[name](run)
-            keys[name] = key
-            report.append(NodeResult(name, key, state=state))
-        self._node_keys = {r.node: r.key for r in report}
-        self._last_report = report
-        entry = next(
-            (r.node for r in report if r.state == "recomputed"), None
-        )
-        stats.bump(f"graph.entry.{entry or 'none'}")
+        f = self.features
+        modref, kill = f.needs_modref(), f.needs_kills()
+        with self.stats.timer("split"):
+            run.spans = self._split(run.source)
+        self._emit_progress("split", spans=len(run.spans))
+        self._stage_parse(run)
+        self._stage_callgraph(run)
+        if modref:
+            self._stage_modref(run)
+        if kill:
+            self._stage_kill(run)
+        if f.sections:
+            self._stage_sections(run)
+        if f.ip_constants:
+            with self.stats.timer("ipconst"):
+                self._update_ip_constants(run)
+        run.pa = self._run_dependence(run.sf, run.cg, run.asserts, run.revs)
+
+        # split, parse, callgraph and dependence always run.
+        stages = 4 + sum(map(bool, (modref, kill, f.sections, f.ip_constants)))
+        inputs = (run.source, tuple(sorted(run.asserts.items())))
+        last = self._last_inputs
+        if last is None or last[0] != inputs[0]:
+            entry, recomputed = "split", stages
+        elif last[1] != inputs[1]:
+            entry, recomputed = "dependence", 1
+        else:
+            entry, recomputed = None, 0
+        self._last_inputs = inputs
         self._emit_progress(
             "graph",
             entry=entry,
-            hits=sum(1 for r in report if r.state == "hit"),
-            recomputed=sum(1 for r in report if r.state == "recomputed"),
+            hits=stages - recomputed,
+            recomputed=recomputed,
         )
-
-    def node_report(self) -> Dict:
-        """The last analysis as node outcomes (the ``graph.last`` op):
-        ``entry`` (first recomputed node, ``None`` for a pure replay)
-        plus one ``{node, key, state}`` row per scheduled node."""
-
-        entry = next(
-            (
-                r.node
-                for r in self._last_report
-                if r.state == "recomputed"
-            ),
-            None,
-        )
-        return {
-            "entry": entry,
-            "nodes": [r.describe() for r in self._last_report],
-        }
-
-    def plan(self, changed_inputs: Sequence[str]) -> Dict:
-        """What *would* re-run if the named external inputs (or node
-        outputs) changed — pure topology, no execution."""
-
-        return {
-            "entry": self.graph.entry_for(changed_inputs, self.features),
-            "invalidated": sorted(
-                self.graph.invalidated_by(changed_inputs, self.features)
-            ),
-        }
 
     # ------------------------------------------------------------------
-    # node runners (one per graph node, in declaration order)
+    # stages, in walk order
     # ------------------------------------------------------------------
 
     def _split(self, source: str) -> List[UnitSpan]:
@@ -596,12 +544,7 @@ class AnalysisEngine:
             del self._splits[next(iter(self._splits))]
         return spans
 
-    def _node_split(self, run: _Run) -> None:
-        with self.stats.timer("split"):
-            run.spans = self._split(run.source)
-        self._emit_progress("split", spans=len(run.spans))
-
-    def _node_parse(self, run: _Run) -> None:
+    def _stage_parse(self, run: _Run) -> None:
         entries, sf, kinds = self._assemble(run.spans)
         if self._last is not None and kinds != self._last.kinds:
             # The unit set (or a unit's kind) changed: name resolution
@@ -618,7 +561,7 @@ class AnalysisEngine:
         self._trim_span_cache(entries)
         run.entries, run.sf, run.kinds = entries, sf, kinds
 
-    def _node_callgraph(self, run: _Run) -> None:
+    def _stage_callgraph(self, run: _Run) -> None:
         with self.stats.timer("callgraph"):
             for entry in run.entries:
                 if entry.candidates is None:
@@ -644,7 +587,7 @@ class AnalysisEngine:
         if self._store is not None:
             run.ukeys = self._unit_summary_keys(run)
 
-    def _node_modref(self, run: _Run) -> None:
+    def _stage_modref(self, run: _Run) -> None:
         with self.stats.timer("modref"):
             self._update_bottom_up(
                 "modref",
@@ -655,7 +598,7 @@ class AnalysisEngine:
                 warm=self._warm_lookup(run, "modref"),
             )
 
-    def _node_kill(self, run: _Run) -> None:
+    def _stage_kill(self, run: _Run) -> None:
         with self.stats.timer("kill"):
             recomputed = self._update_bottom_up(
                 "kill",
@@ -674,7 +617,7 @@ class AnalysisEngine:
                 ).items():
                     views[n] = view
 
-    def _node_sections(self, run: _Run) -> None:
+    def _stage_sections(self, run: _Run) -> None:
         with self.stats.timer("sections"):
             self._update_bottom_up(
                 "sections",
@@ -685,13 +628,6 @@ class AnalysisEngine:
                 max_passes=10,
                 warm=self._warm_lookup(run, "sections"),
             )
-
-    def _node_ipconst(self, run: _Run) -> None:
-        with self.stats.timer("ipconst"):
-            self._update_ip_constants(run)
-
-    def _node_dependence(self, run: _Run) -> None:
-        run.pa = self._run_dependence(run.sf, run.cg, run.asserts, run.revs)
 
     # ------------------------------------------------------------------
     # stage: parse + bind

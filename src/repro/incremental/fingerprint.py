@@ -20,22 +20,6 @@ from ..dependence.graph import Dependence
 from ..interproc.program import ProgramAnalysis
 
 
-def content_key(*parts) -> str:
-    """Content-hash key over heterogeneous parts.
-
-    The one keying primitive shared by the engine's caches and the
-    pipeline-node graph: every part is rendered through ``repr`` (stable
-    for the str/int/tuple mixes the callers use) and the whole sequence
-    digested, so two keys are equal exactly when every part is.
-    """
-
-    h = hashlib.sha1()
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
 def edge_key(dep: Dependence) -> tuple:
     """Everything about an edge except its meaningless numeric id."""
 

@@ -1,21 +1,13 @@
-"""The pipeline-node graph: addressable analysis steps and rollups.
+"""Corpus-scale batch analysis and its fleet-wide rollups.
 
-Ped's incremental engine re-runs only what an edit invalidated, but
-its stages used to form one hard-wired linear chain.  This package
-makes the pipeline first-class:
+Per-program analysis is :class:`~repro.incremental.AnalysisEngine`'s
+job; this package runs it over many programs at once:
 
-* :mod:`repro.pipeline.nodes` — :class:`Node` (declared inputs/outputs,
-  content-hash keying) and :class:`NodeResult`;
-* :mod:`repro.pipeline.graph` — :class:`PipelineGraph`: deterministic
-  scheduling, downstream invalidation along declared edges, node-level
-  entry (``entry_for``);
-* :mod:`repro.pipeline.program` — the per-program analysis graph the
-  engine executes (parse → summaries ∥ ipconst → dependence);
-* :mod:`repro.pipeline.aggregate` — fleet-wide rollup nodes downstream
-  of per-program results (obstacle ranking, dependence-test tier
-  histograms, transformation applicability);
 * :mod:`repro.pipeline.corpus` — corpus jobs: batch analysis of many
-  programs over the corpus pool, with cached aggregate queries.
+  programs over the corpus pool, with cached aggregate queries;
+* :mod:`repro.pipeline.aggregate` — the rollups over per-program result
+  records (obstacle ranking, dependence-test tier histograms,
+  transformation applicability, corpus totals).
 """
 
 from __future__ import annotations
@@ -27,17 +19,8 @@ from .corpus import (
     CorpusRunner,
     analyze_program_result,
 )
-from .graph import GraphError, PipelineGraph
-from .nodes import Node, NodeResult
-from .program import ANALYSIS_NODES, build_program_graph
 
 __all__ = [
-    "Node",
-    "NodeResult",
-    "PipelineGraph",
-    "GraphError",
-    "ANALYSIS_NODES",
-    "build_program_graph",
     "AGGREGATES",
     "run_aggregate",
     "CorpusError",

@@ -1,31 +1,27 @@
-"""Aggregate nodes: fleet-wide rollups downstream of per-program results.
+"""Aggregates: fleet-wide rollups over per-program result records.
 
 The paper's Tables 2 and 3 summarize *one suite*; at corpus scale the
 same questions become standing queries — which obstacle blocks the most
 loops fleet-wide, how far down the dependence-test hierarchy the corpus
 actually drives the tester, which transformations apply where.  Each
-rollup is a :class:`~repro.pipeline.nodes.Node` whose single input is
-the ``results`` collection (per-program result records produced by
-:mod:`repro.pipeline.corpus`), keyed on the content digests of those
-results — so an aggregate is cached and invalidated exactly like any
-other node: resubmitting a program with changed source changes its
-result digest, which changes the aggregate's key, which recomputes the
-rollup; a repeated query replays the cache.
+rollup reads the per-program result records produced by
+:mod:`repro.pipeline.corpus`, and :func:`aggregate_key` names the
+records a rollup covered, so an executor caches it exactly as long as
+those records stand: resubmitting a program with changed source changes
+its result digest, which changes the key, which recomputes the rollup;
+a repeated query replays the cache.
 
 Every rollup function is pure and order-insensitive (results are
 processed in sorted program order), so corpus aggregates equal the
-serial sum of per-program results by construction — the satellite
-parity test asserts it.
+serial sum of per-program results by construction
+(``tests/pipeline/test_corpus.py`` checks it).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .nodes import Node, content_key
-
 __all__ = [
-    "AGGREGATE_NODES",
     "AGGREGATES",
     "aggregate_key",
     "run_aggregate",
@@ -103,48 +99,29 @@ def rollup_summary(results: Sequence[Dict]) -> Dict:
     }
 
 
-_ROLLUPS: Dict[str, Callable[[Sequence[Dict]], Dict]] = {
+#: Aggregate name -> rollup function.
+AGGREGATES: Dict[str, Callable[[Sequence[Dict]], Dict]] = {
     "obstacles": rollup_obstacles,
     "tiers": rollup_tiers,
     "transforms": rollup_transforms,
     "summary": rollup_summary,
 }
 
-#: The aggregate nodes, all siblings downstream of ``results``.
-AGGREGATE_NODES = tuple(
-    Node(
-        f"agg.{name}",
-        inputs=("results",),
-        doc=fn.__doc__.splitlines()[0] if fn.__doc__ else "",
+
+def aggregate_key(results: Sequence[Dict]) -> Tuple[Tuple[str, str], ...]:
+    """The records a rollup covers: their sorted ``(program, digest)``
+    pairs (order-insensitive by construction)."""
+
+    return tuple(
+        sorted((r.get("program", ""), r.get("digest", "")) for r in results)
     )
-    for name, fn in _ROLLUPS.items()
-)
-
-#: Aggregate name -> (node, rollup function).
-AGGREGATES: Dict[str, Tuple[Node, Callable]] = {
-    name: (node, _ROLLUPS[name])
-    for node, name in zip(AGGREGATE_NODES, _ROLLUPS)
-}
-
-
-def aggregate_key(name: str, results: Sequence[Dict]) -> str:
-    """The aggregate node's content key: its name over the sorted
-    per-program result digests (order-insensitive by construction)."""
-
-    node, _fn = AGGREGATES[name]
-    digests = tuple(
-        sorted(
-            (r.get("program", ""), r.get("digest", "")) for r in results
-        )
-    )
-    return node.key((content_key(digests),))
 
 
 def run_aggregate(name: str, results: Sequence[Dict]) -> Dict:
     """Compute one rollup (no caching — executors own their caches)."""
 
     try:
-        _node, fn = AGGREGATES[name]
+        fn = AGGREGATES[name]
     except KeyError:
         known = ", ".join(sorted(AGGREGATES))
         raise KeyError(

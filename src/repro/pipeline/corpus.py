@@ -1,15 +1,15 @@
-"""Corpus-scale batch analysis over the pipeline-node graph.
+"""Corpus-scale batch analysis: many programs, fleet-wide rollups.
 
 One corpus job holds N named programs; each program runs the whole
-per-program graph as a self-contained task (so the batch can fan out
+per-program analysis as a self-contained task (so the batch can fan out
 over a :class:`~repro.service.pool.WorkerPool` — the payload carries
 everything and the record it returns is small), producing a compact
 **result record**:
 loop/parallelizability totals, the obstacle histogram, the
 dependence-test tier histogram, transformation-applicability counts and
-the program's analysis fingerprint digest.  Aggregate nodes
+the program's analysis fingerprint digest.  Aggregates
 (:mod:`repro.pipeline.aggregate`) roll those records up fleet-wide,
-cached under content keys derived from the records themselves.
+cached under keys derived from the records themselves.
 
 :class:`CorpusRunner` is the executor both the CLI (``python -m repro
 corpus analyze``) and the session host's ``corpus.*`` ops drive; the
@@ -148,8 +148,8 @@ class CorpusJob:
     states: Dict[str, str] = field(default_factory=dict)
     #: Program name -> result record (only for done/error programs).
     results: Dict[str, Dict] = field(default_factory=dict)
-    #: Aggregate node cache: name -> (content key, value).
-    _agg_cache: Dict[str, Tuple[str, Dict]] = field(default_factory=dict)
+    #: Aggregate cache: name -> (:func:`aggregate_key`, value).
+    _agg_cache: Dict[str, Tuple[tuple, Dict]] = field(default_factory=dict)
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Serializes whole runs of this job (concurrent submits queue up
     #: instead of racing the pending list).
@@ -324,18 +324,17 @@ class CorpusRunner:
         return job.snapshot()
 
     # ------------------------------------------------------------------
-    # aggregate nodes
+    # aggregates
     # ------------------------------------------------------------------
 
     def query(self, job: CorpusJob, aggregate: str) -> Tuple[Dict, bool]:
         """One rollup over the job's finished results.
 
-        Returns ``(value, cached)``: the aggregate node's value and
-        whether it replayed from cache.  The cache key digests the
-        per-program result records, so adding or changing a program
-        invalidates the aggregate exactly like an edit invalidates a
-        downstream analysis node; counters land in
-        ``node.agg.<name>.hit`` / ``.miss``.
+        Returns ``(value, cached)``: the rollup's value and whether it
+        replayed from the job's cache.  The cached value is reused while
+        the job's finished records — their ``(program, digest)`` pairs —
+        stand unchanged, so adding or changing a program recomputes it;
+        counters land in ``node.agg.<name>.hit`` / ``.miss``.
         """
 
         if aggregate not in AGGREGATES:
@@ -346,7 +345,7 @@ class CorpusRunner:
         records = [
             r for r in job.result_records() if not r.get("error")
         ]
-        key = aggregate_key(aggregate, records)
+        key = aggregate_key(records)
         with job.lock:
             cached = job._agg_cache.get(aggregate)
         if cached is not None and cached[0] == key:

@@ -148,10 +148,12 @@ from typing import Dict, List, Optional
 #: (rebuild the session at record N with streamed ``journal.replay``
 #: progress) and ``session.restore`` (resurrect a killed server's
 #: session from its persisted journal), plus the ``journal.*`` counters
-#: in ``metrics``.  The envelope grammar itself is unchanged since v2,
-#: so v3 clients interoperate with v7 servers (binary framing,
-#: compression and journal ops are strictly opt-in).
-PROTOCOL_VERSION = 7
+#: in ``metrics``.  v8: the three ``graph.*`` ops are gone (they now
+#: get ``unknown-op``); the per-walk ``graph`` progress event stays.
+#: The envelope grammar itself is unchanged since v2, so clients that
+#: never sent a ``graph.*`` op interoperate with v8 servers (binary
+#: framing, compression and journal ops are strictly opt-in).
+PROTOCOL_VERSION = 8
 
 #: Default cap on one request line; oversized requests get a structured
 #: ``payload-too-large`` error instead of an ad-hoc disconnect.

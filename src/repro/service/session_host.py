@@ -11,8 +11,9 @@ writes back whatever envelopes it produces.
 **Event core.**  :meth:`PedServer.execute` takes an optional ``emit``
 callback; a request carrying ``"stream": true`` has its analysis
 progress routed there as ``analysis.progress`` events (one per engine
-pipeline phase, one per unit in the dependence stage) before the
-terminal reply.  Transports additionally register broadcast listeners
+stage, one per unit in the dependence stage, then the walk's ``graph``
+summary) before the terminal reply; an op the host does not know gets
+the structured ``unknown-op`` error.  Transports additionally register broadcast listeners
 (:meth:`add_listener`): after a mutating operation (edit / transform /
 undo / redo) the host diffs the session's unit spans and, when the
 change dirties units that *other* sessions also hold, broadcasts an
@@ -28,10 +29,8 @@ processes; streaming requests get one ``analysis.progress`` event per
 finished program),
 ``corpus.status`` polls a background batch and ``corpus.query`` answers
 fleet-wide aggregate rollups (obstacle ranking, dependence-test tiers,
-transformation applicability) cached under content keys.  The
-``graph.describe`` / ``graph.last`` / ``graph.plan`` ops expose the
-pipeline-node graph itself: topology, last-analysis node outcomes
-(entry node, per-node hit/recomputed states) and what-if invalidation.
+transformation applicability), each cached while the job's finished
+records stand unchanged.
 
 **Event-sourced sessions.**  Every session mutation flows through one
 ``_apply_mutation`` path and appends a typed record to the session's
@@ -80,7 +79,6 @@ from ..incremental.stats import EngineStats
 from ..interproc.program import FeatureSet
 from ..pipeline.aggregate import AGGREGATES
 from ..pipeline.corpus import CorpusError, CorpusRunner
-from ..pipeline.program import build_program_graph
 from . import protocol
 from .metrics import ConnectionGauge, merged_metrics
 from .persist import PersistentStore
@@ -944,54 +942,6 @@ class PedServer:
             "absorbed": absorbed,
             "entries": len(self.shared_memo.entries),
         }
-
-    # ------------------------------------------------------------------
-    # pipeline-graph ops
-    # ------------------------------------------------------------------
-
-    def _op_graph_describe(self, req: Dict) -> Dict:
-        """The analysis graph's topology (+ the aggregate node set)."""
-
-        graph = build_program_graph()
-        return {
-            "graph": graph.describe(self.features),
-            "aggregates": [
-                node.describe() for node, _fn in AGGREGATES.values()
-            ],
-        }
-
-    def _op_graph_last(self, req: Dict) -> Dict:
-        """Node outcomes of the session's last analysis: entry node plus
-        one ``{node, key, state}`` row per scheduled node."""
-
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            return managed.session.engine.node_report()
-        finally:
-            managed.lock.release()
-
-    def _op_graph_plan(self, req: Dict) -> Dict:
-        """What would re-run if the named inputs changed (pure topology)."""
-
-        changed = req.get("changed")
-        if not isinstance(changed, list) or not all(
-            isinstance(c, str) for c in changed
-        ):
-            raise _BadRequest(
-                "graph.plan needs 'changed': a list of input/node names"
-            )
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            from ..pipeline.graph import GraphError
-
-            try:
-                return managed.session.engine.plan(changed)
-            except GraphError as exc:
-                raise _BadRequest(str(exc))
-        finally:
-            managed.lock.release()
 
     # ------------------------------------------------------------------
     # corpus batch ops

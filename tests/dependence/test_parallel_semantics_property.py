@@ -7,14 +7,21 @@ analysis alone, and compare interpreter runs under forward / reversed /
 shuffled DOALL ordering — a direct executable check of the dependence
 analyzer's soundness on whole programs.  The programs print ``s`` and
 every array element.
+
+Generated programs (:func:`generate_program`) carry the check through
+calls: their ``driver`` loops are DOALL only because interprocedural
+array sections show each ``upd<r>`` call touching its own column.
+There the COMMON ``/grid/`` memory after the run is compared as well.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core import parallelize_program
 from repro.fortran import parse_and_bind
 from repro.perf import Interpreter
+from repro.workloads.generator import generate_program
 
 arrays = ["a", "b", "c"]
 N = 12
@@ -100,3 +107,16 @@ def test_auto_parallelizer_never_crashes(source):
     result = parallelize_program(source, require_profitable=False)
     # The rewritten source must stay parseable and runnable.
     Interpreter(parse_and_bind(result.source)).run()
+
+
+@pytest.mark.parametrize("routines,fields", [(4, 1), (6, 2), (9, 3)])
+def test_doall_through_calls_is_order_independent(routines, fields):
+    source = generate_program(routines, fields)
+    serial = Interpreter(parse_and_bind(source))
+    reference = (serial.run(), serial.snapshot())
+    result = parallelize_program(source, require_profitable=False)
+    assert any(unit == "driver" for unit, _ in result.parallelized)
+    transformed = parse_and_bind(result.source)
+    for order in ("forward", "reversed", "shuffled"):
+        run = Interpreter(transformed, doall_order=order)
+        assert (run.run(), run.snapshot()) == reference, order

@@ -1,4 +1,5 @@
-"""Tests for the estimate / profile / goto editor commands."""
+"""Tests for the estimate / profile / goto editor commands and the
+usage errors of commands that take arguments."""
 
 import pytest
 
@@ -50,3 +51,24 @@ class TestGoto:
 
     def test_unknown_id(self, ped):
         assert ped.execute("goto 99999").startswith("error:")
+
+
+USAGE_ERRORS = {
+    "advice": "error: usage: advice <transformation> [key=value ...]",
+    "apply": "error: usage: apply <transformation> [key=value ...]",
+    "apply unroll factor=x": "error: bad transformation argument 'factor=x'",
+    "select": "error: usage: select <loop-index>",
+    "select x": "error: usage: select <loop-index>",
+    "mark x y": "error: usage: mark <dep-id> accepted|rejected|pending",
+    "edit a b | x = 1": "error: usage: edit <first> <last> | <replacement>",
+    "goto x": "error: usage: goto <dep-id>",
+}
+
+
+@pytest.mark.parametrize(
+    "command,reply",
+    list(USAGE_ERRORS.items()),
+    ids=[c.split("|")[0].strip().replace(" ", "-") for c in USAGE_ERRORS],
+)
+def test_usage_errors_name_their_own_command(ped, command, reply):
+    assert ped.execute(command) == reply

@@ -95,6 +95,45 @@ class TestStructureChanges:
         session.undo()
         assert session.source == original
 
+    def test_edit_renaming_the_current_unit_moves_to_the_first(self):
+        from repro.editor.journal import replay_journal
+        from repro.incremental import program_fingerprint
+        from repro.service import PedServer
+        from repro.workloads import SUITE
+
+        server = PedServer()
+
+        def send(**req):
+            reply = server.execute(dict(req, id=0, session="s"))
+            assert reply.get("error", {}).get("type") != "internal", reply
+            assert reply["ok"], reply
+            return reply["result"]
+
+        try:
+            send(op="open", source=SUITE["spec77"].source)
+            send(op="select", loop=1)
+            edited = send(op="edit", start=1, end=1, text="      program p")
+            assert edited["message"].endswith(
+                "warning: unit 'spec77' no longer exists; "
+                "the current unit is now 'p'"
+            )
+            session = server.sessions["s"].session
+            assert (session.current_unit, session.loop_index) == ("p", None)
+            assert send(op="loops")["unit"] == "p"
+            assert send(op="deps")["unit"] == "p"
+            send(op="select", loop=0)
+            assert send(op="assert", text="n >= 1")["message"] == (
+                "assertion recorded for p: n >= 1"
+            )
+            assert session.assertion_texts == {"p": ["n >= 1"]}
+            replayed = replay_journal(session.journal, features=session.features)
+            assert (replayed.current_unit, replayed.loop_index) == ("p", 0)
+            assert program_fingerprint(replayed.analysis) == (
+                program_fingerprint(session.analysis)
+            )
+        finally:
+            server.close()
+
     def test_command_interpreter_survives_error_storm(self):
         ped = CommandInterpreter(PedSession(SRC))
         for cmd in ["select 99", "mark 1", "apply zap", "unit no", "edit 1", "goto x"]:

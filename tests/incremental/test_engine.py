@@ -6,11 +6,13 @@ meaningless dependence-edge ids — compared via fingerprints), while
 touching only the units an edit actually dirtied.
 """
 
+import json
 import re
 
 import pytest
 
 from repro.assertions.engine import AssertionDB
+from repro.fortran.errors import FortranError
 from repro.fortran.symbols import parse_and_bind
 from repro.incremental import (
     AnalysisEngine,
@@ -41,7 +43,7 @@ THREE_UNITS = (
 )
 
 
-def _scratch(source, assertions=None):
+def _scratch(source, assertions=None, features=None):
     oracles = {}
     for unit, texts in (assertions or {}).items():
         db = AssertionDB()
@@ -49,13 +51,15 @@ def _scratch(source, assertions=None):
             db.add(text)
         oracles[unit] = db
     return analyze_program(
-        parse_and_bind(source), FeatureSet(), oracles_by_unit=oracles
+        parse_and_bind(source),
+        features or FeatureSet(),
+        oracles_by_unit=oracles,
     )
 
 
 def _assert_parity(engine, source, assertions=None):
     _, pa = engine.analyze(source, assertions=assertions)
-    ref = _scratch(source, assertions)
+    ref = _scratch(source, assertions, engine.features)
     assert program_fingerprint(pa) == program_fingerprint(ref)
     return pa
 
@@ -88,14 +92,58 @@ def _edit_steps(source):
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_engine_matches_scratch_across_edit_sequences(name):
     source = SUITE[name].source
-    engine = AnalysisEngine()
-    _assert_parity(engine, source)
-    for step_source in _edit_steps(source):
-        _assert_parity(engine, step_source)
-    # Assertions enter and leave without disturbing parity.
     first_unit = parse_and_bind(source).units[0].name
-    _assert_parity(engine, source, assertions={first_unit: ["n >= 1"]})
-    _assert_parity(engine, source)
+    for features in (FeatureSet(), FeatureSet.minimal()):
+        engine = AnalysisEngine(features=features)
+        _assert_parity(engine, source)
+        for step_source in _edit_steps(source):
+            _assert_parity(engine, step_source)
+        # Assertions enter and leave without disturbing parity.
+        _assert_parity(engine, source, assertions={first_unit: ["n >= 1"]})
+        _assert_parity(engine, source)
+    # The last engine ran under minimal features: no summary stage ran.
+    for stage in ("modref", "kill", "sections", "ipconst"):
+        stat = engine.stats.stage(stage)
+        assert (stat.runs, stat.hits, stat.misses) == (0, 0, 0), stage
+
+
+def test_graph_event_reports_what_moved():
+    """Each walk closes with one ``graph`` progress event, streamed to
+    clients as is: ``entry`` says where the inputs moved since the last
+    completed walk, over the stages the features enable (eight, or
+    four under minimal features)."""
+
+    seen = []
+
+    def listen(phase, detail):
+        if phase == "graph":
+            seen.append(json.dumps(detail))
+
+    edited = THREE_UNITS.replace("* 2.0", "* 3.0")
+    asserts = {"scale": ["n >= 1"]}
+    engine = AnalysisEngine()
+    engine.progress = listen
+    engine.analyze(THREE_UNITS)  # cold
+    engine.analyze(edited)  # edit
+    engine.analyze(edited, assertions=asserts)  # assertions alone
+    with pytest.raises(FortranError):
+        engine.analyze("      x = ((\n")  # a failed walk moves nothing
+    engine.analyze(edited, assertions=asserts)  # identical rerun
+    engine.clear()
+    engine.analyze(edited, assertions=asserts)  # cleared: as cold
+    minimal = AnalysisEngine(features=FeatureSet.minimal())
+    minimal.progress = listen
+    minimal.analyze(THREE_UNITS)
+    minimal.analyze(THREE_UNITS, assertions=asserts)
+    assert seen == [
+        '{"entry": "split", "hits": 0, "recomputed": 8}',
+        '{"entry": "split", "hits": 0, "recomputed": 8}',
+        '{"entry": "dependence", "hits": 7, "recomputed": 1}',
+        '{"entry": null, "hits": 8, "recomputed": 0}',
+        '{"entry": "split", "hits": 0, "recomputed": 8}',
+        '{"entry": "split", "hits": 0, "recomputed": 4}',
+        '{"entry": "dependence", "hits": 3, "recomputed": 1}',
+    ]
 
 
 def test_second_analysis_is_all_hits():

@@ -112,9 +112,9 @@ class TestAggregateParity:
             assert run_aggregate(name, records) == run_aggregate(
                 name, list(reversed(records))
             )
-            assert aggregate_key(name, records) == aggregate_key(
-                name, list(reversed(records))
-            )
+        assert aggregate_key(records) == aggregate_key(
+            list(reversed(records))
+        )
 
     def test_ranked_rows_are_most_frequent_first(self):
         value = run_aggregate("obstacles", records_for(PROGRAMS))

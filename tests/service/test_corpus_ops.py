@@ -1,11 +1,11 @@
-"""Corpus batch and pipeline-graph ops over the real wire.
+"""Corpus batch ops over the real wire.
 
 Server in-process on an ephemeral TCP port, real :class:`PedClient`
-connections — the same rig as ``test_server.py`` — exercising the v3
-ops: ``corpus.submit`` (sync + streamed + background), ``corpus.status``,
-``corpus.query`` (cached aggregates), ``graph.describe`` /
-``graph.last`` / ``graph.plan``, and the typed
-:class:`UnsupportedOpError` the client raises for ``unknown-op``.
+connections — the same rig as ``test_server.py`` — exercising
+``corpus.submit`` (sync + streamed + background), ``corpus.status``,
+``corpus.query`` (cached aggregates), and the typed
+:class:`UnsupportedOpError` the client raises for ``unknown-op``
+(including the ``graph.*`` ops protocol v8 removed).
 """
 
 import time
@@ -31,16 +31,6 @@ PROGRAMS = [
     }
     for i in range(3)
 ]
-
-SIMPLE = (
-    "      program p\n"
-    "      real a(10)\n"
-    "      do 10 i = 1, 10\n"
-    "         a(i) = i\n"
-    " 10   continue\n"
-    "      end\n"
-)
-
 
 @pytest.fixture
 def server():
@@ -146,50 +136,9 @@ def test_corpus_errors_are_bad_request(client):
 
 
 def test_unknown_op_raises_typed_error(client):
-    with pytest.raises(UnsupportedOpError) as err:
-        client.request("corpus.frobnicate", job="x")
-    assert err.value.op == "corpus.frobnicate"
-    assert err.value.type == "unknown-op"
-    assert isinstance(err.value, PedRequestError)
-
-
-def test_graph_describe(client):
-    result = client.request("graph.describe")
-    assert result["graph"]["schedule"] == [
-        "split",
-        "parse",
-        "callgraph",
-        "modref",
-        "kill",
-        "sections",
-        "ipconst",
-        "dependence",
-    ]
-    assert {n["name"] for n in result["aggregates"]} == {
-        "agg.summary",
-        "agg.obstacles",
-        "agg.tiers",
-        "agg.transforms",
-    }
-
-
-def test_graph_last_shows_dependence_entry_after_assert(client):
-    client.request("open", session="s", source=SIMPLE)
-    assert client.request("graph.last", session="s")["entry"] == "split"
-    client.request("assert", session="s", unit="p", text="i >= 1")
-    report = client.request("graph.last", session="s")
-    assert report["entry"] == "dependence"
-    states = {r["node"]: r["state"] for r in report["nodes"]}
-    assert states["parse"] == "hit"
-    assert states["dependence"] == "recomputed"
-
-
-def test_graph_plan(client):
-    client.request("open", session="s2", source=SIMPLE)
-    plan = client.request(
-        "graph.plan", session="s2", changed=["assertions"]
-    )
-    assert plan == {"entry": "dependence", "invalidated": ["dependence"]}
-    with pytest.raises(PedRequestError) as err:
-        client.request("graph.plan", session="s2", changed=["nope"])
-    assert err.value.type == "bad-request"
+    for op in ("corpus.frobnicate", "graph.describe", "graph.last", "graph.plan"):
+        with pytest.raises(UnsupportedOpError) as err:
+            client.request(op, job="x")
+        assert err.value.op == op
+        assert err.value.type == "unknown-op"
+        assert isinstance(err.value, PedRequestError)
