@@ -16,8 +16,15 @@ event throughput, and the session fingerprint.  The qualitative shape
 asserted before timing: every mode yields the *identical* event
 sequence and fingerprint (the stack is invisible except for cost), and
 the compressed session ships at least 2.5x fewer bytes than frames
-alone.  ``benchmarks/out/wire.json`` gets the numbers;
-``wire.bytes_ratio_frames_over_compress`` is gated in
+alone.
+
+A third session drives the pane queries (``loops``, ``deps``,
+``source``) after each of 8 edits, over JSON lines and over v5 binary
+delta frames, and records its bytes in the ``pane`` section.
+
+``benchmarks/out/wire.json`` gets the numbers;
+``wire.bytes_ratio_frames_over_compress`` and
+``wire.bytes_ratio_json_over_binary`` (the pane session) are gated in
 ``benchmarks/baselines.json``.
 """
 
@@ -30,7 +37,7 @@ from repro.fleet import AsyncTransport, FleetRouter
 from repro.service import PedClient, PedServer
 from repro.workloads.generator import generate_program
 
-from conftest import save_artifact
+from conftest import OUT_DIR, save_artifact
 
 MODES = ("json", "frames", "compress")
 EDITS = 8
@@ -39,6 +46,20 @@ EDITS = 8
 #: shape, so every edit re-analyzes and streams progress.
 EDIT_LINE = 9
 EDIT_TEXT = "            f0(i, j) = 0.01 * i + 0.1 * j + {k}.0"
+
+
+def _merge_artifact(payload: dict) -> None:
+    """Update ``wire.json`` with ``payload``'s keys, keeping the rest."""
+
+    out = {}
+    path = OUT_DIR / "wire.json"
+    if path.exists():
+        try:
+            out = json.loads(path.read_text())
+        except ValueError:
+            out = {}
+    out.update(payload)
+    save_artifact("wire.json", json.dumps(out, indent=2, default=str) + "\n")
 
 
 def _negotiate(client: PedClient, mode: str) -> None:
@@ -198,25 +219,78 @@ def test_wire_bytes_across_protocol_levels(benchmark):
     )
 
     strip = lambda r: {k: v for k, v in r.items() if k != "events"}  # noqa: E731
-    save_artifact(
-        "wire.json",
-        json.dumps(
-            {
-                "edits": EDITS,
-                "session": {m: strip(session[m]) for m in MODES},
-                "fleet": fleet,
-                "bytes_ratio_frames_over_compress": ratio_frames,
-                "bytes_ratio_json_over_compress": ratio_json,
-                "fleet_bytes_ratio_json_over_compress": fleet_ratio,
-            },
-            indent=2,
-            default=str,
-        )
-        + "\n",
+    _merge_artifact(
+        {
+            "edits": EDITS,
+            "session": {m: strip(session[m]) for m in MODES},
+            "fleet": fleet,
+            "bytes_ratio_frames_over_compress": ratio_frames,
+            "bytes_ratio_json_over_compress": ratio_json,
+            "fleet_bytes_ratio_json_over_compress": fleet_ratio,
+        }
     )
     benchmark.pedantic(
         lambda: _streamed_session("compress"),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
+    )
+
+
+PANE_SOURCE = """      subroutine p(a, n)
+      integer n, i
+      real a(100)
+      do 10 i = 1, n
+         a(i) = a(i) + 1.0
+ 10   continue
+      end
+"""
+
+
+def test_binary_frames_transfer_fewer_bytes(benchmark):
+    """A pane-query edit session over binary delta frames moves fewer
+    bytes than the identical session over JSON lines."""
+
+    srv = PedServer(max_workers=2)
+    transport = AsyncTransport(srv)
+    port = transport.start_background()
+
+    def run_session(binary: bool):
+        with PedClient.connect(port=port) as c:
+            if binary:
+                assert c.negotiate_frames() is True
+            sid = f"wire{int(binary)}"
+            c.request("open", session=sid, source=PANE_SOURCE)
+            for i in range(EDITS):
+                c.request(
+                    "edit", session=sid, start=4, end=4,
+                    text=f"         a(i) = a(i) + {i}.0",
+                )
+                c.request("loops", session=sid, unit="p")
+                c.request("deps", session=sid, unit="p")
+                c.request("source", session=sid)
+            return c.bytes_received, c.bytes_sent
+
+    try:
+        json_in, json_out = run_session(binary=False)
+        bin_in, bin_out = benchmark.pedantic(
+            run_session, args=(True,),
+            rounds=1, iterations=1, warmup_rounds=0,
+        )
+    finally:
+        transport.stop_background()
+        srv.close()
+
+    assert bin_in < json_in, (bin_in, json_in)
+    _merge_artifact(
+        {
+            "pane": {
+                "session": "open + 8x(edit, loops, deps, source)",
+                "json_bytes_received": json_in,
+                "json_bytes_sent": json_out,
+                "binary_bytes_received": bin_in,
+                "binary_bytes_sent": bin_out,
+                "bytes_ratio_json_over_binary": json_in / max(bin_in, 1),
+            }
+        }
     )

@@ -44,9 +44,9 @@ def _engine(args: argparse.Namespace, features=None):
         # ``--profile`` also times the dependence tester per tier; the
         # timings surface as ``tier.<name>_s`` counters in the stats
         # table.
-        from .dependence.driver import HOT_PATH
+        from .dependence import driver
 
-        HOT_PATH.profile_tiers = True
+        driver.PROFILE_TIERS = True
     return build_engine(features=features, cache_dir=args.cache_dir)
 
 

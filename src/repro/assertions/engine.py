@@ -43,7 +43,6 @@ class AssertionDB(Oracle):
         self._nonzero: List[Linear] = []
         self._injective: Set[str] = set()
         self._constants: Dict[str, int] = {}
-        self._version = 0
 
     # -- mutation -----------------------------------------------------------
 
@@ -55,7 +54,6 @@ class AssertionDB(Oracle):
             if isinstance(fact_or_text, str)
             else fact_or_text
         )
-        self._version += 1
         self.facts.append(fact)
         if isinstance(fact, RangeFact):
             self._constraints.append((fact.lin, fact.lo, fact.hi))
@@ -74,12 +72,10 @@ class AssertionDB(Oracle):
         return fact
 
     def remove(self, fact: Assertion) -> None:
-        self._version += 1
         self.facts.remove(fact)
         self._rebuild()
 
     def clear(self) -> None:
-        self._version += 1
         self.facts.clear()
         self._rebuild()
 
@@ -94,9 +90,6 @@ class AssertionDB(Oracle):
             self.add(f)
 
     # -- Oracle protocol -------------------------------------------------------
-
-    def version(self) -> int:
-        return self._version
 
     def digest(self):
         """Content digest for shared-memo keying: the ordered fact texts.

@@ -1,25 +1,21 @@
 """Batched execution of the dependence-test hierarchy.
 
-The scalar path (:meth:`DependenceTester.test_pair`) walks one pair at a
-time: canonical key, memo probe, then — on a miss — classification and
-the ZIV → SIV → GCD → Banerjee cascade.  Real units hand the driver
-thousands of pairs per build, most of which collapse onto a handful of
-canonical keys (a stencil repeats ``A(I,J)`` vs ``A(I,J-1)`` at every
-statement), so the per-pair fixed costs (re-deriving loop bounds and the
-constant environment, rebuilding key tuples, re-probing the shared memo)
-dominate the actual testing.
-
-The driver's batched build (:meth:`_GraphBuilder._build_batched`)
-restructures that loop around the whole batch:
+Real units hand the driver thousands of pairs per build, most of which
+collapse onto a handful of canonical keys (a stencil repeats ``A(I,J)``
+vs ``A(I,J-1)`` at every statement), so per-pair fixed costs
+(re-deriving loop bounds and the constant environment, rebuilding key
+tuples, re-probing the shared memo) would dominate the actual testing.
+The driver's pair walk (:meth:`_GraphBuilder._build_batched`) is
+therefore built around the whole batch:
 
 1. **Columnar collection** — one pass derives canonical keys against
    per-nest bound vectors and per-statement environment slices computed
    once per batch, interning every key component so keys compare by id.
-2. **One memo consultation per batch** — the same pass resolves every
+2. **One memo consultation per key** — the same pass resolves every
    pair against the in-batch plan map and the shared memo.  Only the
-   *first* occurrence of a key probes the shared memo; later occurrences
-   are local hits, exactly as the scalar sequential order would have
-   produced.  Each first occurrence becomes a :class:`BatchPair`.
+   *first* occurrence of a key probes the shared memo; later
+   occurrences are local hits.  Each first occurrence that the shared
+   memo does not answer becomes a :class:`BatchPair`.
 3. **Tier sweeps** — :func:`run_uncached` (this module) runs the test
    hierarchy tier-by-tier over all surviving uniques: classification
    over the whole batch, then the ZIV tier, then the direction
@@ -27,16 +23,15 @@ restructures that loop around the whole batch:
    every group member with ``bound_by_var`` hoisted out of the loop.
 4. **Replay emission** — duplicates re-bump the recorded counters with
    their multiplicity, sharing one reconstructed vectors list per
-   distinct verdict, exactly as :meth:`DependenceTester._replay` would
-   pair-at-a-time.
+   distinct verdict.
 
-Counter parity is exact by construction: every miss bumps tiers through
-the same ``bump`` closure the scalar path uses, and replays reproduce
-the recorded counters.  M1 tier statistics, memo hit/miss accounting and
-the resulting :class:`PairResult` stream are identical to calling
-``test_pair`` per pair in order — the parity suite
-(``tests/perf/test_batch_parity.py``) asserts this over randomized
-affine subscript pairs.
+Every miss bumps tiers through one ``bump`` closure and every replay
+reproduces the recorded counters, so M1 tier statistics, memo hit/miss
+accounting and the :class:`PairResult` stream equal those of testing
+each pair in order.  ``tests/dependence/reference_walk.py`` keeps that
+pair-at-a-time walk as the oracle the parity suites
+(``tests/perf/test_batch_parity.py``, ``test_hotpath_parity.py``)
+compare against.
 """
 
 from __future__ import annotations
@@ -101,8 +96,8 @@ def run_uncached(tester: DependenceTester, uniques: List[BatchPair]) -> None:
 
     Fills each unique's ``result`` (a :class:`PairResult` for its first
     occurrence) and ``value`` (the replayable memo form).  Equivalent —
-    in results *and* in every counter the tester keeps — to running
-    :meth:`DependenceTester._test_pair_uncached` per unique in order.
+    in results *and* in every counter the tester keeps — to testing the
+    uniques one at a time in order.
     """
 
     if not uniques:
@@ -155,7 +150,7 @@ def run_uncached(tester: DependenceTester, uniques: List[BatchPair]) -> None:
 
     # Sweep 3: direction enumeration, grouped by nest depth so every
     # group member shares one direction sequence and a hoisted
-    # var → bound map.
+    # var → bound map.  Depth 0 enumerates the one empty direction.
     groups: Dict[int, List[BatchPair]] = {}
     for u in alive:
         groups.setdefault(len(u.bounds), []).append(u)
@@ -165,15 +160,6 @@ def run_uncached(tester: DependenceTester, uniques: List[BatchPair]) -> None:
             u.vectors = []
             u.highest = _ZIV_INDEX
             maps.append({b.var: b for b in u.bounds})
-        if m == 0:
-            for u, bound_by_var in zip(group, maps):
-                exists, proven, tier, test = tester._test_vector(
-                    u.pairs, u.bounds, (), u.bump, bound_by_var
-                )
-                u.highest = _TIER_ORDER.index(tier)
-                if exists:
-                    u.vectors.append(VectorResult((), True, proven, test))
-            continue
         for direction in product(
             (LT, EQ, GT), repeat=min(m, tester.max_nest)
         ):

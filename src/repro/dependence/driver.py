@@ -15,13 +15,22 @@ evaluates in Table 3:
 
 Toggling these and watching which loops become parallelizable regenerates
 the paper's analysis-contribution table.
+
+Array dependences come from one pair walk
+(:meth:`_GraphBuilder._build_batched`): it prunes structurally edge-free
+pairs, tests each canonical pair form once per unit (or replays it from
+the program-scoped :class:`~repro.dependence.hierarchy.SharedPairMemo`)
+and runs the test hierarchy tier by tier over the batch
+(:mod:`repro.dependence.batch`).  Its pair-at-a-time equivalent lives in
+``tests/dependence/reference_walk.py`` as the parity oracle.
+:data:`PROFILE_TIERS` (``--profile``) adds per-tier wall times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..analysis.cfg import CFG, build_cfg
 from ..analysis.constants import ConstantMap, propagate_constants
@@ -69,32 +78,10 @@ from .references import (
 from .tests import EQ, GT, LT, LoopBound, Oracle
 
 
-@dataclass
-class HotPathConfig:
-    """Switches for the result-preserving hot-path optimizations.
-
-    Both default on; the parity suite and the scaling bench flip them to
-    compare the optimized pipeline against the reference pipeline —
-    graph fingerprints must be byte-identical either way.
-    """
-
-    prune_pairs: bool = True
-    memoize_pairs: bool = True
-    #: Consult/populate the program-scoped shared pair memo (requires
-    #: ``memoize_pairs``; a config must still supply one).
-    share_pairs: bool = True
-    #: Collect every surviving pair of a unit into one batch and run the
-    #: test hierarchy tier-by-tier over it (:mod:`repro.dependence.batch`)
-    #: instead of pair-at-a-time; results, counters and fingerprints are
-    #: identical either way.
-    batch_pairs: bool = True
-    #: Record per-tier wall time in every tester (``--profile``); off by
-    #: default because the timing calls sit inside the test hierarchy.
-    profile_tiers: bool = False
-
-
-#: Process-wide hot-path switches (monkeypatched by parity tests/benches).
-HOT_PATH = HotPathConfig()
+#: Record per-tier wall time in every tester (``--profile`` sets it);
+#: off by default because the timing calls sit inside the test
+#: hierarchy.
+PROFILE_TIERS = False
 
 
 class UnitStatementIndex:
@@ -216,12 +203,12 @@ class UnitAnalysis:
     graph: DependenceGraph
     loop_info: Dict[int, LoopInfo]
     tester: DependenceTester
-    pair_results: List[PairResult] = field(default_factory=list)
-    stmt_index: Optional[UnitStatementIndex] = None
+    pair_results: List[PairResult]
+    stmt_index: UnitStatementIndex
     #: Wall seconds of the whole graph build (pair testing + scalar +
-    #: control dependences) and of the array-pair testing stage alone —
-    #: what ``bench_batch.py`` compares batched vs scalar.  Read with
-    #: ``getattr(..., 0.0)``: unpickled pre-upgrade records lack them.
+    #: control dependences) and of the array-pair testing stage alone;
+    #: the engine reports them as the ``dep.build_s`` / ``dep.pair_s``
+    #: stats rows.
     build_seconds: float = 0.0
     pair_seconds: float = 0.0
 
@@ -234,17 +221,12 @@ class UnitAnalysis:
     def body_sids(self, loop: DoLoop) -> Set[int]:
         """Statement sids inside ``loop`` (cached via the unit index)."""
 
-        return self._index().body_sids(loop)
+        return self.stmt_index.body_sids(loop)
 
     def body_statements(self, loop: DoLoop) -> List[Stmt]:
         """Statements inside ``loop`` (cached via the unit index)."""
 
-        return self._index().body_statements(loop)
-
-    def _index(self) -> UnitStatementIndex:
-        if self.stmt_index is None:
-            self.stmt_index = UnitStatementIndex(self.unit)
-        return self.stmt_index
+        return self.stmt_index.body_statements(loop)
 
     def hotpath_stats(self) -> Dict[str, int]:
         """Pair-pruning and memoization counters of this unit's run."""
@@ -301,17 +283,8 @@ def analyze_unit(
         )
 
     graph = DependenceGraph()
-    shared = (
-        config.shared_memo
-        if HOT_PATH.share_pairs and HOT_PATH.memoize_pairs
-        else None
-    )
     tester = DependenceTester(
-        table,
-        oracle,
-        memoize=HOT_PATH.memoize_pairs,
-        shared=shared,
-        profile=HOT_PATH.profile_tiers,
+        table, oracle, shared=config.shared_memo, profile=PROFILE_TIERS
     )
     builder = _GraphBuilder(
         unit,
@@ -329,10 +302,9 @@ def analyze_unit(
     build_t0 = perf_counter()
     pair_results = builder.build()
     build_seconds = perf_counter() - build_t0
-    # The memos have done their job for this unit; drop the local one and
-    # detach the shared one so cached/pickled UnitAnalysis objects stay
-    # lean (hit/miss counters survive).
-    tester.memo.clear()
+    # The shared memo has done its job for this unit; detach it so
+    # cached/pickled UnitAnalysis objects stay lean (hit/miss counters
+    # survive).
     tester.shared = None
 
     loop_info: Dict[int, LoopInfo] = {}
@@ -344,7 +316,6 @@ def analyze_unit(
             defuse,
             config,
             effects,
-            table,
             stmt_index,
             reductions[nest.loop.sid],
             inductions[nest.loop.sid],
@@ -382,9 +353,9 @@ class _GraphBuilder:
         graph,
         tester,
         config,
-        stmt_index: Optional[UnitStatementIndex] = None,
-        reductions: Optional[Dict[int, List[Reduction]]] = None,
-        inductions: Optional[Dict[int, List[InductionVar]]] = None,
+        stmt_index: UnitStatementIndex,
+        reductions: Dict[int, List[Reduction]],
+        inductions: Dict[int, List[InductionVar]],
     ):
         self.unit = unit
         self.cfg = cfg
@@ -397,39 +368,18 @@ class _GraphBuilder:
         self.table: SymbolTable = unit.symtab
         self.effects = config.resolved_effects()
         self.oracle = config.resolved_oracle()
-        self.stmt_index = stmt_index or UnitStatementIndex(unit)
+        self.stmt_index = stmt_index
         self._seen_scalar: Set[Tuple] = set()
         #: Wall seconds of the array-pair testing stage of :meth:`build`.
         self.pair_seconds = 0.0
-        # Idioms per loop, used to annotate (not suppress) edges.  The
-        # caller normally precomputes them (analyze_unit shares one
-        # recognition pass with the loop verdicts); recompute only when
-        # constructed standalone.
-        self.reduction_vars: Dict[int, Set[str]] = {}
-        self.induction_vars: Dict[int, Set[str]] = {}
-        for nest in loops:
-            loop = nest.loop
-            if reductions is not None:
-                self.reduction_vars[loop.sid] = {
-                    r.var for r in reductions.get(loop.sid, [])
-                }
-            elif config.use_reductions:
-                self.reduction_vars[loop.sid] = {
-                    r.var for r in find_reductions(loop, self.table, self.effects)
-                }
-            else:
-                self.reduction_vars[loop.sid] = set()
-            if inductions is not None:
-                self.induction_vars[loop.sid] = {
-                    iv.name for iv in inductions.get(loop.sid, [])
-                }
-            elif config.use_inductions:
-                self.induction_vars[loop.sid] = {
-                    iv.name
-                    for iv in auxiliary_inductions(loop, self.table, self.effects)
-                }
-            else:
-                self.induction_vars[loop.sid] = set()
+        # Idioms per loop (one recognition pass in analyze_unit, shared
+        # with the loop verdicts), used to annotate (not suppress) edges.
+        self.reduction_vars: Dict[int, Set[str]] = {
+            sid: {r.var for r in found} for sid, found in reductions.items()
+        }
+        self.induction_vars: Dict[int, Set[str]] = {
+            sid: {iv.name for iv in found} for sid, found in inductions.items()
+        }
 
     # -- bounds ----------------------------------------------------------
 
@@ -452,17 +402,8 @@ class _GraphBuilder:
         for r in refs:
             by_array.setdefault(r.array, []).append(r)
 
-        prune = HOT_PATH.prune_pairs
         pair_t0 = perf_counter()
-        if HOT_PATH.batch_pairs:
-            results = self._build_batched(by_array, prune)
-        else:
-            results = []
-            for array, a, b in self._array_pairs(by_array):
-                if prune and _prunable_pair(a, b):
-                    results.append(self.tester.count_pruned(a, b))
-                    continue
-                results.append(self._test_and_add(array, a, b))
+        results = self._build_batched(by_array)
         self.pair_seconds = perf_counter() - pair_t0
         self._scalar_dependences()
         self._procedure_scalar_deps()
@@ -483,54 +424,26 @@ class _GraphBuilder:
                 )
         return results
 
-    def _array_pairs(
-        self, by_array: Dict[str, List[ArrayAccess]]
-    ) -> Iterator[Tuple[str, ArrayAccess, ArrayAccess]]:
-        """Surviving (array, src, snk) pairs in canonical driver order."""
-
-        for array, accs in sorted(by_array.items()):
-            for i in range(len(accs)):
-                for j in range(i, len(accs)):
-                    a, b = accs[i], accs[j]
-                    if not a.is_write and not b.is_write:
-                        if not self.config.input_deps:
-                            continue
-                    if i == j:
-                        # A single access only matters against itself when
-                        # it can recur across iterations (write in a loop).
-                        if not a.nest or not a.is_write:
-                            continue
-                    yield array, a, b
-
     def _build_batched(
-        self, by_array: Dict[str, List[ArrayAccess]], prune: bool
+        self, by_array: Dict[str, List[ArrayAccess]]
     ) -> List[PairResult]:
-        """Batched pair testing: derive per-nest/per-statement context
-        once, resolve every surviving pair against the batch memo plan
-        in the same pass, run the test hierarchy tier-by-tier over the
-        misses (:func:`repro.dependence.batch.run_uncached`), then emit
-        results and graph edges in the scalar pair order — edge ids,
-        fingerprints, tier counters and memo accounting are identical
-        to the pair-at-a-time path."""
+        """The pair walk: enumerate every surviving pair in canonical
+        order (arrays sorted by name, then ``(i, j)`` with ``i <= j``),
+        prune the structurally edge-free ones, derive per-nest and
+        per-statement context once, resolve every other pair against the
+        batch memo plan and the shared memo in the same pass, run the
+        test hierarchy tier-by-tier over the misses
+        (:func:`repro.dependence.batch.run_uncached`), then emit results
+        and graph edges in pair order."""
 
         from .batch import BatchPair, run_uncached
 
         tester = self.tester
         count_pruned = tester.count_pruned
-        memoize = tester.memoize
         shared = tester.shared
-        if memoize:
-            version = tester.oracle.version()
-            if version != tester._memo_oracle_version:
-                # Assertions changed under us (see test_pair): recompute
-                # the shared-key context so lookups land in the new
-                # fact-space.
-                tester.memo.clear()
-                tester._memo_oracle_version = version
-                tester._shared_ctx = tester._compute_shared_ctx()
         # Pruned pairs resolve during collection (no edges, additive
         # counters); tested pairs leave a ``None`` hole that the batch
-        # results fill afterwards, so ``results`` keeps scalar pair order.
+        # results fill afterwards, so ``results`` keeps pair order.
         results: List[Optional[PairResult]] = []
         holes: List[int] = []
         # One row per tested pair: (a, b, slot, array, common, nest_sids)
@@ -540,7 +453,7 @@ class _GraphBuilder:
         # Batch memo plan: interned key id-tuple → slot.  First
         # occurrence of a key probes the shared memo and (on a miss)
         # becomes a BatchPair; every later occurrence is a local memo
-        # hit, exactly as the scalar sequential order would produce.
+        # hit.
         plan_map: Dict[tuple, object] = {}
         uniques: List[BatchPair] = []
         memo_hits = 0
@@ -563,8 +476,7 @@ class _GraphBuilder:
         acc_cache: Dict[int, tuple] = {}
         bk_intern: Dict[tuple, tuple] = {}
         slice_intern: Dict[tuple, tuple] = {}
-        # Inlined :meth:`_array_pairs` enumeration (same canonical order)
-        # so per-source context — sid, env, signature, nest identity — is
+        # Per-source context — sid, env, signature, nest identity — is
         # derived once per source access rather than once per pair.
         input_deps = self.config.input_deps
         constants = self.constants
@@ -573,16 +485,21 @@ class _GraphBuilder:
             for i in range(n_acc):
                 a = accs[i]
                 a_write = a.is_write
+                # A single access only matters against itself when it
+                # can recur across iterations (a write in a loop).
                 a_self_ok = a_write and a.nest
                 a_ready = False
-                if prune:
-                    # Per-source pruner state, open-coding
-                    # :func:`_prunable_pair` with a's half hoisted.
-                    a_sid = a.sid
-                    a_no_nest = not a.nest
-                    ca = a._const_dims
-                    if ca is None:
-                        ca = a.const_dims()
+                # Per-source pruner state.  A pair is edge-free without
+                # any test when it is one statement with no enclosing
+                # loop (only carried vectors become edges for a
+                # same-statement pair), or when both sides are literal
+                # constants (or constant section ranges) that do not
+                # overlap at some subscript position.
+                a_sid = a.sid
+                a_no_nest = not a.nest
+                ca = a._const_dims
+                if ca is None:
+                    ca = a.const_dims()
                 # Everything the batch needs for a pair (a, b) is a pure
                 # function of a's context plus (b's signature, b's nest)
                 # — so with ``a`` fixed, one dict probe replaces the full
@@ -595,17 +512,16 @@ class _GraphBuilder:
                         continue
                     if j == i and not a_self_ok:
                         continue
-                    if prune:
-                        if a_no_nest and b.sid == a_sid:
+                    if a_no_nest and b.sid == a_sid:
+                        results.append(count_pruned(a, b))
+                        continue
+                    if ca:
+                        cb = b._const_dims
+                        if cb is None:
+                            cb = b.const_dims()
+                        if cb and _const_disjoint(ca, cb):
                             results.append(count_pruned(a, b))
                             continue
-                        if ca:
-                            cb = b._const_dims
-                            if cb is None:
-                                cb = b.const_dims()
-                            if cb and _const_disjoint(ca, cb):
-                                results.append(count_pruned(a, b))
-                                continue
                     if not a_ready:
                         a_ready = True
                         a_nid = id(a.nest)
@@ -687,45 +603,39 @@ class _GraphBuilder:
                         pair_cache[pc_key] = rec
                     slot = plan_map.get(rec[1])
                     if slot is None:
-                        if memoize:
-                            shared_key = tester._shared_key(rec[0], a, b)
-                            if shared_key is not None:
-                                slot = shared.lookup(shared_key)
-                            if slot is not None:
-                                tester.shared_hits += 1
-                            else:
-                                if shared_key is not None:
-                                    tester.shared_misses += 1
-                                tester.memo_misses += 1
-                                slot = BatchPair(
-                                    a, b, rec[4], rec[5], env, shared_key
-                                )
-                                uniques.append(slot)
+                        shared_key = tester._shared_key(rec[0], a, b)
+                        if shared_key is not None:
+                            slot = shared.lookup(shared_key)
+                        if slot is not None:
+                            tester.shared_hits += 1
                         else:
-                            slot = BatchPair(a, b, rec[4], rec[5], env, None)
+                            if shared_key is not None:
+                                tester.shared_misses += 1
+                            tester.memo_misses += 1
+                            slot = BatchPair(
+                                a, b, rec[4], rec[5], env, shared_key
+                            )
                             uniques.append(slot)
                         plan_map[rec[1]] = slot
-                    elif memoize:
+                    else:
                         memo_hits += 1
                     holes.append(len(results))
                     results.append(None)
                     rows.append((a, b, slot, array, rec[2], rec[3]))
-        if memoize:
-            tester.memo_hits += memo_hits
+        tester.memo_hits += memo_hits
         run_uncached(tester, uniques)
-        if memoize:
-            # Stores stay in discovery order.  Within one batch a store
-            # can never feed a later lookup — distinct plan keys imply
-            # distinct shared keys — so storing after the sweeps is
-            # order-equivalent to the scalar interleaving.
-            for u in uniques:
-                if u.shared_key is not None:
-                    shared.store(u.shared_key, u.value)
+        # Stores stay in discovery order.  Within one batch a store can
+        # never feed a later lookup — distinct plan keys imply distinct
+        # shared keys — so storing after the sweeps equals storing as
+        # each pair is tested.
+        for u in uniques:
+            if u.shared_key is not None:
+                shared.store(u.shared_key, u.value)
         # Emission: first occurrence of each unique hands out the result
         # the sweeps built (its counters are already bumped); every other
         # pair replays its recorded value — multiplicity-applied counter
         # bumps afterwards, one reconstructed vectors list per distinct
-        # value, matching DependenceTester._replay pair-at-a-time.
+        # value — so tier counters equal those of testing every pair.
         add_edge = self._add_vector_edge
         rcache: Dict[int, list] = {}
         for row, pos in zip(rows, holes):
@@ -781,19 +691,6 @@ class _GraphBuilder:
                         resolution_classic.get(tier, 0) + mult
                     )
         return results
-
-    def _test_and_add(
-        self, array: str, a: ArrayAccess, b: ArrayAccess
-    ) -> PairResult:
-        common = a.common_nest(b)
-        bounds = self.bounds_for(common)
-        env = self.constants.linear_env(a.sid)
-        self.tester.env = env
-        result = self.tester.test_pair(a, b, bounds)
-        nest_sids = tuple(loop.sid for loop in common)
-        for vr in result.vectors:
-            self._add_vector_edge(array, a, b, vr.vector, vr.proven, vr.test, common, nest_sids)
-        return result
 
     def _add_vector_edge(
         self,
@@ -902,13 +799,13 @@ class _GraphBuilder:
         textual def ordering.  These never block parallelization (level 0)
         but they are what the dependence pane shows between straight-line
         statements, and what statement interchange / distribution must
-        respect.  Very heavily used scalars are capped to keep the graph
-        readable (the pane filters would drown anyway).
+        respect: every one is kept, however heavily the scalar is used,
+        because those transformations decide legality from exactly these
+        edges.
         """
 
         from ..analysis.cfg import ENTRY
 
-        cap = 24
         defs_by_var: Dict[str, List[int]] = {}
         uses_by_var: Dict[str, List[int]] = {}
         for sid in self.cfg.stmts:
@@ -921,10 +818,6 @@ class _GraphBuilder:
         for sid, chains in self.defuse.ud.items():
             for var, def_sites in chains.items():
                 if self.table.ensure(var).is_array:
-                    continue
-                if len(defs_by_var.get(var, [])) + len(
-                    uses_by_var.get(var, [])
-                ) > cap:
                     continue
                 for d in def_sites:
                     if d == ENTRY or d == sid:
@@ -940,8 +833,6 @@ class _GraphBuilder:
                         "",
                     )
         for var, defs in defs_by_var.items():
-            if len(defs) + len(uses_by_var.get(var, [])) > cap:
-                continue
             for u_sid in uses_by_var.get(var, []):
                 for d_sid in defs:
                     if d_sid > u_sid:
@@ -1002,14 +893,12 @@ def _loop_verdict(
     defuse: DefUse,
     config: AnalysisConfig,
     effects: SideEffects,
-    table: SymbolTable,
-    stmt_index: Optional[UnitStatementIndex] = None,
-    reductions: Optional[List[Reduction]] = None,
-    inductions: Optional[List[InductionVar]] = None,
+    index: UnitStatementIndex,
+    reductions: List[Reduction],
+    inductions: List[InductionVar],
 ) -> LoopInfo:
     loop = nest.loop
-    index = stmt_index or UnitStatementIndex(unit)
-    info = LoopInfo(nest)
+    info = LoopInfo(nest, reductions=reductions, inductions=inductions)
     info.carried = graph.carried_by(loop)
     if config.use_kill:
         info.privatizable = privatizable_scalars(loop, unit, defuse, effects)
@@ -1030,19 +919,6 @@ def _loop_verdict(
         info.privatizable_arrays = {
             v for v in candidates if v not in live_after
         }
-    if config.use_reductions:
-        info.reductions = (
-            reductions
-            if reductions is not None
-            else find_reductions(loop, table, effects)
-        )
-    if config.use_inductions:
-        info.inductions = (
-            inductions
-            if inductions is not None
-            else auxiliary_inductions(loop, table, effects)
-        )
-
     obstacles: List[str] = []
     blocking = [
         d
@@ -1071,38 +947,6 @@ def _loop_verdict(
     info.obstacles = obstacles
     info.parallelizable = not obstacles
     return info
-
-
-def _label_target(unit: ProcedureUnit, label: int) -> Optional[int]:
-    for st in walk_statements(unit.body):
-        if st.label == label:
-            return st.sid
-    return None
-
-
-def _prunable_pair(a: ArrayAccess, b: ArrayAccess) -> bool:
-    """Can this pair be rejected without running any dependence test?
-
-    Two structurally-provable cases, both edge-free by construction:
-
-    * same statement with no enclosing loops — only carried vectors ever
-      become edges for a same-statement pair, and there are none;
-    * a subscript position where both sides are literal integer
-      constants (or constant section ranges) that do not overlap — the
-      ZIV / section-overlap tier would disprove every direction vector.
-    """
-
-    if a.sid == b.sid and not a.nest:
-        return True
-    ca = a._const_dims
-    if ca is None:
-        ca = a.const_dims()
-    if not ca:
-        return False
-    cb = b._const_dims
-    if cb is None:
-        cb = b.const_dims()
-    return bool(cb) and _const_disjoint(ca, cb)
 
 
 def _const_disjoint(

@@ -17,27 +17,28 @@ many individual tests ran per tier — the data behind the paper's claim
 that a hierarchical suite "starting with inexpensive tests" is the right
 engineering (bench M1).
 
-Hot path: real procedures repeat the same subscript pattern dozens of
-times (``A(I,J)`` vs ``A(I,J-1)`` at every statement of a stencil), so
-:meth:`DependenceTester.test_pair` memoizes verdicts keyed on a canonical
-form of the pair — the printed subscripts of both accesses, the common
-nest bounds, the slice of the constant environment the subscripts can
-see, and the oracle's assertion version.  A memo hit *replays* the
-recorded tier counters before returning, so tier statistics (bench M1)
-are bit-identical with and without the cache; the cache self-invalidates
-whenever the oracle reports a new version (assertion added/removed).
-The driver-level pair pruner reports structurally-impossible pairs here
-too (tier ``"pruned"``), keeping all per-pair accounting in one place.
+The tester holds the per-pair tests and every counter; the pair walk
+that feeds it lives in the driver (``_GraphBuilder._build_batched``) and
+:mod:`repro.dependence.batch`.  Real procedures repeat the same
+subscript pattern dozens of times (``A(I,J)`` vs ``A(I,J-1)`` at every
+statement of a stencil), so the walk tests each canonical form of a
+pair — the printed subscripts of both accesses, the common nest bounds
+and the slice of the constant environment the subscripts can see — once
+per unit, and replays the recorded verdict for every repeat, re-bumping
+its tier counters, so tier statistics (bench M1) equal those of testing
+every pair.  :class:`SharedPairMemo` carries verdicts across units,
+keyed on that form widened by the oracle's fact digest.  The walk's
+pair pruner reports structurally-impossible pairs here too (tier
+``"pruned"``), keeping all per-pair accounting in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.symbolic import Env, Linear
+from ..analysis.symbolic import Linear
 from ..fortran.symbols import SymbolTable, int_const
 from .references import ArrayAccess
 from .subscript import (
@@ -48,7 +49,6 @@ from .subscript import (
     ZIV,
     AffineSub,
     SubscriptPair,
-    pair_subscripts,
 )
 from .tests import (
     ANY,
@@ -66,7 +66,6 @@ from .tests import (
     strong_siv_test,
     weak_crossing_siv_test,
     weak_zero_siv_test,
-    ziv_test,
 )
 
 _TIER_ORDER = ["pruned", "ziv", "siv", "gcd", "banerjee"]
@@ -163,24 +162,20 @@ def _classic_pair(src: ArrayAccess, snk: ArrayAccess) -> bool:
 class DependenceTester:
     """Applies the hierarchical test suite to access pairs.
 
-    ``bounds`` supplies the per-loop index ranges (from constants +
-    assertions); ``oracle`` answers symbolic queries; ``env`` maps known
-    scalar constants into the affine extraction.
+    ``oracle`` answers symbolic queries; the pair walk supplies each
+    pair's loop bounds and constant environment.
     """
 
     def __init__(
         self,
         table: Optional[SymbolTable] = None,
         oracle: Optional[Oracle] = None,
-        env: Optional[Env] = None,
         max_nest: int = 6,
-        memoize: bool = True,
         shared: Optional[SharedPairMemo] = None,
         profile: bool = False,
     ) -> None:
         self.table = table
         self.oracle = oracle or Oracle()
-        self.env = env
         self.max_nest = max_nest
         self.tier_counts: Dict[str, int] = {t: 0 for t in _TIER_ORDER}
         #: tier → cumulative wall seconds spent in that tier's test
@@ -194,67 +189,25 @@ class DependenceTester:
         #: call-site section dimensions) — the population the
         #: Goff–Kennedy–Tseng "cheap tests first" claim is about.
         self.pair_resolution_classic: Dict[str, int] = {}
-        self.memoize = memoize
-        #: canonical pair key → recorded verdict (see :meth:`_memo_value`).
-        self.memo: Dict[tuple, tuple] = {}
+        #: Pairs that repeated a canonical key already seen in this walk
+        #: (hits) and pairs that reached the tier sweeps (misses).
         self.memo_hits = 0
         self.memo_misses = 0
-        #: Program-scoped memo, consulted after the local memo misses.
+        #: Program-scoped memo, probed once per canonical key per walk.
         self.shared = shared
         self.shared_hits = 0
         self.shared_misses = 0
         #: name → integer PARAMETER value / None / _UNSHAREABLE, cached
         #: per tester (one symbol table per tester).
         self._param_values: Dict[str, object] = {}
-        self._memo_oracle_version = self.oracle.version()
-        self._shared_ctx = self._compute_shared_ctx()
+        #: The cross-unit part of the shared key, or None to opt out.
+        #: Sharing requires an oracle whose full fact content digests to
+        #: a hashable summary; ``max_nest`` joins the key because it
+        #: bounds the direction-vector enumeration.
+        digest = self.oracle.digest() if shared is not None else None
+        self._shared_ctx = None if digest is None else (digest, max_nest)
 
     # -- public API ---------------------------------------------------------
-
-    def test_pair(
-        self,
-        src: ArrayAccess,
-        snk: ArrayAccess,
-        bounds: Sequence[LoopBound],
-    ) -> PairResult:
-        """Test an ordered access pair over its common nest bounds.
-
-        Memoized on the canonical pair form when ``memoize`` is set; a
-        hit replays the recorded tier counters so statistics stay
-        identical to an uncached run.
-        """
-
-        if not self.memoize:
-            return self._test_pair_uncached(src, snk, bounds)
-        version = self.oracle.version()
-        if version != self._memo_oracle_version:
-            # Assertions changed under us: every cached verdict is suspect.
-            self.memo.clear()
-            self._memo_oracle_version = version
-            # The shared memo keys on the oracle *digest*, so stale
-            # entries become unreachable rather than dropped; recompute
-            # the context so new lookups land in the new fact-space.
-            self._shared_ctx = self._compute_shared_ctx()
-        key = self._pair_key(src, snk, bounds)
-        hit = self.memo.get(key)
-        if hit is not None:
-            self.memo_hits += 1
-            return self._replay(src, snk, hit)
-        shared_key = self._shared_key(key, src, snk)
-        if shared_key is not None:
-            hit = self.shared.lookup(shared_key)
-            if hit is not None:
-                self.shared_hits += 1
-                self.memo[key] = hit
-                return self._replay(src, snk, hit)
-            self.shared_misses += 1
-        self.memo_misses += 1
-        result = self._test_pair_uncached(src, snk, bounds)
-        value = self._memo_value(result)
-        self.memo[key] = value
-        if shared_key is not None:
-            self.shared.store(shared_key, value)
-        return result
 
     def count_pruned(self, src: ArrayAccess, snk: ArrayAccess) -> PairResult:
         """Record a pair the driver rejected before any test ran.
@@ -268,46 +221,6 @@ class DependenceTester:
         classic = _classic_pair(src, snk)
         self.tier_counts["pruned"] = self.tier_counts.get("pruned", 0) + 1
         return self._finish(src, snk, True, [], "pruned", {}, classic)
-
-    def _pair_key(
-        self,
-        src: ArrayAccess,
-        snk: ArrayAccess,
-        bounds: Sequence[LoopBound],
-        env: Optional[Env] = None,
-    ) -> tuple:
-        src_shape, src_names = src.signature()
-        snk_shape, snk_names = snk.signature()
-        if env is None:
-            env = self.env
-        if env:
-            names = src_names | snk_names
-            env_slice = tuple(
-                sorted((n, env[n]) for n in names if n in env)
-            )
-        else:
-            env_slice = ()
-        return (
-            src_shape,
-            snk_shape,
-            tuple((b.var, b.lo, b.hi) for b in bounds),
-            env_slice,
-        )
-
-    def _compute_shared_ctx(self) -> Optional[tuple]:
-        """The cross-unit part of the shared key, or None to opt out.
-
-        Sharing requires an oracle whose full fact content digests to a
-        hashable summary; ``max_nest`` joins the key because it bounds
-        the direction-vector enumeration.
-        """
-
-        if self.shared is None:
-            return None
-        digest = self.oracle.digest()
-        if digest is None:
-            return None
-        return (digest, self.max_nest)
 
     def _shared_key(
         self, key: tuple, src: ArrayAccess, snk: ArrayAccess
@@ -363,85 +276,6 @@ class DependenceTester:
             result.classic,
         )
 
-    def _replay(
-        self, src: ArrayAccess, snk: ArrayAccess, value: tuple
-    ) -> PairResult:
-        """Rebuild a PairResult from the memo, re-bumping every counter
-        exactly as the recorded run did."""
-
-        independent, vectors, resolved_by, tests_run, classic = value
-        for tier, n in tests_run:
-            self.tier_counts[tier] = self.tier_counts.get(tier, 0) + n
-        return self._finish(
-            src,
-            snk,
-            independent,
-            [VectorResult(v, e, p, t) for (v, e, p, t) in vectors],
-            resolved_by,
-            dict(tests_run),
-            classic,
-        )
-
-    def _test_pair_uncached(
-        self,
-        src: ArrayAccess,
-        snk: ArrayAccess,
-        bounds: Sequence[LoopBound],
-    ) -> PairResult:
-        nest_vars = [b.var for b in bounds]
-        pairs = pair_subscripts(
-            src, snk, nest_vars, self.table, self.env, self.oracle
-        )
-        tests_run: Dict[str, int] = {}
-
-        def bump(tier: str) -> None:
-            tests_run[tier] = tests_run.get(tier, 0) + 1
-            self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
-
-        classic = not any(sp.kind in (RANGE, FULL) for sp in pairs)
-
-        # Tier 1: ZIV positions settle the pair for every direction at once.
-        ts = self.tier_seconds
-        for sp in pairs:
-            if sp.kind == ZIV:
-                bump("ziv")
-                if ts is None:
-                    out = ziv_test(sp.src.rem - sp.snk.rem, self.oracle)
-                else:
-                    t0 = perf_counter()
-                    out = ziv_test(sp.src.rem - sp.snk.rem, self.oracle)
-                    ts["ziv"] = ts.get("ziv", 0.0) + (perf_counter() - t0)
-                if out.result == INDEP:
-                    return self._finish(
-                        src, snk, True, [], "ziv", tests_run, classic
-                    )
-
-        # Tier 2+: per direction vector.
-        m = len(bounds)
-        vectors: List[VectorResult] = []
-        highest_tier_used = "ziv"
-        if m == 0:
-            exists, proven, tier, test = self._test_vector(pairs, bounds, (), bump)
-            highest_tier_used = tier
-            if exists:
-                vectors.append(VectorResult((), True, proven, test))
-        else:
-            for direction in product((LT, EQ, GT), repeat=min(m, self.max_nest)):
-                exists, proven, tier, test = self._test_vector(
-                    pairs, bounds, direction, bump
-                )
-                if _TIER_ORDER.index(tier) > _TIER_ORDER.index(highest_tier_used):
-                    highest_tier_used = tier
-                if not exists:
-                    continue
-                vector = self._refine_vector(pairs, bounds, direction)
-                vectors.append(VectorResult(vector, True, proven, test))
-
-        independent = not vectors
-        return self._finish(
-            src, snk, independent, vectors, highest_tier_used, tests_run, classic
-        )
-
     # -- internals ---------------------------------------------------------
 
     def _finish(
@@ -460,19 +294,16 @@ class DependenceTester:
         bounds: Sequence[LoopBound],
         direction: Tuple[str, ...],
         bump,
-        bound_by_var: Optional[Dict[str, LoopBound]] = None,
+        bound_by_var: Dict[str, LoopBound],
     ) -> Tuple[bool, bool, str, str]:
         """Decide one direction vector.
 
-        ``bound_by_var`` may be supplied by callers that test many
-        directions over the same bounds (the batch executor); it must
-        equal ``{b.var: b for b in bounds}``.
+        ``bound_by_var`` must equal ``{b.var: b for b in bounds}``; the
+        batch executor builds it once per pair, not once per direction.
 
         Returns ``(dep_exists_or_assumed, proven, highest_tier, test_name)``.
         """
 
-        if bound_by_var is None:
-            bound_by_var = {b.var: b for b in bounds}
         ts = self.tier_seconds
         all_exact = True
         tier_used = "ziv"
@@ -613,7 +444,10 @@ class DependenceTester:
         if a1 != 0 and a2 == 0:
             return weak_zero_siv_test(a1, diff, bound, self.oracle)
         if a1 == 0 and a2 != 0:
-            return weak_zero_siv_test(-a2, -diff, bound, self.oracle)
+            # ``c1`` vs ``a2·i' + c2``: the one sink iteration is
+            # ``i' = (c1 − c2)/a2 = diff/a2``, which is what the test
+            # solves for with ``(a2, −diff)``.
+            return weak_zero_siv_test(a2, -diff, bound, self.oracle)
         if a1 == -a2 and a1 != 0:
             return weak_crossing_siv_test(a1, diff, bound, self.oracle)
         return TestOutcome(MAYBE, test="siv")

@@ -71,16 +71,6 @@ class Oracle:
 
         return False
 
-    def version(self) -> int:
-        """Mutation counter consulted by pair-test memoization.
-
-        Memoized verdicts are only replayed while the oracle's version is
-        unchanged; mutable oracles (the assertion database) bump this on
-        every fact change.  Immutable oracles stay at 0.
-        """
-
-        return 0
-
     def digest(self) -> Optional[tuple]:
         """Hashable summary of every fact this oracle can contribute.
 

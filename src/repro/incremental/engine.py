@@ -80,7 +80,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..dependence.driver import HOT_PATH, UnitAnalysis
+from ..dependence.driver import UnitAnalysis
 from ..dependence.hierarchy import SharedPairMemo
 from ..fortran.ast_nodes import (
     CallStmt,
@@ -1094,7 +1094,6 @@ class AnalysisEngine:
             if hits:
                 stats.hit("dependence", hits)
             if misses:
-                memo = self._dep_memo()
                 payloads = []
                 for name, _key in misses:
                     callees = sorted(cg.callees.get(name, ()))
@@ -1119,7 +1118,7 @@ class AnalysisEngine:
                             "constants": constants.get(name, {}),
                             "asserts": asserts.get(name, ()),
                             "features": feats,
-                            "memo": memo,
+                            "memo": self._shared_memo,
                         }
                     )
                 for (name, key), ua in zip(
@@ -1127,8 +1126,8 @@ class AnalysisEngine:
                 ):
                     self._emit_progress("dependence", unit=name)
                     # Per-tier wall time (``--profile``): the tester's
-                    # timings surface as stats counters so batch-vs-
-                    # scalar tier costs land in ``stats``/hotpath.json.
+                    # timings surface as stats counters, so tier costs
+                    # land in ``stats``.
                     tier_s = ua.tester.tier_seconds
                     if tier_s:
                         for tier, secs in tier_s.items():
@@ -1153,14 +1152,6 @@ class AnalysisEngine:
         self._mutated = set()
         self.refreshed = refreshed
         return pa
-
-    def _dep_memo(self) -> Optional[SharedPairMemo]:
-        """The program-scoped memo dependence tasks read and extend, or
-        ``None`` when cross-unit sharing is switched off."""
-
-        if not (HOT_PATH.share_pairs and HOT_PATH.memoize_pairs):
-            return None
-        return self._shared_memo
 
     # ------------------------------------------------------------------
     # stage: persistence (warm starts)
@@ -1252,8 +1243,6 @@ class AnalysisEngine:
 
         first = not self._memo_loaded
         self._memo_loaded = True
-        if not (HOT_PATH.share_pairs and HOT_PATH.memoize_pairs):
-            return
         disk = self._store.load_memo() or {}
         memo = self._shared_memo
         fresh = {k: v for k, v in disk.items() if k not in memo.entries}
@@ -1277,8 +1266,6 @@ class AnalysisEngine:
         stays local and ships on the next analysis.
         """
 
-        if not (HOT_PATH.share_pairs and HOT_PATH.memoize_pairs):
-            return
         memo = self._shared_memo
         snapshot = dict(memo.entries)
         delta = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
-from ..dependence.driver import HOT_PATH, AnalysisConfig, UnitAnalysis, analyze_unit
+from ..dependence.driver import AnalysisConfig, UnitAnalysis, analyze_unit
 from ..dependence.hierarchy import SharedPairMemo
 from ..dependence.tests import Oracle
 from ..fortran.ast_nodes import SourceFile
@@ -238,11 +238,7 @@ def analyze_program(
     # One program-scoped memo: units repeating a subscript shape (with
     # the same oracle facts and PARAMETER slice) replay each other's
     # verdicts instead of re-running the test hierarchy.
-    shared = (
-        SharedPairMemo()
-        if HOT_PATH.share_pairs and HOT_PATH.memoize_pairs
-        else None
-    )
+    shared = SharedPairMemo()
     for name, unit in cg.units.items():
         unit_oracle = (oracles_by_unit or {}).get(name, oracle)
         config = unit_config(

@@ -55,7 +55,11 @@ log = logging.getLogger(__name__)
 #: v5: UnitAnalysis lost memo_export and SharedPairMemo its
 #: pending/absorbed counter split (engines no longer ship work to
 #: worker processes).
-FORMAT_VERSION = 5
+#: v6: dependence results changed (weak-zero SIV with the index on the
+#: sink side, uncapped loop-independent scalar edges), so persisted
+#: graphs and shared-memo verdicts from v5 must not replay; the tester
+#: lost its local memo.
+FORMAT_VERSION = 6
 
 _MAGIC = "repro-cache"
 

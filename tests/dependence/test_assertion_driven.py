@@ -148,9 +148,6 @@ class TestSharedMemoInvalidation:
 
     def test_oracle_mutation_reroutes_shared_lookups(self):
         from repro.dependence import SharedPairMemo
-        from repro.dependence.hierarchy import DependenceTester
-        from repro.dependence.references import collect_refs
-        from repro.dependence.tests import LoopBound
 
         source = (
             "      subroutine s(a, n)\n"
@@ -161,34 +158,39 @@ class TestSharedMemoInvalidation:
             " 10   continue\n"
             "      end\n"
         )
-        unit = parse_and_bind(source).units[0]
-        refs = [r for r in collect_refs(unit) if r.array == "a"]
-        write = next(r for r in refs if r.is_write)
-        read = next(r for r in refs if not r.is_write)
-        bounds = [LoopBound("i", 1.0, 100.0)]
-
         shared = SharedPairMemo()
+
+        def analyze(db):
+            unit = parse_and_bind(source).units[0]
+            ua = analyze_unit(
+                unit, AnalysisConfig(oracle=db, shared_memo=shared)
+            )
+            (pair,) = [
+                r for r in ua.pair_results if r.src.is_write != r.snk.is_write
+            ]
+            return pair, ua.tester.shared_hits
+
         db = AssertionDB()
-        tester = DependenceTester(unit.symtab, db, shared=shared)
-        before = tester.test_pair(write, read, bounds)
+        before, hits = analyze(db)
         assert not before.independent
+        assert hits == 0
 
         # The fact changes the verdict; the old shared entry now lives
         # under an unreachable digest, not in the new lookup path.
         db.add("n > 100")
-        after = tester.test_pair(write, read, bounds)
+        after, hits = analyze(db)
         assert after.independent
-        assert tester.shared_hits == 0
+        assert hits == 0
 
-        # A second tester over the same mutated oracle replays the *new*
-        # verdict from the shared memo.
-        other = DependenceTester(unit.symtab, db, shared=shared)
-        replayed = other.test_pair(write, read, bounds)
+        # A second analysis over the same mutated oracle replays the
+        # *new* verdicts from the shared memo: both of the unit's pairs
+        # (the write against itself and against the read).
+        replayed, hits = analyze(db)
         assert replayed.independent
-        assert other.shared_hits == 1
+        assert hits == 2
 
-        # And a tester over an empty fact space still sees the original
-        # conservative verdict, not the sharpened one.
-        fresh = DependenceTester(unit.symtab, AssertionDB(), shared=shared)
-        conservative = fresh.test_pair(write, read, bounds)
+        # And an analysis over an empty fact space still sees the
+        # original conservative verdict, not the sharpened one.
+        conservative, hits = analyze(AssertionDB())
         assert not conservative.independent
+        assert hits == 2

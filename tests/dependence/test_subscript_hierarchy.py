@@ -3,7 +3,7 @@
 import pytest
 
 from repro.assertions import AssertionDB
-from repro.dependence.hierarchy import DependenceTester
+from repro.dependence import analyze_unit
 from repro.dependence.references import ArrayAccess, SectionDim
 from repro.dependence.subscript import (
     FULL,
@@ -14,7 +14,6 @@ from repro.dependence.subscript import (
     ZIV,
     pair_subscripts,
 )
-from repro.dependence.tests import LoopBound
 from repro.fortran import parse_and_bind
 
 
@@ -116,47 +115,54 @@ class TestClassification:
 
 
 class TestTesterDetails:
-    def _pair(self, write_sub, read_sub, bounds):
-        src = (
-            "      program t\n      real b(200)\n      do i = 1, 50\n"
-            f"      b({write_sub}) = b({read_sub}) + 1.0\n"
-            "      end do\n      end\n"
-        )
-        unit = parse_and_bind(src).units[0]
-        from repro.dependence.references import collect_refs
+    def _pair(self, write_sub, read_sub, read_loop=None):
+        """The write/read pair of ``b`` in a loop over ``i``; with
+        ``read_loop`` the read sits alone in a second loop over that
+        variable instead."""
 
-        refs = [r for r in collect_refs(unit) if r.array == "b"]
-        write = next(r for r in refs if r.is_write)
-        read = next(r for r in refs if not r.is_write)
-        tester = DependenceTester(unit.symtab)
-        return tester.test_pair(write, read, bounds), tester
+        write = f"      b({write_sub}) = 1.0\n"
+        read = f"      x = b({read_sub})\n"
+        if read_loop is None:
+            body = f"      do i = 1, 50\n{write}{read}      end do\n"
+        else:
+            body = (
+                f"      do i = 1, 50\n{write}      end do\n"
+                f"      do {read_loop} = 1, 50\n{read}      end do\n"
+            )
+        src = f"      program t\n      real b(200), x\n{body}      end\n"
+        ua = analyze_unit(parse_and_bind(src).units[0])
+        (result,) = [
+            r for r in ua.pair_results if r.src.is_write != r.snk.is_write
+        ]
+        return result, ua.tester
 
     def test_distance_vector_refined(self):
-        result, _ = self._pair("i", "i-3", [LoopBound("i", 1, 50)])
+        result, _ = self._pair("i", "i-3")
         assert not result.independent
         vectors = [v.vector for v in result.vectors]
         assert (3,) in vectors
 
     def test_self_output_pair_independent(self):
-        result, _ = self._pair("i", "i", [LoopBound("i", 1, 50)])
-        # a(i)=a(i): only the all-'=' vector survives (same element, same
-        # iteration).
+        result, _ = self._pair("i", "i")
+        # Same element only in the same iteration: only the all-'='
+        # vector survives.
         assert all(
             all((x == 0 or x == "=") for x in v.vector) for v in result.vectors
         )
 
     def test_resolved_by_recorded(self):
-        result, tester = self._pair("i", "i-1", [LoopBound("i", 1, 50)])
+        result, tester = self._pair("i", "i-1")
         assert result.resolved_by in ("siv", "banerjee")
         assert tester.pair_resolution
 
     def test_tests_run_counts(self):
-        result, _ = self._pair("2*i", "2*i+1", [LoopBound("i", 1, 50)])
+        result, _ = self._pair("2*i", "2*i+1")
         assert result.independent
         assert result.tests_run.get("siv", 0) > 0
 
     def test_no_common_nest(self):
-        result, _ = self._pair("i", "i-1", [])
+        result, _ = self._pair("i", "j-1", read_loop="j")
         # Without a common nest the pair still reports (loop-independent
         # constellation); never crashes.
-        assert result is not None
+        assert not result.independent
+        assert [v.vector for v in result.vectors] == [()]

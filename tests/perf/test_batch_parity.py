@@ -1,11 +1,12 @@
-"""Batched-vs-scalar dependence tester parity over randomized inputs.
+"""The batched pair walk against the pair-at-a-time reference walk.
 
-The batch executor (:mod:`repro.dependence.batch` plus the driver's
-``_build_batched``) is pure performance work: for any unit it must
+The driver's walk (``_GraphBuilder._build_batched`` plus
+:mod:`repro.dependence.batch`) batches pair collection, memo lookups and
+the test tiers; ``tests/dependence/reference_walk.py`` keeps the
+original pair-at-a-time walk as the oracle.  For any unit both must
 produce the same :class:`PairResult` stream, the same ``resolved_by``
-tiers, the same M1 tier counters and the same memo hit/miss accounting
-as walking :meth:`DependenceTester.test_pair` one pair at a time — with
-and without the pair memo, with and without the shared program memo.
+tiers, the same M1 tier counters and the same memo hit/miss accounting,
+with and without the shared program memo.
 
 This suite generates random Fortran routines whose loop nests exercise
 every tier (ZIV constants, SIV offsets, MIV couplings, symbolic bounds
@@ -16,42 +17,42 @@ but corrupt the M1 statistics the paper's tables are built from.
 """
 
 import random
-from contextlib import contextmanager
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 
-from repro.dependence import driver
 from repro.fortran import parse_and_bind
 from repro.incremental import program_fingerprint
 from repro.interproc import FeatureSet, analyze_program
 from repro.workloads import SUITE
 
+from tests.dependence.reference_walk import reference_walk
 
-@contextmanager
-def hot_path(batch: bool, memo: bool, share: bool):
-    saved = (
-        driver.HOT_PATH.batch_pairs,
-        driver.HOT_PATH.memoize_pairs,
-        driver.HOT_PATH.share_pairs,
+#: Observables that depend on memo bookkeeping, not on results.
+MEMO_KEYS = ("memo", "shared")
+
+
+def observe(source: str, walk=None, share: bool = True):
+    """:func:`observables` of a whole-program analysis of ``source``.
+
+    ``walk`` is a context manager that swaps the walk (``None`` runs the
+    production walk); ``share=False`` analyzes every unit without a
+    shared program memo, as ``transform/fusion.py`` does.
+    """
+
+    no_share = (
+        nullcontext()
+        if share
+        else mock.patch("repro.interproc.program.SharedPairMemo", lambda: None)
     )
-    driver.HOT_PATH.batch_pairs = batch
-    driver.HOT_PATH.memoize_pairs = memo
-    driver.HOT_PATH.share_pairs = share
-    try:
-        yield
-    finally:
-        (
-            driver.HOT_PATH.batch_pairs,
-            driver.HOT_PATH.memoize_pairs,
-            driver.HOT_PATH.share_pairs,
-        ) = saved
+    with walk or nullcontext(), no_share:
+        return observables(analyze_program(parse_and_bind(source), FeatureSet()))
 
 
-def observe(source: str, batch: bool, memo: bool = True, share: bool = True):
-    """Every observable the batch rewrite could disturb, per unit."""
+def observables(pa):
+    """Every observable the pair walk could disturb, per unit."""
 
-    with hot_path(batch, memo, share):
-        pa = analyze_program(parse_and_bind(source), FeatureSet())
     out = {"fingerprint": program_fingerprint(pa)}
     for name, ua in sorted(pa.units.items()):
         t = ua.tester
@@ -79,6 +80,17 @@ def observe(source: str, batch: bool, memo: bool = True, share: bool = True):
             ],
         }
     return out
+
+
+def without_memo_counters(observed):
+    return {
+        name: (
+            {k: v for k, v in unit.items() if k not in MEMO_KEYS}
+            if isinstance(unit, dict)
+            else unit
+        )
+        for name, unit in observed.items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -154,22 +166,26 @@ def generate_routine(seed: int) -> str:
 @pytest.mark.parametrize("seed", range(24))
 def test_randomized_parity(seed):
     source = generate_routine(seed)
-    scalar = observe(source, batch=False)
-    batched = observe(source, batch=True)
-    assert batched == scalar, source
+    assert observe(source) == observe(source, reference_walk()), source
 
 
 @pytest.mark.parametrize("memo,share", [(True, False), (False, False)])
 @pytest.mark.parametrize("seed", (0, 7, 13))
 def test_randomized_parity_memo_modes(seed, memo, share):
-    """Counters must match in every memo configuration, not only the
-    default — the batch plan replays local hits itself, so a drift
-    would show exactly here."""
+    """Without a shared memo (``shared_memo=None``) the walk still
+    replays repeats itself, so its counters must match the memoized
+    reference exactly, and everything but the memo counters must match
+    the reference that tests every pair afresh."""
 
     source = generate_routine(seed)
-    scalar = observe(source, batch=False, memo=memo, share=share)
-    batched = observe(source, batch=True, memo=memo, share=share)
-    assert batched == scalar, source
+    production = observe(source, share=share)
+    reference = observe(source, reference_walk(memoize=memo), share=share)
+    if memo:
+        assert production == reference, source
+    else:
+        assert without_memo_counters(production) == without_memo_counters(
+            reference
+        ), source
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
@@ -178,24 +194,22 @@ def test_workload_suite_parity(name):
     the structured cases randomized routines cannot reach."""
 
     source = SUITE[name].source
-    scalar = observe(source, batch=False)
-    batched = observe(source, batch=True)
-    assert batched == scalar
+    assert observe(source) == observe(source, reference_walk())
 
 
 def test_m1_statistics_identical_with_and_without_memo():
-    """Acceptance criterion: M1 tier statistics are bit-identical with
-    and without the memo, batched and scalar alike."""
+    """Acceptance criterion: M1 tier statistics of the production walk
+    are bit-identical to those of the reference walk that tests every
+    pair afresh, and to the memoized reference's."""
 
     from dataclasses import asdict
 
     from repro.evaluation.hierarchy_stats import dependence_test_stats
 
-    def stats_for(batch, memo):
-        with hot_path(batch, memo, share=memo):
+    def stats_for(walk=None):
+        with walk or nullcontext():
             return asdict(dependence_test_stats(["spec77", "onedim"]))
 
-    reference = stats_for(batch=False, memo=False)
-    assert stats_for(batch=True, memo=False) == reference
-    assert stats_for(batch=True, memo=True) == reference
-    assert stats_for(batch=False, memo=True) == reference
+    reference = stats_for(reference_walk(memoize=False))
+    assert stats_for() == reference
+    assert stats_for(reference_walk()) == reference

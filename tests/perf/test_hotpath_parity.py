@@ -1,15 +1,15 @@
-"""Hot-path parity: the optimized dependence pipeline changes nothing.
+"""Hot-path parity: pruning, memoization and batching change nothing.
 
 Pair pruning, test memoization and the indexed graph queries are pure
-performance work; this suite proves it by running every workload program
-through the reference pipeline (both hot-path switches off) and the
-optimized pipeline (switches on, individually and together) and
-requiring byte-identical structural fingerprints — including under user
-assertions and variable overrides, the paths that mutate the oracle
-mid-session.
+performance work.  This suite proves it by running every workload
+program through the production walk and through the pair-at-a-time
+reference walk (``tests/dependence/reference_walk.py``), with pruning
+and memoization off, and requiring byte-identical structural
+fingerprints — including under user assertions and variable overrides,
+the paths that mutate the oracle mid-session.
 """
 
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import pytest
 
@@ -19,124 +19,52 @@ from repro.incremental import program_fingerprint
 from repro.interproc import FeatureSet, analyze_program
 from repro.workloads import SUITE
 
-
-@contextmanager
-def hot_path(prune: bool, memo: bool, share: bool = False):
-    saved = (
-        driver.HOT_PATH.prune_pairs,
-        driver.HOT_PATH.memoize_pairs,
-        driver.HOT_PATH.share_pairs,
-    )
-    driver.HOT_PATH.prune_pairs = prune
-    driver.HOT_PATH.memoize_pairs = memo
-    driver.HOT_PATH.share_pairs = share
-    try:
-        yield
-    finally:
-        (
-            driver.HOT_PATH.prune_pairs,
-            driver.HOT_PATH.memoize_pairs,
-            driver.HOT_PATH.share_pairs,
-        ) = saved
+from tests.dependence.reference_walk import reference_walk
+from tests.perf.test_batch_parity import observables, observe
 
 
-def fingerprint_of(
-    source: str, prune: bool, memo: bool, share: bool = False, features=None
-):
-    with hot_path(prune, memo, share):
-        sf = parse_and_bind(source)
-        pa = analyze_program(sf, features or FeatureSet())
+def fingerprint_of(source: str, walk=None):
+    with walk or nullcontext():
+        pa = analyze_program(parse_and_bind(source), FeatureSet())
     return program_fingerprint(pa)
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_suite_parity_fully_optimized(name):
     source = SUITE[name].source
-    reference = fingerprint_of(source, prune=False, memo=False)
-    optimized = fingerprint_of(source, prune=True, memo=True, share=True)
-    assert optimized == reference
-
-
-@pytest.mark.parametrize(
-    "prune,memo,share",
-    [(True, False, False), (False, True, False), (False, True, True)],
-)
-def test_each_switch_alone_preserves_results(prune, memo, share):
-    # The switches must be independently sound, not only in combination.
-    for name in ("spec77", "onedim", "interior"):
-        source = SUITE[name].source
-        reference = fingerprint_of(source, prune=False, memo=False)
-        assert fingerprint_of(source, prune, memo, share) == reference, name
+    reference = fingerprint_of(source, reference_walk(prune=False, memoize=False))
+    assert fingerprint_of(source) == reference
 
 
 def test_parity_under_assertions_and_overrides():
     """Sessions mutate the oracle (assertions) and the variable
-    classification (overrides); the optimized pipeline must track both
+    classification (overrides); the production walk must track both
     exactly — this is where a stale memo would show."""
 
     from repro.editor.session import PedSession
 
     source = SUITE["onedim"].source
 
-    def run_session(prune: bool, memo: bool, share: bool):
-        with hot_path(prune, memo, share):
+    def run_session(walk=None):
+        with walk or nullcontext():
             session = PedSession(source)
             session.select_unit("build")
             session.select_loop(0)
-            prints = [program_fingerprint(session.analysis)]
+            steps = [observables(session.analysis)]
             session.add_assertion("n >= 1")
-            prints.append(program_fingerprint(session.analysis))
+            steps.append(observables(session.analysis))
             session.reclassify("t", "private")
-            prints.append(program_fingerprint(session.analysis))
+            steps.append(observables(session.analysis))
             session.undo()
-            prints.append(program_fingerprint(session.analysis))
-        return prints
+            steps.append(observables(session.analysis))
+        return steps
 
-    assert run_session(True, True, True) == run_session(False, False, False)
-
-
-def test_memo_invalidates_when_assertions_change():
-    """A long-lived tester must drop its memo the moment the oracle's
-    assertion set changes — a stale hit would freeze the old verdict."""
-
-    from repro.assertions.engine import AssertionDB
-    from repro.dependence.hierarchy import DependenceTester
-    from repro.dependence.references import collect_refs
-    from repro.dependence.tests import LoopBound
-
-    source = (
-        "      subroutine s(a, n)\n"
-        "      integer n, i\n"
-        "      real a(400)\n"
-        "      do 10 i = 1, 100\n"
-        "         a(i) = a(i+n) * 2.0\n"
-        " 10   continue\n"
-        "      end\n"
-    )
-    unit = parse_and_bind(source).units[0]
-    refs = [r for r in collect_refs(unit) if r.array == "a"]
-    write = next(r for r in refs if r.is_write)
-    read = next(r for r in refs if not r.is_write)
-    bounds = [LoopBound("i", 1.0, 100.0)]
-
-    db = AssertionDB()
-    tester = DependenceTester(unit.symtab, db)
-    first = tester.test_pair(write, read, bounds)
-    again = tester.test_pair(write, read, bounds)
-    assert tester.memo_hits == 1
-    assert not first.independent  # nothing known about n: assumed dep
-    assert again.independent == first.independent
-
-    # n > 100 puts a(i+n) beyond every a(i): provably independent now.
-    db.add("n > 100")
-    after = tester.test_pair(write, read, bounds)
-    assert after.independent
-    assert tester.memo_hits == 1  # the stale entry was dropped, not hit
-
-    fresh = DependenceTester(unit.symtab, db, memoize=False)
-    unmemoized = fresh.test_pair(write, read, bounds)
-    assert after.independent == unmemoized.independent
-    assert after.resolved_by == unmemoized.resolved_by
+    production = run_session()
+    assert production == run_session(reference_walk())
+    unoptimized = run_session(reference_walk(prune=False, memoize=False))
+    assert [s["fingerprint"] for s in production] == [
+        s["fingerprint"] for s in unoptimized
+    ]
 
 
 @pytest.mark.parametrize("share", [False, True])
@@ -146,20 +74,18 @@ def test_memo_replay_preserves_tier_statistics(share):
     cache behaviour."""
 
     source = SUITE["spec77"].source
-    with hot_path(False, True, share):
-        sf = parse_and_bind(source)
-        pa_memo = analyze_program(sf, FeatureSet())
-    with hot_path(False, False):
-        sf = parse_and_bind(source)
-        pa_ref = analyze_program(sf, FeatureSet())
-    for name, ua in pa_ref.units.items():
-        memo_tester = pa_memo.units[name].tester
-        assert memo_tester.tier_counts == ua.tester.tier_counts, name
-        assert memo_tester.pair_resolution == ua.tester.pair_resolution, name
-        assert (
-            memo_tester.pair_resolution_classic
-            == ua.tester.pair_resolution_classic
-        ), name
+    production = observe(source, share=share)
+    reference = observe(source, reference_walk(memoize=False), share=share)
+    for name, unit in reference.items():
+        if name == "fingerprint":
+            continue
+        for key in ("tier_counts", "resolved", "resolved_classic"):
+            assert production[name][key] == unit[key], (name, key)
+    assert any(
+        unit["memo"][0] or unit["shared"][0]
+        for name, unit in production.items()
+        if name != "fingerprint"
+    )
 
 
 def test_hotpath_counters_fire_on_real_workloads():
@@ -283,11 +209,11 @@ def test_statement_index_matches_walks():
         sf = parse_and_bind(SUITE[name].source)
         for unit in sf.units:
             index = driver.UnitStatementIndex(unit)
+            first_sid = {}
             for st in walk_statements(unit.body):
                 if st.label is not None:
-                    assert index.label_to_sid[st.label] == driver._label_target(
-                        unit, st.label
-                    )
+                    first_sid.setdefault(st.label, st.sid)
+            assert index.label_to_sid == first_sid
             for nest in driver.collect_loops(unit):
                 loop = nest.loop
                 walked = list(walk_statements(loop.body))

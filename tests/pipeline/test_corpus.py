@@ -10,6 +10,7 @@ progress, also when the pool's workers die mid-batch.
 import logging
 import os
 import signal
+import time
 
 import pytest
 
@@ -272,9 +273,14 @@ class TestCorpusPool:
             assert workers
             for proc in workers:
                 os.kill(proc.pid, signal.SIGKILL)
+            # The executor's management thread reaps these processes
+            # too; when it wins ``waitpid``, ``join`` returns before the
+            # exit code is recorded, so wait for the exit code itself.
+            deadline = time.monotonic() + 30
             for proc in workers:
-                proc.join(timeout=30)
-                assert not proc.is_alive()
+                while proc.exitcode is None:
+                    assert time.monotonic() < deadline, "worker survived"
+                    time.sleep(0.01)
 
         with caplog.at_level(logging.WARNING, logger="repro.service.pool"):
             with pool:
