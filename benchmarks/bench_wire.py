@@ -1,30 +1,29 @@
-"""Experiment W2 — bytes on the wire across protocol levels.
+"""Experiment W2 — bytes on the wire, JSON lines against deflate.
 
-The v6 wire stack claims an interactive session costs a fraction of its
-JSON-lines bytes once a connection climbs the negotiation ladder
-(``frames`` -> ``compress``): progress bursts coalesce into multi-record
-frames and frames deflate against per-connection dictionaries seeded
-from the delta baselines.  This bench measures exactly that, twice:
+Protocol v9 claims an interactive session costs a fraction of its
+JSON-lines bytes once a connection negotiates deflate: each direction
+becomes one raw-deflate stream of the same JSON lines, its history kept
+for the life of the connection, so repeated pane rows and progress
+records cost a few bytes each.  This bench measures exactly that:
 
-* an 8-edit streamed editing session against one server, run
-  three times — raw JSON lines, v5 binary frames, v6 compression — and
-* a corpus submit fanned over a 2-shard fleet behind a router, with the
-  client and the shard hops at the same level.
+* an 8-edit streamed editing session against one server, run over JSON
+  lines and over deflate, and
+* a corpus submit fanned over a 2-shard fleet behind a router, with a
+  JSON client and with a deflate client (the shard hops always deflate).
 
 Each run records bytes received/sent (the client's own wire counters),
 event throughput, and the session fingerprint.  The qualitative shape
-asserted before timing: every mode yields the *identical* event
-sequence and fingerprint (the stack is invisible except for cost), and
-the compressed session ships at least 2.5x fewer bytes than frames
-alone.
+asserted before timing: both modes yield the *identical* event sequence
+and fingerprint (the encoding is invisible except for cost), and the
+deflated session ships at least 2.69x fewer bytes than JSON lines.
 
 A third session drives the pane queries (``loops``, ``deps``,
-``source``) after each of 8 edits, over JSON lines and over v5 binary
-delta frames, and records its bytes in the ``pane`` section.
+``source``) after each of 8 edits, over JSON lines and over deflate,
+and records its bytes in the ``pane`` section.
 
 ``benchmarks/out/wire.json`` gets the numbers;
-``wire.bytes_ratio_frames_over_compress`` and
-``wire.bytes_ratio_json_over_binary`` (the pane session) are gated in
+``wire.bytes_ratio`` (``bytes_ratio_json_over_deflate``) and
+``wire.pane_bytes_ratio_json_over_deflate`` are gated in
 ``benchmarks/baselines.json``.
 """
 
@@ -39,7 +38,7 @@ from repro.workloads.generator import generate_program
 
 from conftest import OUT_DIR, save_artifact
 
-MODES = ("json", "frames", "compress")
+MODES = ("json", "deflate")
 EDITS = 8
 #: Line 9 of the generated program seeds ``f0`` — editing its additive
 #: constant dirties the main program unit without changing the parse
@@ -63,10 +62,8 @@ def _merge_artifact(payload: dict) -> None:
 
 
 def _negotiate(client: PedClient, mode: str) -> None:
-    if mode in ("frames", "compress"):
-        assert client.negotiate_frames(), "server must speak v5 frames"
-    if mode == "compress":
-        assert client.negotiate_compression(), "server must speak v6"
+    if mode == "deflate":
+        assert client.negotiate_compression(), "server must speak v9"
 
 
 def _event_key(ev) -> tuple:
@@ -118,7 +115,7 @@ def _streamed_session(mode: str) -> dict:
 
 
 def _fleet_submit(mode: str) -> dict:
-    """Corpus submit over a 2-shard fleet, both hops at ``mode``."""
+    """Corpus submit over a 2-shard fleet, the client hop at ``mode``."""
 
     programs = [
         {"name": f"p{i}", "source": generate_program(n_routines=2 + i % 3)}
@@ -132,7 +129,7 @@ def _fleet_submit(mode: str) -> dict:
         port = t.start_background()
         shards.append((srv, t))
         addrs.append(f"127.0.0.1:{port}")
-    router = FleetRouter(addrs, retries=1, backoff=0.01, wire=mode)
+    router = FleetRouter(addrs, retries=1, backoff=0.01)
     rtransport = AsyncTransport(router)
     rport = rtransport.start_background()
     try:
@@ -178,43 +175,37 @@ def test_wire_bytes_across_protocol_levels(benchmark):
     session = {mode: _streamed_session(mode) for mode in MODES}
 
     # Invisibility first: identical event sequences and fingerprints.
-    for mode in ("frames", "compress"):
-        assert session[mode]["events"] == session["json"]["events"], (
-            f"{mode} changed the client-visible event sequence"
-        )
-        assert (
-            session[mode]["fingerprint"] == session["json"]["fingerprint"]
-        ), f"{mode} changed the session fingerprint"
+    assert session["deflate"]["events"] == session["json"]["events"], (
+        "deflate changed the client-visible event sequence"
+    )
+    assert (
+        session["deflate"]["fingerprint"] == session["json"]["fingerprint"]
+    ), "deflate changed the session fingerprint"
     assert len(session["json"]["events"]) >= EDITS, (
         "the edit stream must push progress events"
     )
 
-    ratio_frames = (
-        session["frames"]["bytes_received"]
-        / session["compress"]["bytes_received"]
-    )
-    ratio_json = (
+    ratio = (
         session["json"]["bytes_received"]
-        / session["compress"]["bytes_received"]
+        / session["deflate"]["bytes_received"]
     )
-    assert ratio_frames >= 2.5, (
-        f"compression+coalescing must ship >=2.5x fewer bytes than "
-        f"frames alone, got {ratio_frames:.2f}x"
+    assert ratio >= 2.69, (
+        f"deflate must ship >=2.69x fewer bytes than JSON lines, "
+        f"got {ratio:.2f}x"
     )
 
     fleet = {mode: _fleet_submit(mode) for mode in MODES}
-    for mode in ("frames", "compress"):
-        assert fleet[mode]["programs"] == fleet["json"]["programs"]
-        assert fleet[mode]["totals"] == fleet["json"]["totals"] == [6]
-        assert fleet[mode]["value"] == fleet["json"]["value"], (
-            f"{mode} changed the fleet aggregate"
-        )
-        assert fleet[mode]["complete"]
+    assert fleet["deflate"]["programs"] == fleet["json"]["programs"]
+    assert fleet["deflate"]["totals"] == fleet["json"]["totals"] == [6]
+    assert fleet["deflate"]["value"] == fleet["json"]["value"], (
+        "deflate changed the fleet aggregate"
+    )
+    assert fleet["deflate"]["complete"]
     fleet_ratio = (
-        fleet["json"]["bytes_received"] / fleet["compress"]["bytes_received"]
+        fleet["json"]["bytes_received"] / fleet["deflate"]["bytes_received"]
     )
     assert fleet_ratio > 1.0, (
-        f"a compressed fleet hop must not cost more bytes than JSON, "
+        f"a deflated fleet hop must not cost more bytes than JSON, "
         f"got {fleet_ratio:.2f}x"
     )
 
@@ -224,13 +215,12 @@ def test_wire_bytes_across_protocol_levels(benchmark):
             "edits": EDITS,
             "session": {m: strip(session[m]) for m in MODES},
             "fleet": fleet,
-            "bytes_ratio_frames_over_compress": ratio_frames,
-            "bytes_ratio_json_over_compress": ratio_json,
-            "fleet_bytes_ratio_json_over_compress": fleet_ratio,
+            "bytes_ratio_json_over_deflate": ratio,
+            "fleet_bytes_ratio_json_over_deflate": fleet_ratio,
         }
     )
     benchmark.pedantic(
-        lambda: _streamed_session("compress"),
+        lambda: _streamed_session("deflate"),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
@@ -247,19 +237,18 @@ PANE_SOURCE = """      subroutine p(a, n)
 """
 
 
-def test_binary_frames_transfer_fewer_bytes(benchmark):
-    """A pane-query edit session over binary delta frames moves fewer
+def test_pane_session_bytes(benchmark):
+    """A pane-query edit session over deflate moves at least 1.79x fewer
     bytes than the identical session over JSON lines."""
 
     srv = PedServer(max_workers=2)
     transport = AsyncTransport(srv)
     port = transport.start_background()
 
-    def run_session(binary: bool):
+    def run_session(mode: str):
         with PedClient.connect(port=port) as c:
-            if binary:
-                assert c.negotiate_frames() is True
-            sid = f"wire{int(binary)}"
+            _negotiate(c, mode)
+            sid = f"wire-{mode}"
             c.request("open", session=sid, source=PANE_SOURCE)
             for i in range(EDITS):
                 c.request(
@@ -272,25 +261,26 @@ def test_binary_frames_transfer_fewer_bytes(benchmark):
             return c.bytes_received, c.bytes_sent
 
     try:
-        json_in, json_out = run_session(binary=False)
-        bin_in, bin_out = benchmark.pedantic(
-            run_session, args=(True,),
+        json_in, json_out = run_session("json")
+        deflate_in, deflate_out = benchmark.pedantic(
+            run_session, args=("deflate",),
             rounds=1, iterations=1, warmup_rounds=0,
         )
     finally:
         transport.stop_background()
         srv.close()
 
-    assert bin_in < json_in, (bin_in, json_in)
+    ratio = json_in / max(deflate_in, 1)
+    assert ratio >= 1.79, (deflate_in, json_in)
     _merge_artifact(
         {
             "pane": {
                 "session": "open + 8x(edit, loops, deps, source)",
                 "json_bytes_received": json_in,
                 "json_bytes_sent": json_out,
-                "binary_bytes_received": bin_in,
-                "binary_bytes_sent": bin_out,
-                "bytes_ratio_json_over_binary": json_in / max(bin_in, 1),
+                "deflate_bytes_received": deflate_in,
+                "deflate_bytes_sent": deflate_out,
+                "bytes_ratio_json_over_deflate": ratio,
             }
         }
     )

@@ -254,13 +254,8 @@ def _corpus_client(args: argparse.Namespace):
     from .service import PedClient
 
     client = PedClient.connect(host=args.host, port=args.port)
-    # Climb the negotiation ladder to --wire; each rung falls back
-    # gracefully, so an older server just leaves the connection lower.
-    wire = getattr(args, "wire", "json")
-    if wire in ("frames", "compress"):
-        client.negotiate_frames()
-    if wire == "compress":
-        client.negotiate_compression()
+    # A server that refuses deflate leaves the connection on JSON lines.
+    client.negotiate_compression()
     return client
 
 
@@ -306,7 +301,6 @@ def cmd_fleet_route(args: argparse.Namespace) -> int:
         args.shard,
         retries=args.retries,
         backoff=args.backoff,
-        wire=args.wire,
     )
     gossip = None
     if args.gossip_interval > 0:
@@ -509,13 +503,6 @@ def main(argv=None) -> int:
     def remote_flags(p):
         p.add_argument("--host", default="127.0.0.1")
         p.add_argument("--port", type=int, default=7077)
-        p.add_argument(
-            "--wire",
-            choices=("json", "frames", "compress"),
-            default="compress",
-            help="wire level to negotiate (falls back per rung; "
-            "default compress)",
-        )
 
     p = csub.add_parser(
         "analyze", help="batch-analyze files locally, print rollups"
@@ -606,12 +593,6 @@ def main(argv=None) -> int:
         default=5.0,
         metavar="S",
         help="memo gossip period in seconds; 0 disables (default 5)",
-    )
-    p.add_argument(
-        "--wire",
-        choices=("json", "frames", "compress"),
-        default="compress",
-        help="wire level to negotiate with shards (default compress)",
     )
     p.set_defaults(fn=cmd_fleet_route)
 

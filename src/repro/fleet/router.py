@@ -35,18 +35,14 @@ budget exhausts become ``shard-lost`` error records in the merged reply
 are retried last on later requests, so a restarted shard heals back
 into the ring without operator action.
 
-**Shard wire mode.**  Each lazily created shard client climbs the v6
-negotiation ladder to ``wire`` ("json", "frames" or the default
-"compress"), falling back gracefully one rung at a time — a fleet can
-mix v6 shards with older ones and every hop just runs at the best level
-both ends speak.  When a compressed shard coalesces a burst of progress
-events into one multi-record frame, the router relays the burst *as a
-burst*: the shard client delivers it as one list, the router re-emits
-it as one ``events.batch`` pseudo-event, and the client-facing
-transport ships it as one frame again (re-deflated against that
-connection's own dictionaries — dictionaries are per-connection
-baselines, so bytes are re-encoded but the frame structure, ordering
-and event payloads survive the hop intact).
+**Shard wire.**  Each lazily created shard client asks its shard for
+deflate (``router.wire_deflate`` counts the hops that agreed); a shard
+that refuses stays on JSON lines.  When a shard's burst of progress
+events arrives in one read, the router relays it *as a burst*: the
+shard client delivers it as one list, the router re-emits it as one
+``events.batch`` pseudo-event, and the client-facing transport ships it
+in one flush again (re-encoded for that connection, but with its
+ordering and event payloads intact).
 
 **Memo gossip.**  ``memo.pull`` unions the shared pair-test memo across
 shards and ``memo.push`` fans entries to every shard — the ops
@@ -105,16 +101,10 @@ class FleetRouter:
         max_request_bytes: int = protocol.MAX_REQUEST_BYTES,
         forward_timeout: float = 600.0,
         stats: Optional[EngineStats] = None,
-        wire: str = "compress",
     ) -> None:
         if not shards:
             raise ValueError("a fleet router needs at least one shard")
-        if wire not in ("json", "frames", "compress"):
-            raise ValueError(
-                f"wire must be 'json', 'frames' or 'compress', not {wire!r}"
-            )
         self.ring = HashRing(shards, replicas=replicas)
-        self.wire = wire
         self.retries = retries
         self.backoff = backoff
         self.jitter = jitter
@@ -214,14 +204,9 @@ class FleetRouter:
         client.add_event_listener(
             lambda ev: self._notify(ev.kind, ev.data)
         )
-        # Climb the negotiation ladder to the configured wire mode;
-        # every rung falls back gracefully, so an old shard that only
-        # speaks JSON or v5 frames still joins the ring.
-        if self.wire in ("frames", "compress"):
-            if client.negotiate_frames():
-                self.stats.bump("router.wire_frames")
-                if self.wire == "compress" and client.negotiate_compression():
-                    self.stats.bump("router.wire_compress")
+        # A shard that refuses deflate still joins, on JSON lines.
+        if client.negotiate_compression():
+            self.stats.bump("router.wire_deflate")
         with self._clients_lock:
             race = self._clients.get(shard)
             if race is not None:
@@ -277,8 +262,8 @@ class FleetRouter:
                 emit(ev.kind, ev.data)
 
             if batch_sink is None:
-                # A coalesced shard frame relays as one batch event, so
-                # the client-facing transport ships one frame again.
+                # A shard's burst relays as one batch event, so the
+                # client-facing transport ships it in one flush again.
                 def batch_sink(evs):  # noqa: E306 — local relay
                     self.stats.bump("router.batches_relayed")
                     emit(
@@ -566,8 +551,8 @@ class FleetRouter:
             emit(ev.kind, data)
 
         def shard_batch(evs) -> None:
-            # A coalesced shard burst renumbers under one lock hold and
-            # relays as one batch, staying one frame on a v6 client hop.
+            # A shard's burst renumbers under one lock hold and relays
+            # as one batch, staying one flush on the client hop.
             if emit is None:
                 return
             with progress_lock:

@@ -17,26 +17,26 @@ cost no threads.
 
 **Per-connection machinery.**
 
-* *Reader*: a manual chunked line assembler (no ``readline`` limits to
-  trip over).  A line within ``max_request_bytes + slack`` is parsed by
-  :func:`~repro.service.protocol.parse_request`, which rejects
-  over-limit requests with ``payload-too-large`` and a recovered id; a
-  line so large it blows past the slack is answered the same way
-  (id ``null``) and discarded as it streams in, without buffering it.
-  After a client negotiates v5 binary frames (inline ``frames`` op),
-  the reader hands the residual buffer to a
-  :class:`~repro.service.protocol.FrameDecoder` and dispatches decoded
-  envelopes instead of lines.
+* *Reader*: one :class:`~repro.service.protocol.LineAssembler` (no
+  ``readline`` limits to trip over).  A line within ``max_request_bytes
+  + slack`` is parsed by :func:`~repro.service.protocol.parse_request`,
+  which rejects over-limit requests with ``payload-too-large`` and a
+  recovered id; a line so large it blows past the slack is answered the
+  same way (id ``null``) and discarded as it streams in, without
+  buffering it.  After a client negotiates deflate (the inline
+  ``compress`` op), the same assembler inflates what it reads, one
+  bounded slice at a time, so the caps hold on inflated bytes too.  A
+  corrupt deflate stream gets one ``bad-request`` and the connection
+  closes.
 * *Writer*: one task draining a bounded outbound queue; it stamps
   ``seq`` (single consumer, so queue order *is* seq order *is* wire
   order), writes everything already queued as one burst and awaits
   ``drain()`` once per burst — TCP backpressure without a syscall and
-  a loop round-trip per line.  On connections that negotiated the v6
-  ``compress`` rung, a burst longer than one envelope is the queue's
-  back-pressure watermark: runs of ``analysis.progress`` events inside
-  it coalesce into one multi-record frame, and the adaptive zlib layer
-  squeezes whatever frames pay for it (``net.*`` counters land in the
-  host's stats either way).
+  a loop round-trip per line.  On a deflated connection each burst is
+  one sync flush of the connection's deflate stream, and a burst of
+  nothing but ``analysis.progress`` events first waits out the
+  coalescing window for company (``net.*`` counters land in the host's
+  stats either way).
   Worker threads enqueue via ``run_coroutine_threadsafe(...).result()``,
   which blocks the producing handler until the queue has room: a slow
   client throttles its own requests' event streams, never the loop.
@@ -65,7 +65,7 @@ import logging
 import os
 import sys
 import threading
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..service import protocol
 from ..service.protocol import ProtocolError
@@ -86,24 +86,13 @@ CHUNK = 64 * 1024
 BURST_MAX = 64
 
 
-class _FrameSwitch:
-    """Outbound-queue sentinel carrying the ``frames`` ok reply.
+class _DeflateSwitch:
+    """Outbound-queue sentinel carrying the ``compress`` ok reply.
 
-    The write loop emits the reply as its *last* JSON line and encodes
-    everything after as binary frames — one queue item, so no envelope
-    a worker thread enqueues can land between the reply and the switch.
+    The write loop ships the reply as its *last* plain line and deflates
+    everything after — one queue item, so no envelope a worker thread
+    enqueues can land between the reply and the switch.
     """
-
-    __slots__ = ("reply",)
-
-    def __init__(self, reply: Dict) -> None:
-        self.reply = reply
-
-
-class _CompressSwitch:
-    """Outbound-queue sentinel for the ``compress`` rung: the reply
-    ships as a plain frame, everything after it may compress and
-    progress-event runs start coalescing into multi-record frames."""
 
     __slots__ = ("reply",)
 
@@ -141,13 +130,12 @@ class _AsyncConnection:
         self._inflight: Set[asyncio.Task] = set()
         self._listener_token = None
         self._writer_task: Optional[asyncio.Task] = None
-        #: Reader-side framing flags (the write loop keeps its own
-        #: state, flipped by the switch sentinels riding the queue).
-        self._binary = False
-        self._compress = False
-        self._reply_keys: Dict[object, str] = {}
+        #: The read side; the write loop keeps its own encoder, created
+        #: by the switch sentinel riding the queue.
+        self._lines = protocol.LineAssembler(
+            self.host.max_request_bytes, OVERSIZE_SLACK
+        )
         self._stats = getattr(self.host, "stats", None)
-        self._acct = [0, 0, 0, 0]  # wire, raw, compressed, coalesced
 
     # -- sending -------------------------------------------------------
 
@@ -175,149 +163,95 @@ class _AsyncConnection:
         if self._stats is not None and n:
             self._stats.bump(name, n)
 
-    def _account_frames(self, encoder) -> None:
-        """Bump ``net.*`` by the encoder's movement since last flush."""
+    def _ship(self, envelopes: List[Dict], encoder) -> bytes:
+        """One burst's stamped envelopes → wire bytes, with ``net.*``
+        accounting."""
 
-        now = [
-            encoder.bytes_wire,
-            encoder.bytes_raw,
-            encoder.frames_compressed,
-            encoder.coalesced_events,
-        ]
-        prev, self._acct = self._acct, now
-        self._bump("net.bytes_out", now[0] - prev[0])
-        self._bump("net.bytes_out_raw", now[1] - prev[1])
-        self._bump("net.frames_compressed", now[2] - prev[2])
-        self._bump("net.coalesced_events", now[3] - prev[3])
-
-    def _encode_item(self, item, encoder) -> bytes:
-        """One outbound envelope → its wire bytes (seq stamped here)."""
-
-        envelope = item
-        envelope["seq"] = self._seq.next()
-        if encoder is not None:
-            key = None
-            if protocol.is_reply(envelope):
-                key = self._reply_keys.pop(envelope.get("id"), None)
-            return encoder.encode(envelope, key)
-        line = protocol.encode(envelope)
-        data = line.encode("utf-8") + b"\n"
+        if not envelopes:
+            return b""
+        if encoder is None:
+            data = protocol.encode_lines(envelopes)
+            raw = len(data)
+        else:
+            before = encoder.bytes_raw
+            data = encoder.encode_multi(envelopes)
+            raw = encoder.bytes_raw - before
+            events = sum(1 for env in envelopes if "event" in env)
+            if events > 1:
+                self._bump("net.coalesced_events", events)
         self._bump("net.bytes_out", len(data))
-        self._bump("net.bytes_out_raw", len(data))
+        self._bump("net.bytes_out_raw", raw)
         return data
 
-    def _encode_group(self, envelopes, encoder) -> bytes:
-        """A coalesced event run → one multi-record frame."""
-
-        for envelope in envelopes:
-            envelope["seq"] = self._seq.next()
-        return encoder.encode_multi(envelopes)
-
     @staticmethod
-    def _coalescible(envelope) -> bool:
-        return envelope.get("event") == protocol.EV_PROGRESS
+    def _coalescible(item) -> bool:
+        return (
+            isinstance(item, dict)
+            and item.get("event") == protocol.EV_PROGRESS
+        )
+
+    async def _await_company(self, burst: list) -> None:
+        """Trickle aid for a deflated connection holding nothing but
+        progress events: wait out the coalescing window for more.
+        Anything non-coalescible (a reply, a sentinel) ends the wait at
+        once, so terminal replies are never held back."""
+
+        deadline = self._loop.time() + protocol.COALESCE_WINDOW
+        while len(burst) < protocol.COALESCE_MAX:
+            remaining = deadline - self._loop.time()
+            if remaining <= 0:
+                return
+            try:
+                nxt = await asyncio.wait_for(self._outq.get(), remaining)
+            except asyncio.TimeoutError:
+                return
+            burst.append(nxt)
+            if not self._coalescible(nxt):
+                return
 
     async def _write_loop(self) -> None:
-        encoder = None
-        compress = False
+        encoder: Optional[protocol.FrameEncoder] = None
         try:
             while True:
-                item = await self._outq.get()
                 # Burst-drain: pull everything already queued and write
                 # it in one go, awaiting ``drain()`` once per burst
                 # instead of once per envelope — under event-storm load
-                # the kernel sees one large write, not N tiny ones.  A
-                # burst longer than one item *is* the queue backing up:
-                # on compressed connections, runs of progress events
-                # inside it coalesce into one multi-record frame.
-                burst = [item]
+                # the kernel sees one large write, not N tiny ones.
+                burst = [await self._outq.get()]
                 while len(burst) < BURST_MAX:
                     try:
                         burst.append(self._outq.get_nowait())
                     except asyncio.QueueEmpty:
                         break
-                # Trickle aid: when a compressed connection has nothing
-                # but progress events in hand, wait out the coalescing
-                # window for company.  Anything non-coalescible
-                # (a reply, a sentinel) aborts the wait immediately, so
-                # terminal replies are never held back.
-                if compress and all(
-                    isinstance(b, dict) and self._coalescible(b)
-                    for b in burst
+                if encoder is not None and all(
+                    self._coalescible(b) for b in burst
                 ):
-                    deadline = self._loop.time() + protocol.COALESCE_WINDOW
-                    while len(burst) < protocol.COALESCE_MAX:
-                        remaining = deadline - self._loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            nxt = await asyncio.wait_for(
-                                self._outq.get(), remaining
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                        burst.append(nxt)
-                        if not (
-                            isinstance(nxt, dict) and self._coalescible(nxt)
-                        ):
-                            break
+                    await self._await_company(burst)
                 out = bytearray()
+                envelopes: List[Dict] = []
                 stop = False
-                i, n = 0, len(burst)
-                while i < n:
-                    item = burst[i]
-                    i += 1
+                for item in burst:
                     if item is None:
                         stop = True
                         break
-                    if type(item) is _FrameSwitch:
-                        envelope = item.reply
-                        envelope["seq"] = self._seq.next()
-                        line = protocol.encode(envelope)
-                        data = line.encode("utf-8") + b"\n"
-                        self._bump("net.bytes_out", len(data))
-                        self._bump("net.bytes_out_raw", len(data))
-                        out += data
+                    if type(item) is _DeflateSwitch:
+                        item.reply["seq"] = self._seq.next()
+                        envelopes.append(item.reply)
+                        out += self._ship(envelopes, None)
+                        envelopes = []
                         encoder = protocol.FrameEncoder()
                         continue
-                    if type(item) is _CompressSwitch:
-                        # The reply itself ships plain; the flag flips
-                        # after, so nothing before it compresses.
-                        out += self._encode_item(item.reply, encoder)
-                        encoder.compress = True
-                        compress = True
-                        continue
+                    # A host-side burst (router relay) fans out here
+                    # and ships in the same flush.
                     batch = protocol.expand_event_batch(item)
-                    if batch is not None:
-                        # A host-side burst (router relay): keep it one
-                        # frame when compressing, else fan it out.
-                        if compress and batch:
-                            out += self._encode_group(batch, encoder)
-                        else:
-                            for env in batch:
-                                out += self._encode_item(env, encoder)
-                        continue
-                    if compress and self._coalescible(item):
-                        j = i - 1
-                        while (
-                            j + 1 < n
-                            and isinstance(burst[j + 1], dict)
-                            and self._coalescible(burst[j + 1])
-                        ):
-                            j += 1
-                        if j >= i:
-                            out += self._encode_group(
-                                burst[i - 1 : j + 1], encoder
-                            )
-                            i = j + 1
-                            continue
-                    out += self._encode_item(item, encoder)
+                    for envelope in batch if batch is not None else (item,):
+                        envelope["seq"] = self._seq.next()
+                        envelopes.append(envelope)
+                out += self._ship(envelopes, encoder)
                 if out:
                     self.writer.write(bytes(out))
                     await self.writer.drain()
                     self._bump("net.flushes")
-                    if encoder is not None:
-                        self._account_frames(encoder)
                 if stop:
                     break
         except (ConnectionError, OSError, asyncio.CancelledError):
@@ -327,10 +261,6 @@ class _AsyncConnection:
 
     def _run_request(self, req: Dict) -> None:
         rid = req.get("id")
-        if self._binary:
-            key = protocol.reply_delta_key(req)
-            if key is not None:
-                self._reply_keys[rid] = key
         timed_out = threading.Event()
 
         def emit(kind: str, data: Dict) -> None:
@@ -409,27 +339,9 @@ class _AsyncConnection:
                 )
             )
             return False
-        if req.get("op") == protocol.FRAMES_OP:
-            rid = req.get("id")
-            if req.get("mode") != "binary":
-                await self._send(
-                    protocol.reply_error(
-                        rid,
-                        protocol.BAD_REQUEST,
-                        f"unknown framing mode {req.get('mode')!r}",
-                    )
-                )
-            elif self._binary:
-                await self._send(protocol.reply_ok(rid, {"frames": "binary"}))
-            else:
-                self._binary = True
-                await self._send(
-                    _FrameSwitch(protocol.reply_ok(rid, {"frames": "binary"}))
-                )
-            return True
         if req.get("op") == protocol.COMPRESS_OP:
             rid = req.get("id")
-            if req.get("mode") != "zlib":
+            if req.get("mode") != protocol.COMPRESS_MODE:
                 await self._send(
                     protocol.reply_error(
                         rid,
@@ -437,26 +349,14 @@ class _AsyncConnection:
                         f"unknown compression mode {req.get('mode')!r}",
                     )
                 )
-            elif not self._binary:
-                await self._send(
-                    protocol.reply_error(
-                        rid,
-                        protocol.BAD_REQUEST,
-                        "compress requires binary frames "
-                        "(negotiate frames first)",
-                    )
-                )
-            elif self._compress:
-                await self._send(
-                    protocol.reply_ok(rid, {"compress": "zlib"})
-                )
-            else:
-                self._compress = True
-                await self._send(
-                    _CompressSwitch(
-                        protocol.reply_ok(rid, {"compress": "zlib"})
-                    )
-                )
+                return True
+            reply = protocol.reply_ok(rid, {"compress": protocol.COMPRESS_MODE})
+            if self._lines.decoder is None:
+                # This request is the last plain line read, its reply
+                # the last plain line written.
+                self._lines.start_inflating()
+                reply = _DeflateSwitch(reply)
+            await self._send(reply)
             return True
         if req.get("op") == "cancel":
             self.host.request_cancel(req.get("target"))
@@ -484,9 +384,6 @@ class _AsyncConnection:
         self._listener_token = self.host.add_listener(self._broadcast)
         self.host.connections.enter()
         self._writer_task = self._loop.create_task(self._write_loop())
-        hard_cap = self.host.max_request_bytes + OVERSIZE_SLACK
-        buf = bytearray()
-        discarding = False
         try:
             while True:
                 try:
@@ -496,43 +393,9 @@ class _AsyncConnection:
                 if not chunk:
                     break  # EOF: client closed (possibly mid-request)
                 self._bump("net.bytes_in", len(chunk))
-                buf += chunk
-                stop = False
-                while True:
-                    nl = buf.find(b"\n")
-                    if nl < 0:
-                        break
-                    raw, buf = bytes(buf[:nl]), buf[nl + 1 :]
-                    if discarding:
-                        # Tail of a line already rejected as oversized.
-                        discarding = False
-                        continue
-                    line = raw.decode("utf-8", errors="replace")
-                    if not await self._handle_line(line, len(raw)):
-                        stop = True
-                        break
-                    if self._binary:
-                        # Negotiated: whatever the buffer still holds
-                        # is the head of the frame stream.
-                        await self._run_binary(bytes(buf))
-                        stop = True
-                        break
-                if stop:
+                self._lines.feed(chunk)
+                if not await self._dispatch_lines():
                     break
-                if not discarding and len(buf) > hard_cap:
-                    # A line so large we refuse to buffer it: answer
-                    # now (the id is unrecoverable from a partial
-                    # line) and discard until its newline arrives.
-                    await self._send(
-                        protocol.reply_error(
-                            None,
-                            protocol.PAYLOAD_TOO_LARGE,
-                            f"request over the "
-                            f"{self.host.max_request_bytes}-byte limit",
-                        )
-                    )
-                    buf.clear()
-                    discarding = True
                 if self.host.shutdown_event.is_set():
                     break
         finally:
@@ -540,39 +403,25 @@ class _AsyncConnection:
                 await self.finish_requests(None)
             await self._teardown()
 
-    async def _run_binary(self, head: bytes) -> None:
-        """Frame-mode read loop (after ``frames`` negotiation)."""
+    async def _dispatch_lines(self) -> bool:
+        """Handle every complete line read so far; ``False`` ends the
+        connection."""
 
-        decoder = protocol.FrameDecoder(self.host.max_request_bytes)
-        if head:
-            decoder.feed(head)
         while True:
-            while True:
-                try:
-                    req = decoder.next()
-                except ProtocolError as exc:
-                    # The decoder already arranged to skip the bad
-                    # frame; answer and keep reading.
-                    await self._send(
-                        protocol.reply_error(
-                            exc.request_id, exc.type, str(exc)
-                        )
-                    )
-                    continue
-                if req is None:
-                    break
-                if not await self._dispatch(req):
-                    return
-            if self.host.shutdown_event.is_set():
-                return
             try:
-                chunk = await self.reader.read(CHUNK)
-            except (ConnectionError, OSError):
-                return
-            if not chunk:
-                return  # EOF: a partial frame just never completes
-            self._bump("net.bytes_in", len(chunk))
-            decoder.feed(chunk)
+                raw = self._lines.next()
+            except ProtocolError as exc:
+                await self._send(
+                    protocol.reply_error(None, exc.type, str(exc))
+                )
+                if exc.type == protocol.PAYLOAD_TOO_LARGE:
+                    continue
+                return False  # a corrupt deflate stream cannot resync
+            if raw is None:
+                return True
+            line = raw.decode("utf-8", errors="replace")
+            if not await self._handle_line(line, len(raw)):
+                return False
 
     async def _teardown(self) -> None:
         if self._torn_down:

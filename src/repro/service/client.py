@@ -9,18 +9,15 @@ so many requests may be in flight at once; :meth:`request` is the
 blocking convenience wrapper and :meth:`submit` the asynchronous one.
 
 On a byte-level transport (``connect`` and ``spawn`` both provide one)
-:meth:`negotiate_frames` upgrades the connection to the v5 binary frame
-format — length-prefixed envelopes with delta-encoded repeats, so a
-pane refresh or a progress stream costs bytes proportional to what
-*changed* — and :meth:`negotiate_compression` climbs the second rung:
-v6 adaptive zlib frames (dictionary-seeded from the delta baselines)
-plus server-side coalescing of progress-event bursts into multi-record
-frames, which this client transparently unpacks back into individual
-:class:`ServerEvent`\\ s, so ``stream()``/``on_event`` callers see the
-exact same sequence either way.  Both calls degrade gracefully: an
-older server answers ``unknown-op`` (or refuses the rung) and the
-connection stays at whatever level it reached.  ``bytes_sent`` /
-``bytes_received`` count wire traffic in every mode.
+:meth:`negotiate_compression` switches the connection to one raw-deflate
+stream per direction, whose history spans the whole connection, so a
+pane refresh or a progress record the client has seen before costs a
+few bytes.  ``stream()``/``on_event`` callers see the exact same event
+sequence either way.  A server that answers ``unknown-op`` or
+``bad-request`` leaves the connection on JSON lines.  A deflate stream
+cannot resync, so a corrupt one fails every pending request with
+:class:`ServerUnavailableError` and closes the connection.
+``bytes_sent`` / ``bytes_received`` count wire traffic in every mode.
 
 >>> client = PedClient.connect(port=7077)
 >>> client.request("open", session="w", source=fortran_text)
@@ -79,16 +76,18 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from . import protocol
 
-#: Frame size cap on the *client's* receive side.  Server replies (whole
+#: Line size cap on the *client's* receive side.  Server replies (whole
 #: panes, corpus rollups) dwarf requests, so the client accepts far more
 #: than the server's request cap.
-MAX_REPLY_FRAME_BYTES = 256 * 1024 * 1024
+MAX_REPLY_LINE_BYTES = 256 * 1024 * 1024
+#: Reader chunk size.
+CHUNK = 64 * 1024
 
 
 class PedRequestError(Exception):
@@ -144,6 +143,26 @@ class ServerEvent:
 _DONE = object()
 
 
+def _parse(line) -> Optional[Dict]:
+    """One received line → its envelope; ``None`` for a blank or
+    malformed line."""
+
+    try:
+        env = json.loads(line)
+    except ValueError:
+        return None
+    return env if isinstance(env, dict) else None
+
+
+def _event(env: Dict) -> "ServerEvent":
+    return ServerEvent(
+        kind=env.get("event", ""),
+        data=env.get("data") or {},
+        seq=env.get("seq"),
+        request_id=env.get("id"),
+    )
+
+
 def _is_binary(f) -> bool:
     """True when ``f`` reads/writes bytes rather than text."""
 
@@ -168,8 +187,8 @@ class PedClient:
         self._wfile = wfile
         self._on_close = on_close
         # Byte-level streams (socket/pipe makefiles in "b" mode) enable
-        # exact wire accounting and binary-frame negotiation; text
-        # streams (tests hand in StringIO pairs) stay JSON-lines only.
+        # exact wire accounting and deflate negotiation; text streams
+        # (tests hand in StringIO pairs) stay JSON-lines only.
         self._rbinary = _is_binary(rfile)
         self._wbinary = _is_binary(wfile)
         #: Wire traffic counters, framing-independent (binary streams
@@ -177,11 +196,12 @@ class PedClient:
         #: enough for the ASCII-dominated envelopes).
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Non-None once binary framing is negotiated (the write side).
+        #: The read side; it starts inflating right after the reply to
+        #: request ``_compress_rid``.
+        self._lines = protocol.LineAssembler(MAX_REPLY_LINE_BYTES)
+        self._compress_rid: object = None
+        #: Non-None once deflate is negotiated (the write side).
         self._encoder: Optional[protocol.FrameEncoder] = None
-        self._frames_rid: object = None
-        self._switch_to_frames = False
-        self._compress = False
         self._write_lock = threading.Lock()
         self._pending: Dict[object, Future] = {}
         self._ops: Dict[object, str] = {}
@@ -317,122 +337,101 @@ class PedClient:
     def _read_loop(self) -> None:
         try:
             if self._rbinary:
-                self._read_lines_binary()
+                self._read_stream()
             else:
                 for line in self._rfile:
                     self.bytes_received += len(line)
-                    self._handle_line(line.strip())
+                    env = _parse(line)
+                    if env is not None:
+                        self._deliver([env])
         except (OSError, ValueError):
             pass  # stream torn down under the reader
+        except protocol.ProtocolError as exc:
+            # A deflate stream cannot resync: nothing after this point
+            # could be trusted, so fail everything now and hang up.
+            self._fail_pending(f"corrupt stream: {exc}", eof=True)
+            try:
+                self.close()
+            except subprocess.TimeoutExpired:
+                pass  # a spawned server slow to exit; it got EOF
         finally:
             self._fail_pending("connection closed", eof=True)
 
-    def _read_lines_binary(self) -> None:
-        """JSON-lines over a byte stream; hands off to the frame loop
-        once a ``frames`` negotiation reply lands (the reply is the last
-        JSON line of the connection, so no readahead can straddle the
-        switch — ``readline`` stops at the newline and the buffered
-        remainder feeds the frame decoder through the same stream)."""
-
-        rfile = self._rfile
-        while True:
-            line = rfile.readline()
-            if not line:
-                return
-            self.bytes_received += len(line)
-            self._handle_line(
-                line.decode("utf-8", errors="replace").strip()
-            )
-            if self._switch_to_frames:
-                self._read_frames()
-                return
-
-    def _handle_line(self, text: str) -> None:
-        if not text:
-            return
-        try:
-            env = json.loads(text)
-        except ValueError:
-            return
-        if not isinstance(env, dict):
-            return
-        if "event" in env:
-            self._handle_event(env)
-        else:
-            self._handle_reply(env)
-
-    def _read_frames(self) -> None:
-        """Binary-frame read loop (after ``frames`` negotiation)."""
+    def _read_stream(self) -> None:
+        """JSON lines over a byte stream, inflated from the line after
+        the ``compress`` reply on; each read's envelopes are delivered
+        together, so a burst stays a burst."""
 
         rfile = self._rfile
         read1 = getattr(rfile, "read1", rfile.read)
-        decoder = protocol.FrameDecoder(MAX_REPLY_FRAME_BYTES)
+        lines = self._lines
         while True:
-            try:
-                batch = decoder.next_batch()
-            except protocol.ProtocolError:
-                # A frame the client cannot decode (a server bug or a
-                # corrupted stream); skip it — the affected request
-                # times out rather than poisoning the connection.
-                continue
-            if batch is not None:
-                if len(batch) > 1:
-                    self._handle_batch(batch)
-                else:
-                    env = batch[0]
-                    if "event" in env:
-                        self._handle_event(env)
-                    else:
-                        self._handle_reply(env)
-                continue
-            data = read1(65536)
+            data = read1(CHUNK)
             if not data:
                 return
             self.bytes_received += len(data)
-            decoder.feed(data)
+            lines.feed(data)
+            envs: List[Dict] = []
+            try:
+                while True:
+                    try:
+                        line = lines.next()
+                    except protocol.ProtocolError as exc:
+                        if exc.type != protocol.PAYLOAD_TOO_LARGE:
+                            raise
+                        continue  # dropped; its request times out
+                    if line is None:
+                        break
+                    env = _parse(line)
+                    if env is None:
+                        continue
+                    if (
+                        env.get("id") == self._compress_rid
+                        and env.get("ok")
+                        and (env.get("result") or {}).get("compress")
+                        == protocol.COMPRESS_MODE
+                    ):
+                        # The last plain line: the server deflates
+                        # everything after it.
+                        lines.start_inflating()
+                    envs.append(env)
+            finally:
+                self._deliver(envs)
 
-    def _handle_batch(self, envs: list) -> None:
-        """A multi-record frame: delivered whole to the owning request's
-        ``on_batch`` sink when one is registered (the fleet router uses
-        this to relay a coalesced burst as one frame), otherwise fanned
-        out envelope by envelope — indistinguishable from uncoalesced
-        delivery."""
+    def _deliver(self, envs: List[Dict]) -> None:
+        """Dispatch one read's envelopes in order.  A burst — two or
+        more consecutive events of one request — goes whole to that
+        request's ``on_batch`` sink when it has one (the fleet router
+        relays it as one batch); everything else goes one by one."""
 
-        rid = envs[0].get("id")
-        if rid is not None and all(
-            "event" in e and e.get("id") == rid for e in envs
-        ):
-            with self._pending_lock:
-                sink = self._batch_sinks.get(rid)
-            if sink is not None:
-                try:
-                    sink(
-                        [
-                            ServerEvent(
-                                kind=e.get("event", ""),
-                                data=e.get("data") or {},
-                                seq=e.get("seq"),
-                                request_id=rid,
-                            )
-                            for e in envs
-                        ]
-                    )
-                except Exception:  # noqa: BLE001 — sink bug ≠ reader death
-                    pass
-                return
-        for env in envs:
-            if "event" in env:
-                self._handle_event(env)
-            else:
-                self._handle_reply(env)
+        i, n = 0, len(envs)
+        while i < n:
+            rid = envs[i].get("id")
+            j = i + 1
+            if "event" in envs[i] and rid is not None:
+                while (
+                    j < n and "event" in envs[j] and envs[j].get("id") == rid
+                ):
+                    j += 1
+            if j - i > 1:
+                with self._pending_lock:
+                    sink = self._batch_sinks.get(rid)
+                if sink is not None:
+                    try:
+                        sink([_event(e) for e in envs[i:j]])
+                    except Exception:  # noqa: BLE001 — sink bug ≠ reader death
+                        pass
+                    i = j
+                    continue
+            for env in envs[i:j]:
+                if "event" in env:
+                    self._handle_event(env)
+                else:
+                    self._handle_reply(env)
+            i = j
 
     def _handle_event(self, env: Dict) -> None:
-        ev = ServerEvent(
-            kind=env.get("event", ""),
-            data=env.get("data") or {},
-            seq=env.get("seq"),
-            request_id=env.get("id"),
-        )
+        ev = _event(env)
         if ev.request_id is None:
             with self._pending_lock:
                 sinks = list(self._listeners.values())
@@ -452,15 +451,6 @@ class PedClient:
 
     def _handle_reply(self, reply: Dict) -> None:
         rid = reply.get("id")
-        if (
-            rid is not None
-            and rid == self._frames_rid
-            and reply.get("ok")
-            and (reply.get("result") or {}).get("frames") == "binary"
-        ):
-            # Reader side of the negotiation: this reply is the last
-            # JSON line; everything after it arrives framed.
-            self._switch_to_frames = True
         with self._pending_lock:
             future = self._pending.pop(rid, None)
             op = self._ops.pop(rid, None)
@@ -520,9 +510,10 @@ class PedClient:
         ``stream=True`` (implied by ``on_event``/``on_batch``) opts the
         request into server-push events; ``on_event`` receives each
         :class:`ServerEvent` on the reader thread.  ``on_batch``, when
-        given, receives a coalesced multi-record frame's events as one
-        list instead of event-by-event (uncoalesced events still go to
-        ``on_event``) — relays use it to forward a burst as a burst.
+        given, receives a burst — two or more consecutive events of this
+        request decoded from one read — as one list instead of event by
+        event (lone events still go to ``on_event``); relays use it to
+        forward a burst as a burst.
         """
 
         rid = params.pop("id", None)
@@ -557,94 +548,66 @@ class PedClient:
 
         if self._encoder is not None:
             data = self._encoder.encode(req)
-            self._wfile.write(data)
-            self._wfile.flush()
-            self.bytes_sent += len(data)
-            return
-        line = json.dumps(req) + "\n"
-        if self._wbinary:
-            data = line.encode("utf-8")
-            self._wfile.write(data)
-            self.bytes_sent += len(data)
+        elif self._wbinary:
+            data = (json.dumps(req) + "\n").encode("utf-8")
         else:
-            self._wfile.write(line)
-            self.bytes_sent += len(line)
+            data = json.dumps(req) + "\n"
+        self._wfile.write(data)
         self._wfile.flush()
+        self.bytes_sent += len(data)
 
     def request(self, op: str, *, wait: Optional[float] = 30.0, **params):
         """Send one request and wait for its result (or raise)."""
 
         return self.submit(op, **params).result(wait)
 
-    def negotiate_frames(self, wait: Optional[float] = 30.0) -> bool:
-        """Upgrade the connection to v5 binary frames; True on success.
+    def negotiate_compression(self, wait: Optional[float] = 30.0) -> bool:
+        """Switch both directions to one raw-deflate stream; True on
+        success.
 
-        Returns False — and the connection stays on JSON lines, fully
-        usable — when the transport is text-level, the server predates
-        v5 (``unknown-op``) or refuses (``bad-request``).  The write
-        lock is held across the exchange: the negotiation request must
-        be the last JSON this side sends, so concurrent submitters
-        block for one round trip and then come out framed.
+        Returns False, with the connection still on JSON lines and fully
+        usable, when the transport is text-level or the server answers
+        ``unknown-op`` or ``bad-request``.  The write lock is held across
+        the exchange: the request must be the last plain line this side
+        sends, so concurrent submitters block for one round trip and
+        then come out deflated.  A timeout or a failed send closes the
+        connection and raises :class:`ServerUnavailableError`: the
+        server may switch at any moment after reading the request, so
+        neither side could tell where the plain lines end.
         """
 
-        if self._encoder is not None:
-            return True
         if not (self._rbinary and self._wbinary):
             return False
-        rid = next(self._ids)
-        future: Future = Future()
-        with self._pending_lock:
-            self._register(rid, protocol.FRAMES_OP, future)
-            self._frames_rid = rid
-        req = {"id": rid, "op": protocol.FRAMES_OP, "mode": "binary"}
         with self._write_lock:
+            if self._encoder is not None:
+                return True
+            rid = next(self._ids)
+            future: Future = Future()
+            with self._pending_lock:
+                self._register(rid, protocol.COMPRESS_OP, future)
+                self._compress_rid = rid
             try:
-                self._write_envelope(req)
-            except (BrokenPipeError, ValueError, OSError) as exc:
-                with self._pending_lock:
-                    self._pending.pop(rid, None)
-                    self._ops.pop(rid, None)
-                raise ServerUnavailableError(f"send failed: {exc}")
-            try:
+                self._write_envelope(
+                    {
+                        "id": rid,
+                        "op": protocol.COMPRESS_OP,
+                        "mode": protocol.COMPRESS_MODE,
+                    }
+                )
                 result = future.result(wait)
+            except (
+                ServerUnavailableError, FutureTimeout, OSError, ValueError
+            ) as exc:
+                failure = str(exc) or f"no reply within {wait}s"
             except PedRequestError:
-                self._frames_rid = None
                 return False
-            if (result or {}).get("frames") == "binary":
+            else:
+                if (result or {}).get("compress") != protocol.COMPRESS_MODE:
+                    return False
                 self._encoder = protocol.FrameEncoder()
                 return True
-            self._frames_rid = None
-            return False
-
-    def negotiate_compression(self, wait: Optional[float] = 30.0) -> bool:
-        """Climb to v6 adaptive compression; True on success.
-
-        Negotiates binary frames first when needed — the ladder is
-        strictly ``frames`` → ``compress``.  Returns False (connection
-        fully usable at whatever rung it reached) when the transport is
-        text-level or the server predates v6 (``unknown-op``) or
-        refuses (``bad-request``).  On success the server compresses
-        and coalesces its side, and this client's requests compress
-        adaptively too.
-        """
-
-        if self._compress:
-            return True
-        if not self.negotiate_frames(wait):
-            return False
-        try:
-            result = self.request(
-                protocol.COMPRESS_OP, wait=wait, mode="zlib"
-            )
-        except PedRequestError:
-            return False
-        if (result or {}).get("compress") == "zlib":
-            with self._write_lock:
-                if self._encoder is not None:
-                    self._encoder.compress = True
-                    self._compress = True
-            return self._compress
-        return False
+        self.close()
+        raise ServerUnavailableError(f"compress negotiation failed: {failure}")
 
     def stream(
         self, op: str, *, wait: Optional[float] = 60.0, **params

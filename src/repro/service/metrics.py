@@ -28,15 +28,14 @@ shared memo and get one flat ``{key: number}`` dict:
   connected right now, the high-water mark, and how long this server
   process has been up), read from the server when one is attached.
 * ``net.bytes_in`` / ``net.bytes_out`` — wire bytes the transport
-  actually read and wrote (JSON lines and binary frames alike).
-  ``net.bytes_out_raw`` is what the same traffic would have cost
-  uncompressed, so ``net.compress_ratio = bytes_out / bytes_out_raw``
-  (1.0 when nothing was written, lower is better).
-  ``net.frames_compressed`` / ``net.coalesced_events`` /
-  ``net.flushes`` count v6 compressed frames shipped, progress events
-  folded into multi-record frames, and writer flushes.  Transport
-  counters are server-scoped, so a session-bound ``metrics`` request
-  overlays them from the server stats rather than the engine's.
+  actually read and wrote (JSON lines and deflate alike).
+  ``net.bytes_out_raw`` is the JSON those bytes carry before deflate,
+  so ``net.compress_ratio = bytes_out / bytes_out_raw`` (1.0 when
+  nothing was written, lower is better).  ``net.coalesced_events`` /
+  ``net.flushes`` count events that shared a deflate flush with another
+  event, and writer flushes.  Transport counters are server-scoped, so
+  a session-bound ``metrics`` request overlays them from the server
+  stats rather than the engine's.
 * ``analyses`` — how many engine analysis cycles fed these numbers.
 
 Keys with a zero value are still present (a dashboard wants stable
@@ -74,7 +73,6 @@ STABLE_KEYS = (
     "net.bytes_in",
     "net.bytes_out",
     "net.bytes_out_raw",
-    "net.frames_compressed",
     "net.coalesced_events",
     "net.flushes",
     "journal.records",

@@ -1,11 +1,10 @@
 """The Ped wire protocol: framing, envelopes, sequence ids.
 
 Transport-agnostic half of the session server.  Everything that crosses
-a connection is an *envelope* — a JSON object — carried either as one
-JSON line (the default framing every peer speaks) or, after per-
-connection negotiation, inside length-prefixed binary frames with
-delta-encoded repeats (see *Binary frames* below).  An envelope is one
-of three shapes:
+a connection is an *envelope* — a JSON object — carried as one JSON
+line, the framing every peer speaks; after per-connection negotiation
+the same lines travel inside one deflate stream per direction (see
+*Per-connection deflate* below).  An envelope is one of three shapes:
 
 * **Request** (client → server)::
 
@@ -59,76 +58,32 @@ JSON scalars — over the wire; :func:`encode_memo_entries` /
 pulled entry pushed to a sibling shard round-trips to the exact key the
 memo indexes on.
 
-**Binary frames (v5).**  A connection starts in JSON-lines.  A client
-may send ``{"op": "frames", "mode": "binary"}``; a v5 transport answers
-it *inline* (a JSON-line ``ok`` reply carrying ``{"frames": "binary"}``)
-and both directions switch to binary framing immediately after — the
-request's bytes are the last JSON the server reads, the reply's the last
-JSON the client reads.  An older server routes the unknown op to its
-handler table and answers ``unknown-op``; the client stays on JSON-lines
-(:class:`~repro.service.client.PedClient` does this fallback
-automatically), so JSON-only peers interoperate unchanged.
+**Per-connection deflate (v9).**  A connection starts on JSON lines.  A
+client may send ``{"op": "compress", "mode": "deflate"}``; the transport
+answers it *inline* with a JSON-line ``ok`` reply carrying
+``{"compress": "deflate"}``, and both directions switch right after:
+the request is the last plain line the server reads, the reply the last
+plain line the client reads.  From there each direction is one raw
+deflate stream (wbits −15, level 6) of the same JSON lines, its history
+kept for the life of the connection (permessage-deflate with context
+takeover, RFC 7692), and each writer burst ends in one sync flush.  A
+server that does not speak the op answers ``unknown-op`` and a ``mode``
+other than ``deflate`` gets ``bad-request``; either way the connection
+stays on JSON lines, so JSON-only peers interoperate unchanged.
 
-One frame is a 4-byte big-endian payload length followed by the
-payload; the payload's first byte is the frame *kind*:
-
-* ``0`` **raw** — the envelope's JSON bytes follow; no delta state.
-* ``1`` **baseline** — ``u16`` key length, the UTF-8 *delta key*, then
-  the envelope's JSON bytes.  Installs the body as the key's baseline.
-* ``2`` **delta** — key as above, then the ``crc32`` (u32) of the new
-  body, then copy/insert ops replaying it from the key's baseline:
-  ``0x01 off:u32 len:u32`` copies from the baseline, ``0x02 len:u32
-  bytes`` inserts literals.  The reconstructed body (checksum-verified)
-  becomes the key's new baseline.
-
-Delta keys name an evolving stream: pane updates and progress events
-key on ``(event kind, request id)``, requests on ``(op, session)``, and
-replies on the originating request's ``(op, session)`` — successive
-editor pane refreshes differ by a few lines of JSON, so frames carry
-the edit, not the pane.  The key travels in the frame, so either side
-may choose keys freely; :class:`FrameEncoder` falls back to a baseline
-frame whenever the delta would not pay for itself, and to raw frames
-for unkeyed envelopes.  :class:`FrameDecoder` raises
-:class:`ProtocolError` on oversized, malformed, unknown-key or
-checksum-failing frames; a frame truncated by disconnect simply never
-completes.
-
-**Compression + coalescing (v6).**  Two more frame kinds ride the same
-length-prefixed stream, produced only after a second negotiation rung —
-``{"op": "compress", "mode": "zlib"}``, answered inline like ``frames``
-(and refused with ``bad-request`` until frames are negotiated, so the
-ladder is strictly ``frames`` → ``compress``):
-
-* ``3`` **compressed** — ``u16`` dictionary-key length, the key's UTF-8
-  bytes (empty = no dictionary), then a zlib stream inflating to one
-  complete payload of kind 0, 1 or 2 (or 4; never another 3).  The
-  dictionary named by a non-empty key is the key's *current baseline on
-  the receiving side* — the encoder compresses against the baseline it
-  just replaced, which by construction is exactly what the decoder
-  still holds, so no dictionary bytes ever cross the wire.
-* ``4`` **multi** — repeated ``u32`` length + payload records, each of
-  kind 0–2, decoded in order as if they were separate frames.  Bursts
-  of ``analysis.progress`` / ``corpus.program`` events coalesce into
-  one multi frame: mostly one repeated JSON shape, so wrapping the
-  block in a kind-3 frame squeezes it far below per-record deltas.
-
-Compression is *adaptive* per frame: payloads under
-:data:`COMPRESS_MIN_BYTES`, and payloads whose trial compression fails
-to beat :data:`COMPRESS_MAX_RATIO` × the plain encoding, ship in their
-v5 form — the kind byte tells the decoder which it got, so the decoder
-accepts all five kinds at any time and only the *encoder* is gated on
-negotiation.  JSON-only and v5 peers are untouched: they never send
-``compress``, so they never see a kind-3/4 frame.
+:class:`FrameEncoder` and :class:`FrameDecoder` are the two halves of
+the codec, and :class:`LineAssembler` is the one line reader under both
+framings: the request-size cap, the discard of an oversized line and
+the inflation cap are the same code on a plain and a deflated
+connection.  A corrupt deflate stream cannot resync, so it ends the
+connection; a block cut off by a disconnect simply never completes.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 import threading
 import zlib
-from collections import deque
-from difflib import SequenceMatcher
 from typing import Dict, List, Optional
 
 #: Protocol/feature revision, echoed by ``ping``.  v2: streaming events,
@@ -150,10 +105,14 @@ from typing import Dict, List, Optional
 #: session from its persisted journal), plus the ``journal.*`` counters
 #: in ``metrics``.  v8: the three ``graph.*`` ops are gone (they now
 #: get ``unknown-op``); the per-walk ``graph`` progress event stays.
+#: v9: one negotiated encoding, ``{"op": "compress", "mode":
+#: "deflate"}``, a raw-deflate stream of JSON lines per direction; the
+#: v5 binary frames and the v6 ``zlib`` frame compression are gone
+#: (``frames`` gets ``unknown-op``, ``zlib`` gets ``bad-request``).
 #: The envelope grammar itself is unchanged since v2, so clients that
-#: never sent a ``graph.*`` op interoperate with v8 servers (binary
-#: framing, compression and journal ops are strictly opt-in).
-PROTOCOL_VERSION = 8
+#: stay on JSON lines interoperate with v9 servers (compression and
+#: journal ops are strictly opt-in).
+PROTOCOL_VERSION = 9
 
 #: Default cap on one request line; oversized requests get a structured
 #: ``payload-too-large`` error instead of an ad-hoc disconnect.
@@ -177,12 +136,12 @@ EV_PROGRESS = "analysis.progress"
 EV_INVALIDATION = "invalidation"
 
 #: Transport-internal pseudo-event: a host that already holds a burst
-#: of events (the fleet router relaying a coalesced frame from a shard)
-#: hands the whole burst to the transport in one ``emit`` call as
+#: of events (the fleet router relaying a shard's burst) hands the
+#: whole burst to the transport in one ``emit`` call as
 #: ``event_envelope(rid, EV_BATCH, {"events": [{"kind": …, "data": …},
-#: …]})``.  Transports expand it at write time — one multi-record frame
-#: when the peer negotiated compression, individual envelopes otherwise
-#: — so the batch shape itself never reaches a client.
+#: …]})``.  Transports expand it at write time into individual envelopes
+#: that ship in one flush, so the batch shape itself never reaches a
+#: client.
 EV_BATCH = "events.batch"
 
 
@@ -291,14 +250,6 @@ def encode(envelope: Dict) -> str:
     return json.dumps(envelope, sort_keys=True)
 
 
-def is_event(envelope: Dict) -> bool:
-    return "event" in envelope
-
-
-def is_reply(envelope: Dict) -> bool:
-    return "ok" in envelope and "event" not in envelope
-
-
 def expand_event_batch(envelope: Dict) -> Optional[List[Dict]]:
     """The per-event envelopes of one :data:`EV_BATCH` envelope, or
     ``None`` when ``envelope`` is not a batch.  Transports call this at
@@ -317,533 +268,183 @@ def expand_event_batch(envelope: Dict) -> Optional[List[Dict]]:
 
 
 # ----------------------------------------------------------------------
-# binary frames: length-prefixed envelopes with delta-encoded repeats
+# the wire: JSON lines, optionally inside one deflate stream
 # ----------------------------------------------------------------------
 
 #: The negotiation op a transport answers inline (never routed to the
-#: session host) to switch a connection's framing.
-FRAMES_OP = "frames"
-
-#: The second negotiation rung: adaptive zlib compression + event
-#: coalescing, valid only after ``frames`` (also answered inline).
+#: host): ``{"op": "compress", "mode": "deflate"}``.
 COMPRESS_OP = "compress"
-
-FRAME_RAW = 0
-FRAME_BASELINE = 1
-FRAME_DELTA = 2
-FRAME_COMPRESSED = 3
-FRAME_MULTI = 4
-
-#: Payloads under this size never trial-compress — zlib's stream header
-#: plus the dictionary adler32 eat any win on tiny frames.
-COMPRESS_MIN_BYTES = 192
-#: A trial compression must reach this fraction of the plain encoding
-#: or the frame ships in its v5 form.
-COMPRESS_MAX_RATIO = 0.9
-#: zlib level for wire compression (6 = zlib's own default trade-off).
+COMPRESS_MODE = "deflate"
+#: zlib level of the wire stream (6 = zlib's own default trade-off).
 COMPRESS_LEVEL = 6
+#: Raw deflate: no zlib header or checksum around the stream.
+_WBITS = -15
+#: Most bytes one :meth:`FrameDecoder.feed` inflates; the input behind
+#: them waits in the decoder, so no single read allocates without bound.
+INFLATE_SLICE = 64 * 1024
 
-#: Event-coalescing knobs of the transport's write loop: a burst of
-#: progress events flushes when it reaches COALESCE_MAX events, when any
-#: non-coalescible envelope (a reply, a broadcast) arrives behind it, or
-#: when the window expires — progress events trade at most this much
-#: latency for riding a shared frame, and only on connections that
-#: negotiated compression.  An edit's reanalysis emits its progress in
-#: bursts a few milliseconds apart, so the window spans more than one
-#: burst; terminal replies never wait on it.
+#: Event-coalescing knobs of the transport's write loop: on a deflated
+#: connection, a burst holding nothing but progress events waits up to
+#: COALESCE_WINDOW for company, until COALESCE_MAX events or any other
+#: envelope (a reply, a broadcast) arrives, and then ships as one sync
+#: flush.  An edit's reanalysis emits its progress in bursts a few
+#: milliseconds apart, so the window spans more than one burst; terminal
+#: replies never wait on it.
 COALESCE_MAX = 32
 COALESCE_WINDOW = 0.015
 
-_OP_COPY = 1
-_OP_INSERT = 2
 
-#: Bodies past this size skip the SequenceMatcher middle-diff (the
-#: prefix/suffix trim still applies) — delta encoding stays O(pane),
-#: never O(corpus payload).
-_DELTA_DIFF_CAP = 256 * 1024
+def encode_lines(envelopes: List[Dict]) -> bytes:
+    """Envelopes → their JSON lines as UTF-8: the plain wire form, and
+    what a deflate stream carries."""
 
-_U32 = struct.Struct(">I")
-_U16 = struct.Struct(">H")
-
-
-def delta_key(envelope: Dict) -> Optional[str]:
-    """The default delta-stream key of one envelope, or None for raw.
-
-    Events key on (kind, owning request id): every ``analysis.progress``
-    of one streamed request deltas against its predecessor.  Requests
-    key on (op, session): an editor resubmitting a whole source after
-    each keystroke sends the keystroke.  Replies carry nothing stable —
-    transports that know the originating request pass an explicit key to
-    :meth:`FrameEncoder.encode` instead (pane refreshes of one session
-    delta beautifully).
-    """
-
-    if "event" in envelope:
-        kind = envelope.get("event")
-        if kind:
-            return "e\x00%s\x00%r" % (kind, envelope.get("id"))
-        return None
-    op = envelope.get("op")
-    if op and envelope.get("session") is not None:
-        return "q\x00%s\x00%r" % (op, envelope.get("session"))
-    return None
-
-
-def reply_delta_key(req: Dict) -> Optional[str]:
-    """The delta key a transport should use for ``req``'s reply."""
-
-    op = req.get("op")
-    if op and req.get("session") is not None:
-        return "p\x00%s\x00%r" % (op, req.get("session"))
-    return None
-
-
-def _delta_ops(old: bytes, new: bytes) -> Optional[bytes]:
-    """Copy/insert ops rebuilding ``new`` from ``old``, or None when a
-    baseline frame would be no larger than the delta."""
-
-    # Prefix/suffix trim: JSON envelopes of one stream differ in a
-    # narrow middle (a few pane rows, one progress counter).
-    lo = 0
-    n_old, n_new = len(old), len(new)
-    cap = min(n_old, n_new)
-    while lo < cap and old[lo] == new[lo]:
-        lo += 1
-    hi = 0
-    while hi < cap - lo and old[n_old - 1 - hi] == new[n_new - 1 - hi]:
-        hi += 1
-    mid_old = old[lo : n_old - hi]
-    mid_new = new[lo : n_new - hi]
-    ops: List[bytes] = []
-    if lo:
-        ops.append(struct.pack(">BII", _OP_COPY, 0, lo))
-    if mid_new:
-        if mid_old and len(mid_old) + len(mid_new) <= _DELTA_DIFF_CAP:
-            sm = SequenceMatcher(None, mid_old, mid_new, autojunk=False)
-            for tag, i1, i2, j1, j2 in sm.get_opcodes():
-                if tag == "equal":
-                    ops.append(
-                        struct.pack(">BII", _OP_COPY, lo + i1, i2 - i1)
-                    )
-                elif j2 > j1:
-                    ops.append(
-                        struct.pack(">BI", _OP_INSERT, j2 - j1)
-                        + mid_new[j1:j2]
-                    )
-        else:
-            ops.append(
-                struct.pack(">BI", _OP_INSERT, len(mid_new)) + mid_new
-            )
-    if hi:
-        ops.append(struct.pack(">BII", _OP_COPY, n_old - hi, hi))
-    blob = b"".join(ops)
-    # 4 bytes of crc ride every delta frame; beyond that the framing
-    # overhead is identical, so this is the exact break-even test.
-    if len(blob) + 4 >= n_new:
-        return None
-    return blob
-
-
-def _apply_delta(baseline: bytes, blob: bytes) -> bytes:
-    parts: List[bytes] = []
-    pos = 0
-    end = len(blob)
-    n_base = len(baseline)
-    while pos < end:
-        op = blob[pos]
-        if op == _OP_COPY:
-            if pos + 9 > end:
-                raise ProtocolError(BAD_REQUEST, "truncated delta copy op")
-            off, length = struct.unpack_from(">II", blob, pos + 1)
-            if off + length > n_base:
-                raise ProtocolError(
-                    BAD_REQUEST, "delta copy outside baseline"
-                )
-            parts.append(baseline[off : off + length])
-            pos += 9
-        elif op == _OP_INSERT:
-            if pos + 5 > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated delta insert op"
-                )
-            (length,) = struct.unpack_from(">I", blob, pos + 1)
-            pos += 5
-            if pos + length > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated delta insert bytes"
-                )
-            parts.append(blob[pos : pos + length])
-            pos += length
-        else:
-            raise ProtocolError(BAD_REQUEST, f"unknown delta op {op}")
-    return b"".join(parts)
+    return "".join([encode(env) + "\n" for env in envelopes]).encode("utf-8")
 
 
 class FrameEncoder:
-    """Envelope → one binary frame, tracking per-key delta baselines.
+    """The deflate codec's write side: one connection direction's JSON
+    lines through one raw-deflate stream.
 
-    Single direction of one connection; serialize calls externally (the
-    transports already write under a lock / from one writer task).
-
-    Setting :attr:`compress` (after the ``compress`` negotiation)
-    enables the adaptive v6 path: payloads at least
-    :data:`COMPRESS_MIN_BYTES` long are trial-compressed — the *full
-    body* in baseline form, zlib-dictionary-seeded from the key's
-    previous baseline, so zlib's back-references subsume the copy/insert
-    delta and entropy-code the rest — and ship compressed only when the
-    result beats :data:`COMPRESS_MAX_RATIO` × the plain v5 encoding.
-    ``bytes_raw`` / ``bytes_wire`` count what the plain encoding would
-    have cost vs what actually shipped (length prefixes included).
+    The compressor keeps its history for the life of the connection
+    (RFC 7692's context takeover), so a pane row or progress record the
+    peer has seen before costs a few bytes.  Serialize calls externally
+    (one writer task, or the client's write lock).  ``bytes_raw`` counts
+    the JSON bytes compressed so far.
     """
 
     def __init__(self) -> None:
-        self._baselines: Dict[str, bytes] = {}
-        #: Flipped by the transport when ``compress`` is negotiated.
-        self.compress = False
+        self._z = zlib.compressobj(COMPRESS_LEVEL, zlib.DEFLATED, _WBITS)
         self.bytes_raw = 0
-        self.bytes_wire = 0
-        self.frames = 0
-        self.frames_compressed = 0
-        self.coalesced_events = 0
 
-    # -- payload assembly ----------------------------------------------
+    def encode_multi(self, envelopes: List[Dict]) -> bytes:
+        """One burst's JSON lines, compressed and sync-flushed once: the
+        bytes end on a block boundary, so the peer can inflate every
+        line of the burst from them alone."""
 
-    def _body(self, envelope: Dict, key: Optional[str]):
-        """Serialize; update the key's baseline.  → (body, kb, old)."""
+        raw = encode_lines(envelopes)
+        self.bytes_raw += len(raw)
+        return self._z.compress(raw) + self._z.flush(zlib.Z_SYNC_FLUSH)
 
-        body = json.dumps(envelope, sort_keys=True).encode("utf-8")
-        if key is None:
-            key = delta_key(envelope)
-        if key is None:
-            return body, None, None
-        kb = key.encode("utf-8")
-        old = self._baselines.get(key)
-        self._baselines[key] = body
-        return body, kb, old
+    def encode(self, envelope: Dict) -> bytes:
+        """A burst of one envelope."""
 
-    @staticmethod
-    def _plain_payload(
-        body: bytes, kb: Optional[bytes], old: Optional[bytes]
-    ) -> bytes:
-        """The v5 payload (kind 0/1/2) for one serialized envelope."""
-
-        if kb is None:
-            return b"\x00" + body
-        if old is not None:
-            blob = _delta_ops(old, body)
-            if blob is not None:
-                return (
-                    b"\x02"
-                    + _U16.pack(len(kb))
-                    + kb
-                    + _U32.pack(zlib.crc32(body))
-                    + blob
-                )
-        return b"\x01" + _U16.pack(len(kb)) + kb + body
-
-    @staticmethod
-    def _baseline_payload(body: bytes, kb: Optional[bytes]) -> bytes:
-        """The no-delta payload (kind 0/1) — what compression wraps."""
-
-        if kb is None:
-            return b"\x00" + body
-        return b"\x01" + _U16.pack(len(kb)) + kb + body
-
-    @staticmethod
-    def _deflate(payload: bytes, zdict: Optional[bytes]) -> bytes:
-        if zdict:
-            co = zlib.compressobj(COMPRESS_LEVEL, zdict=zdict)
-        else:
-            co = zlib.compressobj(COMPRESS_LEVEL)
-        return co.compress(payload) + co.flush()
-
-    def _wrap(
-        self,
-        inner: bytes,
-        dict_kb: Optional[bytes],
-        zdict: Optional[bytes],
-        plain_len: int,
-    ) -> Optional[bytes]:
-        """Trial-compress ``inner``; None when plain should ship."""
-
-        if dict_kb is None or zdict is None:
-            dict_kb, zdict = b"", None
-        blob = self._deflate(inner, zdict)
-        wrapped = b"\x03" + _U16.pack(len(dict_kb)) + dict_kb + blob
-        if len(wrapped) <= COMPRESS_MAX_RATIO * plain_len:
-            return wrapped
-        return None
-
-    def _ship(self, plain: bytes, wrapped: Optional[bytes]) -> bytes:
-        self.frames += 1
-        self.bytes_raw += 4 + len(plain)
-        payload = plain if wrapped is None else wrapped
-        if wrapped is not None:
-            self.frames_compressed += 1
-        self.bytes_wire += 4 + len(payload)
-        return _U32.pack(len(payload)) + payload
-
-    # -- public entry points -------------------------------------------
-
-    def encode(self, envelope: Dict, key: Optional[str] = None) -> bytes:
-        body, kb, old = self._body(envelope, key)
-        plain = self._plain_payload(body, kb, old)
-        wrapped = None
-        if self.compress and len(plain) >= COMPRESS_MIN_BYTES:
-            wrapped = self._wrap(
-                self._baseline_payload(body, kb), kb, old, len(plain)
-            )
-        return self._ship(plain, wrapped)
-
-    def encode_multi(
-        self,
-        envelopes: List[Dict],
-        keys: Optional[List[Optional[str]]] = None,
-    ) -> bytes:
-        """Several envelopes → one multi-record frame (kind 4).
-
-        In compress mode the whole record block is trial-compressed as
-        one unit, dictionary-seeded from the first record whose key had
-        a baseline *before this frame* (a within-frame predecessor is
-        useless — the decoder inflates before it applies any record).
-        """
-
-        if len(envelopes) == 1:
-            return self.encode(envelopes[0], keys[0] if keys else None)
-        plain_parts = [b"\x04"]
-        flat_parts = [b"\x04"]
-        dict_kb = zdict = None
-        seen = set()
-        for i, envelope in enumerate(envelopes):
-            body, kb, old = self._body(
-                envelope, keys[i] if keys else None
-            )
-            sub = self._plain_payload(body, kb, old)
-            plain_parts.append(_U32.pack(len(sub)) + sub)
-            flat = self._baseline_payload(body, kb)
-            flat_parts.append(_U32.pack(len(flat)) + flat)
-            if kb is not None:
-                if dict_kb is None and old is not None and kb not in seen:
-                    dict_kb, zdict = kb, old
-                seen.add(kb)
-        plain = b"".join(plain_parts)
-        wrapped = None
-        if self.compress and len(plain) >= COMPRESS_MIN_BYTES:
-            wrapped = self._wrap(
-                b"".join(flat_parts), dict_kb, zdict, len(plain)
-            )
-        self.coalesced_events += len(envelopes)
-        return self._ship(plain, wrapped)
+        return self.encode_multi([envelope])
 
 
 class FrameDecoder:
-    """Incremental frame parser: feed bytes, pull envelopes.
+    """The deflate codec's read side: wire bytes in, JSON-line bytes out.
 
-    ``feed`` only buffers; :meth:`next` yields one envelope, ``None``
-    when the buffer holds no complete frame, or raises
-    :class:`ProtocolError` — after which the decoder has already
-    advanced past (or arranged to skip) the offending frame, so the
-    transport can answer the error and keep reading.  A frame an
-    in-flight disconnect truncates simply never completes.
-
-    All five kinds decode at any time — negotiation gates only the
-    *encoder* — so a peer that has not asked for compression still
-    decodes a compressed stream correctly.  A multi-record frame yields
-    its first envelope from :meth:`next` and queues the rest;
-    :meth:`next_batch` returns a whole frame's worth at once, which is
-    how the client keeps a coalesced burst together for relaying.
+    :meth:`feed` inflates at most :data:`INFLATE_SLICE` bytes per call
+    and keeps the input behind them; :attr:`more` says whether another
+    ``feed(b"")`` could return more.  A corrupt stream raises
+    :class:`ProtocolError` (``bad-request``); a deflate stream cannot
+    resync, so the connection must end.  A block a disconnect cuts off
+    simply never completes.
     """
 
-    def __init__(self, max_frame_bytes: int = MAX_REQUEST_BYTES) -> None:
-        self.max_frame_bytes = max_frame_bytes
+    def __init__(self) -> None:
+        self._z = zlib.decompressobj(_WBITS)
+        self._tail = b""
+        self.more = False
+
+    def feed(self, data: bytes) -> bytes:
+        if self._tail:
+            data = self._tail + data
+        try:
+            out = self._z.decompress(data, INFLATE_SLICE)
+        except zlib.error as exc:
+            raise ProtocolError(BAD_REQUEST, f"corrupt deflate stream: {exc}")
+        if self._z.unused_data:
+            raise ProtocolError(BAD_REQUEST, "bytes after the deflate stream")
+        self._tail = self._z.unconsumed_tail
+        self.more = bool(self._tail) or len(out) == INFLATE_SLICE
+        return out
+
+
+class LineAssembler:
+    """Wire bytes in, complete lines out: the one reader both framings
+    share.
+
+    After :meth:`start_inflating`, every byte fed is deflate and passes
+    through a :class:`FrameDecoder` one slice at a time, as :meth:`next`
+    needs it.  Either way at most ``limit + slack`` bytes of one line,
+    plus one read or slice, are ever held: past that :meth:`next` raises
+    ``payload-too-large`` once, and the rest of the line is dropped as
+    it arrives, up to its newline.  The slack lets a line slightly over
+    ``limit`` arrive whole, so the request parser can still recover its
+    id.
+    """
+
+    def __init__(self, limit: int, slack: int = 0) -> None:
+        self.limit = limit
+        self._cap = limit + slack
         self._buf = bytearray()
-        self._baselines: Dict[str, bytes] = {}
-        self._skip = 0
-        self._ready: "deque[Dict]" = deque()
+        #: ``_buf[:_scan]`` holds no newline.
+        self._scan = 0
+        self._discarding = False
+        self._wire: List[bytes] = []
+        self.decoder: Optional[FrameDecoder] = None
 
     def feed(self, data: bytes) -> None:
-        if self._skip:
-            if len(data) <= self._skip:
-                self._skip -= len(data)
-                return
-            data = data[self._skip :]
-            self._skip = 0
-        self._buf += data
+        """Bytes as they arrive; :meth:`next` splits (and inflates)."""
 
-    def pending(self) -> int:
-        """Buffered bytes not yet consumed (0 ⇔ clean frame boundary)."""
+        if self.decoder is None:
+            self._take(data)
+        else:
+            self._wire.append(data)
 
-        return len(self._buf)
+    def start_inflating(self) -> None:
+        """Everything after the last line :meth:`next` returned is
+        deflate, including bytes already fed."""
 
-    def next(self) -> Optional[Dict]:
-        if self._ready:
-            return self._ready.popleft()
+        self.decoder = FrameDecoder()
+        if self._buf:
+            self._wire.append(bytes(self._buf))
+            self._buf.clear()
+            self._scan = 0
+
+    def next(self) -> Optional[bytes]:
+        """The next complete line (without its newline), or ``None``
+        until more bytes arrive; raises :class:`ProtocolError` for an
+        oversized line or a corrupt deflate stream."""
+
         buf = self._buf
-        if len(buf) < 4:
-            return None
-        (length,) = _U32.unpack_from(buf)
-        # Payload = kind byte + frame body; the cap bounds the body so a
-        # maximal JSON-lines request still fits its binary frame.
-        if length > self.max_frame_bytes + 1:
-            have = len(buf) - 4
-            if have >= length:
-                # The whole bad frame is already buffered: drop exactly
-                # it, keeping whatever follows.
-                del buf[: 4 + length]
-                self._skip = 0
+        while True:
+            nl = buf.find(b"\n", self._scan)
+            if nl >= 0:
+                line = bytes(buf[:nl])
+                del buf[: nl + 1]
+                self._scan = 0
+                return line
+            self._scan = len(buf)
+            if self._scan > self._cap:
+                buf.clear()
+                self._scan = 0
+                self._discarding = True
+                raise ProtocolError(
+                    PAYLOAD_TOO_LARGE,
+                    f"request over the {self.limit}-byte limit",
+                )
+            decoder = self.decoder
+            if decoder is None:
+                return None
+            if self._wire:
+                data = b"".join(self._wire)
+                self._wire.clear()
+            elif decoder.more:
+                data = b""
             else:
-                del self._buf[:]
-                self._skip = length - have
-            raise ProtocolError(
-                PAYLOAD_TOO_LARGE,
-                f"frame over the {self.max_frame_bytes}-byte limit",
-            )
-        if len(buf) < 4 + length:
-            return None
-        payload = bytes(buf[4 : 4 + length])
-        del buf[: 4 + length]
-        return self._decode(payload)
+                return None
+            self._take(decoder.feed(data))
 
-    def next_batch(self) -> Optional[List[Dict]]:
-        """One frame's envelopes — a list of 1 for plain frames, the
-        whole record list for a multi frame — or ``None``."""
-
-        env = self.next()
-        if env is None:
-            return None
-        batch = [env]
-        while self._ready:
-            batch.append(self._ready.popleft())
-        return batch
-
-    def _decode(self, payload: bytes) -> Dict:
-        if not payload:
-            raise ProtocolError(BAD_REQUEST, "empty frame")
-        if payload[0] == FRAME_COMPRESSED:
-            payload = self._inflate(payload)
-            if not payload:
-                raise ProtocolError(BAD_REQUEST, "empty compressed frame")
-            if payload[0] == FRAME_COMPRESSED:
-                raise ProtocolError(BAD_REQUEST, "nested compressed frame")
-        if payload[0] == FRAME_MULTI:
-            return self._decode_multi(payload)
-        return self._decode_one(payload)
-
-    def _inflate(self, payload: bytes) -> bytes:
-        """Kind-3 payload → the plain payload it wraps."""
-
-        if len(payload) < 3:
-            raise ProtocolError(BAD_REQUEST, "truncated compressed frame")
-        (klen,) = _U16.unpack_from(payload, 1)
-        blob_at = 3 + klen
-        if len(payload) < blob_at:
-            raise ProtocolError(BAD_REQUEST, "truncated compressed frame")
-        zdict = None
-        if klen:
-            key = payload[3:blob_at].decode("utf-8", errors="replace")
-            zdict = self._baselines.get(key)
-            if zdict is None:
-                raise ProtocolError(
-                    BAD_REQUEST,
-                    f"compressed frame names unknown dictionary {key!r}",
-                )
-        do = (
-            zlib.decompressobj(zdict=zdict)
-            if zdict is not None
-            else zlib.decompressobj()
-        )
-        try:
-            inner = do.decompress(
-                payload[blob_at:], self.max_frame_bytes + 1
-            )
-        except zlib.error as exc:
-            raise ProtocolError(
-                BAD_REQUEST, f"bad compressed frame: {exc}"
-            )
-        if do.unconsumed_tail:
-            raise ProtocolError(
-                PAYLOAD_TOO_LARGE,
-                f"compressed frame inflates over the "
-                f"{self.max_frame_bytes}-byte limit",
-            )
-        if not do.eof:
-            raise ProtocolError(
-                BAD_REQUEST, "truncated compressed frame"
-            )
-        return inner
-
-    def _decode_multi(self, payload: bytes) -> Dict:
-        envs: List[Dict] = []
-        pos, end = 1, len(payload)
-        while pos < end:
-            if pos + 4 > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated multi-frame record"
-                )
-            (length,) = _U32.unpack_from(payload, pos)
-            pos += 4
-            if pos + length > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated multi-frame record"
-                )
-            sub = payload[pos : pos + length]
-            pos += length
-            if sub[:1] and sub[0] in (FRAME_COMPRESSED, FRAME_MULTI):
-                raise ProtocolError(
-                    BAD_REQUEST, "nested multi-frame record"
-                )
-            envs.append(self._decode_one(sub))
-        if not envs:
-            raise ProtocolError(BAD_REQUEST, "empty multi frame")
-        self._ready.extend(envs[1:])
-        return envs[0]
-
-    def _decode_one(self, payload: bytes) -> Dict:
-        if not payload:
-            raise ProtocolError(BAD_REQUEST, "empty frame")
-        kind = payload[0]
-        if kind == FRAME_RAW:
-            return self._json(payload[1:])
-        if kind not in (FRAME_BASELINE, FRAME_DELTA):
-            raise ProtocolError(BAD_REQUEST, f"unknown frame kind {kind}")
-        if len(payload) < 3:
-            raise ProtocolError(BAD_REQUEST, "truncated frame key")
-        (klen,) = _U16.unpack_from(payload, 1)
-        body_at = 3 + klen
-        if len(payload) < body_at:
-            raise ProtocolError(BAD_REQUEST, "truncated frame key")
-        key = payload[3:body_at].decode("utf-8", errors="replace")
-        if kind == FRAME_BASELINE:
-            body = payload[body_at:]
-            self._baselines[key] = body
-            return self._json(body)
-        if len(payload) < body_at + 4:
-            raise ProtocolError(BAD_REQUEST, "truncated delta checksum")
-        baseline = self._baselines.get(key)
-        if baseline is None:
-            raise ProtocolError(
-                BAD_REQUEST, f"delta against unknown key {key!r}"
-            )
-        (crc,) = _U32.unpack_from(payload, body_at)
-        body = _apply_delta(baseline, payload[body_at + 4 :])
-        if zlib.crc32(body) != crc:
-            raise ProtocolError(
-                BAD_REQUEST, f"delta checksum mismatch for key {key!r}"
-            )
-        self._baselines[key] = body
-        return self._json(body)
-
-    @staticmethod
-    def _json(body: bytes) -> Dict:
-        try:
-            env = json.loads(body.decode("utf-8", errors="replace"))
-        except ValueError as exc:
-            raise ProtocolError(BAD_REQUEST, f"bad JSON in frame: {exc}")
-        if not isinstance(env, dict):
-            raise ProtocolError(
-                BAD_REQUEST, "frame body must be a JSON object"
-            )
-        return env
+    def _take(self, data: bytes) -> None:
+        if self._discarding:
+            nl = data.find(b"\n")
+            if nl < 0:
+                return  # still inside the oversized line
+            data = data[nl + 1 :]
+            self._discarding = False
+        self._buf += data
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ server's stats as a ``req.<op>`` stage; ``{"op": "stats"}`` returns the
 raw server snapshot and ``{"op": "metrics"}`` the merged service
 metrics (same key names as the ``stats`` CLI command).  Transports bump
 their wire accounting — ``net.bytes_in`` / ``net.bytes_out`` plus the
-v6 compression and coalescing counters — into the *server-level* stats,
+deflate and coalescing counters — into the *server-level* stats,
 so ``metrics`` reports transport traffic even for a session-bound
 request (the merge overlays ``net.*`` from the host onto the engine's
 own counters).

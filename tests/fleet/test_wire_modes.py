@@ -1,10 +1,10 @@
-"""Mixed-peer wire modes across the fleet: client <-> router <-> shards.
+"""Client wire modes across the fleet: client <-> router <-> shards.
 
-The v6 ladder is per-connection, so every hop combination must work and
-agree byte-for-byte on what the client sees: a compressed client over
-uncompressed shard hops, a raw JSON client over compressed shard hops,
-and both ends compressed (where the router relays coalesced shard
-bursts as single batch events).
+The router always asks its shards for deflate, so the shard hops are
+deflated whatever the client speaks.  A JSON client and a deflate
+client must agree byte for byte on what they see: programs, fleet-wide
+done counts, totals and aggregates (the deflate client also exercises
+the router relaying a shard's burst as one batch event).
 """
 
 import itertools
@@ -28,7 +28,7 @@ SIMPLE = (
 def _programs(ring, per_shard=3):
     """Three programs owned by each of the two shards.  The ring hashes
     ephemeral ports, so fixed names could all land on one shard — and
-    then only one shard client (one wire negotiation) ever exists."""
+    then only one shard client (one deflate negotiation) ever exists."""
 
     owned = {}
     picked = []
@@ -42,7 +42,7 @@ def _programs(ring, per_shard=3):
             return [{"name": n, "source": SIMPLE} for n in picked]
 
 
-def _build(wire: str):
+def _build():
     shards, addrs = [], []
     for _ in range(2):
         srv = PedServer(max_workers=2)
@@ -50,7 +50,7 @@ def _build(wire: str):
         port = transport.start_background()
         shards.append((srv, transport))
         addrs.append(f"127.0.0.1:{port}")
-    router = FleetRouter(addrs, retries=1, backoff=0.01, wire=wire)
+    router = FleetRouter(addrs, retries=1, backoff=0.01)
     rtransport = AsyncTransport(router)
     rport = rtransport.start_background()
     return shards, router, rtransport, rport
@@ -64,83 +64,75 @@ def _teardown(shards, router, rtransport):
         srv.close()
 
 
-def _run(client_mode: str, wire: str):
-    shards, router, rtransport, rport = _build(wire)
+def _submit(rport: int, programs, client_mode: str, job: str) -> dict:
+    """One streamed corpus submit and its summary, as the client sees
+    them."""
+
+    events = []
+    lock = threading.Lock()
+
+    def on_event(ev):
+        with lock:
+            events.append(
+                (ev.data.get("program"), ev.data.get("done"),
+                 ev.data.get("total"))
+            )
+
+    with PedClient.connect(port=rport) as client:
+        if client_mode == "deflate":
+            assert client.negotiate_compression() is True
+        handle = client.submit(
+            "corpus.submit", programs=programs, job=job, wait=True,
+            stream=True, on_event=on_event,
+        )
+        reply = handle.result(120)
+        value = client.request(
+            "corpus.query", job=job, aggregate="summary", wait=60
+        )["value"]
+    progress = [e for e in events if e[0]]
+    return {
+        "reply": {k: reply[k]
+                  for k in ("total", "done", "errors", "complete")},
+        "value": value,
+        "programs": sorted(p for p, _, _ in progress),
+        "dones": sorted(d for _, d, _ in progress),
+        "totals": sorted({t for _, _, t in progress}),
+    }
+
+
+def _run(*client_modes: str):
+    """Each client mode's submit, in turn, on one fresh fleet."""
+
+    shards, router, rtransport, rport = _build()
     programs = _programs(router.ring)
     try:
-        events = []
-        lock = threading.Lock()
-
-        def on_event(ev):
-            with lock:
-                events.append(
-                    (ev.data.get("program"), ev.data.get("done"),
-                     ev.data.get("total"))
-                )
-
-        with PedClient.connect(port=rport) as client:
-            if client_mode == "compress":
-                assert client.negotiate_compression() is True
-            handle = client.submit(
-                "corpus.submit", programs=programs, job="j", wait=True,
-                stream=True, on_event=on_event,
-            )
-            reply = handle.result(120)
-            value = client.request(
-                "corpus.query", job="j", aggregate="summary", wait=60
-            )["value"]
-        progress = [e for e in events if e[0]]
-        return {
-            "reply": {k: reply[k]
-                      for k in ("total", "done", "errors", "complete")},
-            "value": value,
-            "programs": sorted(p for p, _, _ in progress),
-            "submitted": sorted(p["name"] for p in programs),
-            "dones": sorted(d for _, d, _ in progress),
-            "totals": sorted({t for _, _, t in progress}),
-            "router_counters": dict(router.stats.counters),
-        }
+        results = [
+            _submit(rport, programs, mode, job=f"j-{mode}")
+            for mode in client_modes
+        ]
+        return results, programs, dict(router.stats.counters)
     finally:
         _teardown(shards, router, rtransport)
 
 
-@pytest.mark.parametrize(
-    "client_mode,wire",
-    [
-        ("json", "json"),
-        ("compress", "json"),  # compressed client, uncompressed shards
-        ("json", "compress"),  # raw client, compressed shard hops
-        ("compress", "compress"),
-    ],
-)
-def test_mixed_peer_fleet_parity(client_mode, wire):
-    result = _run(client_mode, wire)
+@pytest.mark.parametrize("client_mode", ["json", "deflate"])
+def test_mixed_peer_fleet_parity(client_mode):
+    (result,), programs, counters = _run(client_mode)
     assert result["reply"] == {
         "total": 6, "done": 6, "errors": 0, "complete": True,
     }
-    # Fleet-wide renumbering survives every hop combination: each
-    # program reported once, done counts 1..6, totals fleet-wide.
-    assert result["programs"] == result["submitted"]
+    # Fleet-wide renumbering survives both client modes: each program
+    # reported once, done counts 1..6, totals fleet-wide.
+    assert result["programs"] == sorted(p["name"] for p in programs)
     assert result["dones"] == [1, 2, 3, 4, 5, 6]
     assert result["totals"] == [6]
-    counters = result["router_counters"]
-    if wire == "compress":
-        assert counters.get("router.wire_frames", 0) == 2
-        assert counters.get("router.wire_compress", 0) == 2
-    else:
-        assert counters.get("router.wire_compress", 0) == 0
+    assert counters.get("router.wire_deflate", 0) == 2
 
 
 def test_all_modes_agree_on_aggregates():
-    results = [
-        _run(client_mode, wire)
-        for client_mode, wire in [
-            ("json", "json"), ("compress", "json"),
-            ("json", "compress"), ("compress", "compress"),
-        ]
-    ]
-    base = results[0]
-    for other in results[1:]:
-        assert other["value"] == base["value"]
-        assert other["reply"] == base["reply"]
-        assert other["programs"] == other["submitted"]
+    """A JSON client and a deflate client on one fleet see identical
+    programs, done counts, totals, replies and aggregates."""
+
+    (json_run, deflate_run), _, counters = _run("json", "deflate")
+    assert deflate_run == json_run
+    assert counters.get("router.wire_deflate", 0) == 2

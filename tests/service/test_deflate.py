@@ -1,0 +1,607 @@
+"""Protocol v9's one negotiated encoding: JSON lines inside one deflate
+stream per direction.
+
+Covers the codec (round trips, truncation, the inflation slice), the
+server's line assembler on both framings (oversized lines and zip bombs
+discarded as they stream in, a corrupt stream answered once and closed),
+negotiation and its fallbacks, end-to-end invisibility (identical event
+sequences and fingerprints on JSON and deflate connections), and the
+client's behaviour against fake peers that answer late, send garbage,
+hang up or stall in the middle of a deflate block.
+"""
+
+import io
+import json
+import socket
+import threading
+import time
+import tracemalloc
+import zlib
+from concurrent.futures import TimeoutError as FutureTimeout
+from contextlib import contextmanager
+
+import pytest
+
+from repro.service import (
+    PedClient,
+    PedRequestError,
+    PedServer,
+    ServerUnavailableError,
+    UnsupportedOpError,
+)
+from repro.service import protocol
+from repro.service.protocol import (
+    FrameDecoder,
+    FrameEncoder,
+    LineAssembler,
+    ProtocolError,
+)
+
+from ..serving import served
+
+SIMPLE = (
+    "      program p\n"
+    "      real a(10)\n"
+    "      do 10 i = 1, 10\n"
+    "         a(i) = i\n"
+    " 10   continue\n"
+    "      end\n"
+)
+
+NEGOTIATE = {"op": "compress", "mode": "deflate"}
+
+
+class _Wire:
+    """One end of a raw connection: JSON lines, deflated after
+    :meth:`switch`, exactly as the protocol specifies."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._enc = None
+        self._dec = None
+        self._buf = b""
+
+    def switch(self) -> None:
+        self._enc = zlib.compressobj(6, zlib.DEFLATED, -15)
+        self._dec = zlib.decompressobj(-15)
+        # Bytes already read past the switch line are deflate.
+        self._buf = self._dec.decompress(self._buf)
+
+    def encode(self, env: dict) -> bytes:
+        line = (json.dumps(env) + "\n").encode()
+        if self._enc is None:
+            return line
+        return self._enc.compress(line) + self._enc.flush(zlib.Z_SYNC_FLUSH)
+
+    def send(self, env: dict) -> None:
+        self.sock.sendall(self.encode(env))
+
+    def recv(self):
+        """The next envelope, or ``None`` once the peer hangs up."""
+
+        while b"\n" not in self._buf:
+            data = self.sock.recv(65536)
+            if not data:
+                return None
+            self._buf += self._dec.decompress(data) if self._dec else data
+        line, self._buf = self._buf.split(b"\n", 1)
+        return json.loads(line)
+
+    def negotiate(self) -> None:
+        """Client side: ask for deflate and switch on the reply."""
+
+        self.send({"id": 0, **NEGOTIATE})
+        reply = self.recv()
+        assert reply["result"] == {"compress": "deflate"}, reply
+        self.switch()
+
+
+def _ok(req: dict, result: dict) -> dict:
+    return {"id": req["id"], "ok": True, "seq": 1, "result": result}
+
+
+@contextmanager
+def _fake_peer(script):
+    """A bare listening socket whose first connection runs
+    ``script(wire)`` on a thread; yields the port."""
+
+    lsock = socket.create_server(("127.0.0.1", 0))
+
+    def run() -> None:
+        conn, _ = lsock.accept()
+        with conn:
+            try:
+                script(_Wire(conn))
+            except OSError:
+                pass  # the client hung up first
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield lsock.getsockname()[1]
+    finally:
+        lsock.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive(), "the fake peer never finished"
+
+
+def _switching_peer(then):
+    """A fake peer that accepts deflate, then runs ``then(wire)``."""
+
+    def script(wire: _Wire) -> None:
+        req = wire.recv()
+        wire.send(_ok(req, {"compress": "deflate"}))
+        wire.switch()
+        then(wire)
+        while wire.recv() is not None:
+            pass  # until the client hangs up
+
+    return script
+
+
+@pytest.fixture
+def server():
+    srv = PedServer(max_workers=4)
+    with served(srv) as port:
+        yield srv, port
+    srv.close()
+
+
+def _lines_of(blob: bytes, step: int = 1) -> list:
+    lines = LineAssembler(1 << 20)
+    lines.start_inflating()
+    out = []
+    for i in range(0, len(blob), step):
+        lines.feed(blob[i : i + step])
+        while True:
+            line = lines.next()
+            if line is None:
+                break
+            out.append(json.loads(line))
+    return out
+
+
+# ----------------------------------------------------------------------
+# the codec
+# ----------------------------------------------------------------------
+
+
+def test_round_trip_fed_one_byte_at_a_time():
+    enc = FrameEncoder()
+    events = [
+        {"id": 1, "event": "analysis.progress", "seq": i, "data": {"n": i}}
+        for i in range(8)
+    ]
+    reply = {"id": 1, "ok": True, "seq": 9, "result": {"rows": ["r"] * 50}}
+    blob = enc.encode_multi([dict(e) for e in events]) + enc.encode(reply)
+    assert _lines_of(blob) == events + [reply]
+    assert enc.bytes_raw == len(protocol.encode_lines(events + [reply]))
+
+
+def test_round_trip_however_the_stream_fragments():
+    """Envelopes reassemble whatever the read size, across the sync
+    flushes between bursts."""
+
+    enc = FrameEncoder()
+    envs = [
+        {"id": i, "op": "loops", "session": "s", "n": i} for i in range(8)
+    ]
+    blob = b"".join(enc.encode(dict(e)) for e in envs)
+    for step in (2, 3, 7, 64, len(blob)):
+        assert _lines_of(blob, step=step) == envs, step
+
+
+def test_history_spans_bursts():
+    """A repeat of an earlier burst costs a few bytes: the compressor
+    keeps its history for the life of the connection."""
+
+    enc = FrameEncoder()
+    rows = [f"row {i}" for i in range(200)]
+    pane = {"id": 1, "ok": True, "result": {"rows": rows}}
+    first = enc.encode(pane)
+    again = enc.encode(dict(pane, id=2))
+    assert len(again) < len(first) / 10
+    assert _lines_of(first + again, step=7) == [pane, dict(pane, id=2)]
+
+
+def test_truncated_stream_never_completes():
+    blob = FrameEncoder().encode({"id": 1, "op": "ping", "pad": "p" * 40})
+    lines = LineAssembler(1 << 20)
+    lines.start_inflating()
+    lines.feed(blob[: len(blob) // 2])  # disconnect mid-block
+    assert lines.next() is None
+    assert lines.next() is None
+
+
+def test_inflation_is_sliced():
+    """One feed inflates at most INFLATE_SLICE bytes, however much the
+    input would inflate to; the rest waits for the next feed."""
+
+    z = zlib.compressobj(6, zlib.DEFLATED, -15)
+    bomb = z.compress(b"x" * (8 * protocol.INFLATE_SLICE)) + z.flush(
+        zlib.Z_SYNC_FLUSH
+    )
+    dec = FrameDecoder()
+    out = dec.feed(bomb)
+    total = len(out)
+    assert len(out) == protocol.INFLATE_SLICE and dec.more
+    while dec.more:
+        out = dec.feed(b"")
+        assert len(out) <= protocol.INFLATE_SLICE
+        total += len(out)
+    assert total == 8 * protocol.INFLATE_SLICE
+
+
+def test_corrupt_stream_raises_bad_request():
+    lines = LineAssembler(1 << 20)
+    lines.start_inflating()
+    lines.feed(b"\xff" * 64)
+    with pytest.raises(ProtocolError) as exc:
+        lines.next()
+    assert exc.value.type == protocol.BAD_REQUEST
+
+
+def test_bytes_fed_before_the_switch_are_inflated_after_it():
+    """The negotiation line and the first deflate bytes may arrive in
+    one read: what follows the line goes through the inflater."""
+
+    req = {"id": 2, "op": "ping"}
+    lines = LineAssembler(1 << 20)
+    lines.feed(b'{"id": 1}\n' + FrameEncoder().encode(req))
+    assert lines.next() == b'{"id": 1}'
+    lines.start_inflating()
+    assert json.loads(lines.next()) == req
+
+
+# ----------------------------------------------------------------------
+# the server's line assembler, on both framings
+# ----------------------------------------------------------------------
+
+LINE_BYTES = 32 * 1024 * 1024
+
+
+@pytest.mark.parametrize("mode", ["json", "deflate"])
+def test_oversized_line_is_discarded_as_it_streams(mode):
+    """A 32 MB line against a 4 KB cap — sent plain, or as a zip bomb a
+    few KB long — gets ``payload-too-large``, the next request is
+    served, and the server never holds the line: its peak traced
+    allocation stays far below the line's size."""
+
+    srv = PedServer(max_workers=2, max_request_bytes=4096)
+    with served(srv) as port, socket.create_connection(
+        ("127.0.0.1", port), timeout=60
+    ) as sock:
+        wire = _Wire(sock)
+        chunk = b"x" * 65536
+        tail = b"\n" + json.dumps({"id": 1, "op": "ping"}).encode() + b"\n"
+        if mode == "deflate":
+            wire.negotiate()
+            z = zlib.compressobj(6, zlib.DEFLATED, -15)
+            parts = [z.compress(chunk) for _ in range(LINE_BYTES // 65536)]
+            parts += [z.compress(tail), z.flush(zlib.Z_SYNC_FLUSH)]
+            blob = b"".join(parts)
+            assert len(blob) < 64 * 1024
+        tracemalloc.start()
+        try:
+            if mode == "deflate":
+                sock.sendall(blob)
+            else:
+                for _ in range(LINE_BYTES // 65536):
+                    sock.sendall(chunk)
+                sock.sendall(tail)
+            refused, served_next = wire.recv(), wire.recv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    srv.close()
+    assert refused["ok"] is False and refused["id"] is None
+    assert refused["error"]["type"] == protocol.PAYLOAD_TOO_LARGE
+    assert served_next["id"] == 1 and served_next["result"]["pong"] is True
+    assert peak < LINE_BYTES // 8, f"peak {peak} B for a {LINE_BYTES} B line"
+
+
+def test_oversized_inflated_request_keeps_its_id():
+    """Slightly over the cap, a deflated request is refused with its own
+    id, exactly as on JSON lines."""
+
+    srv = PedServer(max_workers=2, max_request_bytes=512)
+    with served(srv) as port, socket.create_connection(
+        ("127.0.0.1", port), timeout=30
+    ) as sock:
+        wire = _Wire(sock)
+        wire.negotiate()
+        big = {"id": 9, "op": "open", "session": "s", "source": "x" * 4096}
+        wire.send(big)
+        reply = wire.recv()
+        wire.send({"id": 10, "op": "ping"})
+        after = wire.recv()
+    srv.close()
+    assert reply["id"] == 9
+    assert reply["error"]["type"] == protocol.PAYLOAD_TOO_LARGE
+    assert after["id"] == 10 and after["ok"] is True
+
+
+def test_corrupt_stream_gets_one_bad_request_then_close(server):
+    _, port = server
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        wire = _Wire(sock)
+        wire.negotiate()
+        sock.sendall(b"\xff" * 64)
+        reply = wire.recv()
+        assert reply["ok"] is False and reply["id"] is None
+        assert reply["error"]["type"] == protocol.BAD_REQUEST
+        assert wire.recv() is None  # the server hung up
+    with PedClient.connect(port=port) as other:
+        assert other.request("ping")["pong"] is True
+
+
+def test_mid_block_disconnect_leaves_server_healthy(server):
+    _, port = server
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    wire = _Wire(sock)
+    wire.negotiate()
+    data = wire.encode({"id": 2, "op": "ping"})
+    sock.sendall(data[: len(data) // 2])
+    sock.close()
+    with PedClient.connect(port=port) as c:
+        assert c.request("ping")["pong"] is True
+
+
+# ----------------------------------------------------------------------
+# negotiation
+# ----------------------------------------------------------------------
+
+
+def test_negotiation_is_idempotent(server):
+    _, port = server
+    with PedClient.connect(port=port) as c:
+        assert c.negotiate_compression() is True
+        assert c.negotiate_compression() is True
+        # Asking again on a deflated connection is answered ok.
+        assert c.request(**NEGOTIATE) == {"compress": "deflate"}
+        assert c.request("open", session="s", source=SIMPLE)["units"] == ["p"]
+        assert c.request("ping")["protocol"] == 9
+
+
+def test_refused_negotiations_stay_on_json(server):
+    """``frames`` is gone: asking for it is ``unknown-op``, whatever the
+    mode, and the connection stays on JSON lines, usable."""
+
+    _, port = server
+    with PedClient.connect(port=port) as c:
+        for mode in ("binary", "gzip"):
+            with pytest.raises(UnsupportedOpError):
+                c.request("frames", mode=mode)
+        assert c.request("ping")["pong"] is True
+        assert c.negotiate_compression() is True
+
+
+def test_unknown_compression_mode_rejected(server):
+    """A mode other than ``deflate`` is a ``bad-request`` on a JSON
+    connection and on a deflated one; neither changes framing."""
+
+    _, port = server
+    with PedClient.connect(port=port) as c:
+        for deflated in (False, True):
+            if deflated:
+                assert c.negotiate_compression() is True
+            for mode in ("zlib", "lz4", None):
+                with pytest.raises(PedRequestError) as exc:
+                    c.request("compress", mode=mode)
+                assert exc.value.type == protocol.BAD_REQUEST
+            assert c.request("ping")["pong"] is True
+
+
+def test_text_client_stays_on_json_lines():
+    c = PedClient(io.StringIO(""), io.StringIO())
+    assert c.negotiate_compression() is False
+    c.close()
+
+
+def test_fallback_on_unknown_op():
+    """A server that does not speak ``compress`` answers ``unknown-op``;
+    the client stays on JSON lines, connected."""
+
+    def legacy(wire: _Wire) -> None:
+        unknown = {"ok": False, "error": {"type": "unknown-op", "message": ""}}
+        while (req := wire.recv()) is not None:
+            if req.get("op") == "ping":
+                wire.send(_ok(req, {"pong": True, "protocol": 8}))
+            else:
+                wire.send({"id": req["id"], **unknown})
+
+    with _fake_peer(legacy) as port:
+        with PedClient.connect(port=port) as c:
+            assert c.negotiate_compression() is False
+            assert c.request("ping")["pong"] is True
+
+
+# ----------------------------------------------------------------------
+# end to end: deflate changes only the cost
+# ----------------------------------------------------------------------
+
+
+def test_json_and_deflate_clients_coexist(server):
+    _, port = server
+    with PedClient.connect(port=port) as z, PedClient.connect(port=port) as j:
+        assert z.negotiate_compression() is True
+        z.request("open", session="z", source=SIMPLE)
+        j.request("open", session="j", source=SIMPLE)
+        assert z.request("loops", session="z", unit="p")["loops"]
+        assert j.request("loops", session="j", unit="p")["loops"]
+
+
+def test_edited_session_end_to_end(server):
+    _, port = server
+    with PedClient.connect(port=port) as c:
+        assert c.negotiate_compression() is True
+        assert c.request("open", session="s", source=SIMPLE)["units"] == ["p"]
+        loops = c.request("loops", session="s", unit="p")["loops"]
+        assert loops[0]["parallelizable"] is True
+        c.request(
+            "edit", session="s", start=4, end=4,
+            text="         a(i) = a(i-1)",
+        )
+        loops = c.request("loops", session="s", unit="p")["loops"]
+        assert loops[0]["parallelizable"] is False
+        c.request(
+            "edit", session="s", start=4, end=4,
+            text="         a(i) = i + 1",
+        )
+        loops = c.request("loops", session="s", unit="p")["loops"]
+        assert loops[0]["parallelizable"] is True
+        assert c.request("ping")["protocol"] == protocol.PROTOCOL_VERSION
+
+
+def test_session_parity(server):
+    """Identical event sequences and fingerprints, JSON vs deflate."""
+
+    _, port = server
+
+    def run(mode: str):
+        events = []
+        with PedClient.connect(port=port) as c:
+            if mode == "deflate":
+                assert c.negotiate_compression() is True
+            sid = f"par-{mode}"
+            edits = [f"         a(i) = i + {i}" for i in range(4)]
+            streams = [("open", {"source": SIMPLE})] + [
+                ("edit", {"start": 4, "end": 4, "text": text})
+                for text in edits
+            ]
+            for op, params in streams:
+                for ev in c.stream(op, session=sid, **params):
+                    if ev.kind != "result":
+                        events.append(
+                            (ev.kind, json.dumps(ev.data, sort_keys=True))
+                        )
+            fp = c.request("fingerprint", session=sid)
+        return events, fp
+
+    assert run("deflate") == run("json")
+
+
+def test_stream_ordering(server):
+    """Seqs strictly increase and every event precedes its reply."""
+
+    _, port = server
+    with PedClient.connect(port=port) as c:
+        assert c.negotiate_compression() is True
+        events = list(c.stream("open", session="ord", source=SIMPLE))
+    assert events[-1].kind == "result"
+    seqs = [e.seq for e in events]
+    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+    assert all(s < events[-1].seq for s in seqs[:-1])
+
+
+def test_streaming_events(server):
+    """Open and edit streams deliver their progress events over deflate,
+    each stream closed by its result."""
+
+    _, port = server
+    with PedClient.connect(port=port) as c:
+        assert c.negotiate_compression() is True
+        streams = [
+            list(c.stream("open", session="ev", source=SIMPLE)),
+            list(
+                c.stream(
+                    "edit", session="ev", start=4, end=4,
+                    text="         a(i) = i * 2",
+                )
+            ),
+        ]
+    for events in streams:
+        kinds = [e.kind for e in events]
+        assert kinds[-1] == "result" and kinds.count("result") == 1
+        assert "analysis.progress" in kinds
+
+
+def test_net_counters_surface_in_metrics(server):
+    _, port = server
+    with PedClient.connect(port=port) as c:
+        assert c.negotiate_compression() is True
+        list(c.stream("open", session="m", source=SIMPLE))
+        metrics = c.request("metrics", session="m")["metrics"]
+    assert metrics["net.bytes_in"] > 0
+    assert metrics["net.bytes_out"] > 0
+    assert metrics["net.bytes_out_raw"] > metrics["net.bytes_out"]
+    assert 0 < metrics["net.compress_ratio"] < 1.0
+    assert metrics["net.flushes"] > 0
+    assert "net.coalesced_events" in metrics
+
+
+# ----------------------------------------------------------------------
+# the client against peers that misbehave
+# ----------------------------------------------------------------------
+
+
+def test_late_negotiation_reply_closes_the_connection():
+    """A reply that misses ``wait`` must not leave the reader and the
+    writer on different framings: the client hangs up, and later
+    requests fail at once instead of timing out."""
+
+    def late(wire: _Wire) -> None:
+        req = wire.recv()
+        time.sleep(0.5)
+        wire.send(_ok(req, {"compress": "deflate"}))
+        while wire.recv() is not None:
+            pass
+
+    with _fake_peer(late) as port, PedClient.connect(port=port) as c:
+        with pytest.raises(ServerUnavailableError):
+            c.negotiate_compression(wait=0.1)
+        start = time.monotonic()
+        with pytest.raises(ServerUnavailableError):
+            c.request("ping", wait=5)
+        assert time.monotonic() - start < 1.0
+
+
+def _pending_ping_fails_fast(then) -> None:
+    peer = _fake_peer(_switching_peer(then))
+    with peer as port, PedClient.connect(port=port) as c:
+        assert c.negotiate_compression(wait=5) is True
+        start = time.monotonic()
+        with pytest.raises(ServerUnavailableError):
+            c.request("ping", wait=10)
+        with pytest.raises(ServerUnavailableError):
+            c.request("ping", wait=10)
+        assert time.monotonic() - start < 5
+
+
+def test_garbage_after_the_switch_fails_pending_at_once():
+    def garbage(wire: _Wire) -> None:
+        wire.recv()
+        wire.sock.sendall(b"\xff" * 64)
+
+    _pending_ping_fails_fast(garbage)
+
+
+def test_eof_mid_block_fails_pending_at_once():
+    def cut(wire: _Wire) -> None:
+        req = wire.recv()
+        data = wire.encode(_ok(req, {"pong": True, "pad": "p" * 40}))
+        wire.sock.sendall(data[: len(data) // 2])
+        wire.sock.shutdown(socket.SHUT_WR)
+
+    _pending_ping_fails_fast(cut)
+
+
+def test_stall_mid_block_times_out_then_recovers():
+    resume = threading.Event()
+
+    def stall(wire: _Wire) -> None:
+        req = wire.recv()
+        data = wire.encode(_ok(req, {"pong": True, "pad": "p" * 40}))
+        wire.sock.sendall(data[: len(data) // 2])
+        resume.wait(10)
+        wire.sock.sendall(data[len(data) // 2 :])
+        req = wire.recv()
+        wire.send(_ok(req, {"pong": True}))
+
+    peer = _fake_peer(_switching_peer(stall))
+    with peer as port, PedClient.connect(port=port) as c:
+        assert c.negotiate_compression(wait=5) is True
+        with pytest.raises(FutureTimeout):
+            c.request("ping", wait=0.2)
+        resume.set()
+        assert c.request("ping", wait=5) == {"pong": True}

@@ -88,9 +88,9 @@ def test_envelope_shapes():
     ok = protocol.reply_ok(7, {"x": 1})
     err = protocol.reply_error(7, protocol.BAD_REQUEST, "nope")
     ev = protocol.event_envelope(7, protocol.EV_PROGRESS, {"phase": "split"})
-    assert protocol.is_reply(ok) and not protocol.is_event(ok)
-    assert protocol.is_reply(err) and not protocol.is_event(err)
-    assert protocol.is_event(ev) and not protocol.is_reply(ev)
+    assert ok["ok"] is True and "event" not in ok
+    assert err["ok"] is False and "event" not in err
+    assert ev["event"] == protocol.EV_PROGRESS and "ok" not in ev
     assert json.loads(protocol.encode(ev))["event"] == "analysis.progress"
 
 

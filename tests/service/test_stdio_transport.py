@@ -2,7 +2,7 @@
 
 The stdio front end reads and writes the process's own descriptors, so
 it must behave the same whether they are pipes, regular files (shell
-redirects) or a client that negotiates binary frames and compression.
+redirects) or a client that negotiates deflate.
 Each run must answer every request, exit 0 and leave stderr empty.
 """
 
@@ -106,9 +106,9 @@ def test_pipes(tmp_path):
     _check_replies(proc.stdout)
 
 
-def test_spawned_client_negotiates_frames_and_compression(tmp_path):
-    """The full ladder through :meth:`PedClient.spawn`, then a plain
-    close (end of input, no ``shutdown``) ends the server cleanly."""
+def test_spawned_client_negotiates_deflate(tmp_path):
+    """Deflate through :meth:`PedClient.spawn`, then a plain close (end
+    of input, no ``shutdown``) ends the server cleanly."""
 
     client = PedClient.spawn(
         _argv(tmp_path), env=_env(), stderr=subprocess.PIPE
