@@ -194,10 +194,11 @@ def test_edit_reanalysis(benchmark):
 
 
 def test_warm_start_reopen(benchmark):
-    """Reopening spec77 with a persistent cache starts warm: the whole
-    cache state loads from one content-addressed record and the analysis
-    is a pure cache walk — fingerprint-identical to cold, and far
-    faster.  Emits ``benchmarks/out/warmstart.json``."""
+    """Reopening spec77 with a persistent cache starts warm: the engine
+    assembles its caches from the program manifest and the per-span unit
+    records it names, and the analysis is a pure cache walk —
+    fingerprint-identical to cold, and far faster.  Emits
+    ``benchmarks/out/warmstart.json``."""
 
     from repro.incremental import AnalysisEngine, program_fingerprint
     from repro.service import build_engine

@@ -61,11 +61,14 @@ assertion change alone, ``None`` for an identical rerun.
 
 The service layer plugs in through the **persistent store**: with a
 :class:`~repro.service.persist.PersistentStore` attached, a cold engine
-first tries a whole-program warm start (every cache restored from one
-content-addressed record), parse misses fall back to per-span disk
-records (validated against the current unit-kind map before
-acceptance), and every analysis spills its results back.  Any invalid
-or corrupt record degrades to recomputation.
+first tries a warm start from the program's manifest, which names one
+unit record per span (the span's units with their dependence entries)
+next to the summaries and the change-detection baseline; parse misses
+fall back to per-span disk records (validated against the current
+unit-kind map before acceptance).  Every analysis spills back what it
+changed: new span and summary records, a unit record for each span
+whose units the walk refreshed, and the manifest.  Any invalid or
+corrupt record degrades to recomputation.
 
 Known approximation: interprocedural constants iterate at most the same
 five Jacobi rounds as the from-scratch pass, so on call chains deeper
@@ -148,12 +151,17 @@ class _SpanEntry:
 
 @dataclass
 class _DepEntry:
-    """Cached per-unit dependence analysis plus its pristine mutable state."""
+    """Cached per-unit dependence analysis plus its pristine mutable state.
+
+    ``record`` is the key of the disk unit record holding the entry
+    (``None`` until one is written): a reused entry stays in the record
+    it was first written to."""
 
     key: tuple
     ua: UnitAnalysis
     markings: List[str]
     verdicts: Dict[int, Tuple[List[str], bool]]
+    record: Optional[str] = None
 
 
 @dataclass
@@ -458,7 +466,7 @@ class AnalysisEngine:
                     self.features, source, asserts
                 )
                 if self._last is None:
-                    self._load_program_state(prog_key)
+                    self._load_program_state(prog_key, asserts)
                 self._absorb_memo_deltas()
             run = _Run(source=source, asserts=asserts)
             self._walk(run)
@@ -469,7 +477,7 @@ class AnalysisEngine:
             stats.counters["memo.shared_hits"] = memo.hits
             stats.counters["memo.shared_misses"] = memo.misses
             if self._store is not None:
-                self._spill_state(prog_key, run.entries, run.kinds)
+                self._spill_state(prog_key, run)
                 self._spill_unit_summaries(run.ukeys)
                 self._export_memo_deltas()
         return run.sf, run.pa
@@ -1053,9 +1061,6 @@ class AnalysisEngine:
             kills=kv,
             ip_constants=constants,
         )
-        mr = self._summary_revs["modref"]
-        kr = self._summary_revs["kill"]
-        sr = self._summary_revs["sections"]
         stale = self._dep_stale
         if stale is not None:
             before = self._dep_asserts
@@ -1071,16 +1076,12 @@ class AnalysisEngine:
             for name in cg.units:
                 cached = self._deps.get(name)
                 if stale is None or name in stale or cached is None:
-                    key = (
+                    key = _dep_key(
                         revs[name],
                         asserts.get(name, ()),
-                        tuple(sorted(constants.get(name, {}).items())),
-                        tuple(
-                            sorted(
-                                (c, mr.get(c, 0), kr.get(c, 0), sr.get(c, 0))
-                                for c in cg.callees[name]
-                            )
-                        ),
+                        constants.get(name, {}),
+                        cg.callees[name],
+                        self._summary_revs,
                     )
                     if cached is None or cached.key != key:
                         stats.miss("dependence")
@@ -1157,75 +1158,164 @@ class AnalysisEngine:
     # stage: persistence (warm starts)
     # ------------------------------------------------------------------
 
-    def _load_program_state(self, key: str) -> bool:
-        """Try to restore the engine's entire cache state from disk.
+    def _load_program_state(
+        self, key: str, asserts: Dict[str, tuple]
+    ) -> bool:
+        """Try to assemble the engine's cache state from the program
+        manifest and the unit records it names.
 
         Only attempted on a cold engine (``_last is None``); success makes
-        the following pipeline walk hit every cache.  The whole state was
-        pickled in one stream, so the restored spans, summaries and
-        dependence entries alias one another exactly as they did when
-        spilled.  Any failure leaves the engine cold.
+        the following pipeline walk hit every cache.  Each unit record
+        pickles one span's units with their dependence entries, so a
+        restored entry aliases its own span's ASTs.  The manifest's
+        revisions become this engine's, and every restored entry's
+        dependence key is rebuilt from them, whichever engine wrote the
+        record.  A missing or invalid manifest or record, or a record
+        whose span digest or binding guard disagrees with the manifest,
+        leaves the engine cold (with one log line).
         """
 
         state = self._store.load_program(key)
         if state is None:
             return False
         try:
-            spans = state["spans"]
             summaries = state["summaries"]
             summary_revs = state["summary_revs"]
-            deps = state["deps"]
             last = state["last"]
-            rev_next = state["rev_next"]
+            rev_next = int(state["rev_next"])
             if not all(p in summaries and p in summary_revs for p in _PHASES):
                 raise ValueError("missing summary phase")
+            constants = summaries["ipconst"]
+            spans: Dict[str, _SpanEntry] = {}
+            deps: Dict[str, _DepEntry] = {}
+            for digest, rev, record_key in state["spans"]:
+                record = self._store.load_unit_record(record_key)
+                if record is None:
+                    raise ValueError(f"unit record {record_key} unreadable")
+                if record["digest"] != digest:
+                    raise ValueError(f"unit record {record_key}: wrong span")
+                if not _guard_ok(record["guard"], last.kinds):
+                    raise ValueError(
+                        f"unit record {record_key} was bound under "
+                        "another unit-kind map"
+                    )
+                units = list(record["units"])
+                for unit in units:
+                    name = unit.name
+                    ua, markings, verdicts = record["deps"][name]
+                    deps[name] = _DepEntry(
+                        _dep_key(
+                            rev,
+                            asserts.get(name, ()),
+                            constants.get(name, {}),
+                            last.callee_sets[name],
+                            summary_revs,
+                        ),
+                        ua,
+                        markings,
+                        verdicts,
+                        record_key,
+                    )
+                spans[digest] = _SpanEntry(
+                    digest, rev, units, record["candidates"]
+                )
         except Exception as exc:  # noqa: BLE001 — stay cold on bad record
-            log.warning("ignoring invalid program record (%s)", exc)
+            log.warning(
+                "ignoring program manifest %s (%s); analyzing cold",
+                key[:12],
+                exc,
+            )
             self.stats.bump("disk.error")
             return False
-        self._spans = dict(spans)
+        self._spans = spans
         self._summaries = {p: dict(summaries[p]) for p in _PHASES}
         self._summary_revs = {p: dict(summary_revs[p]) for p in _PHASES}
-        self._deps = dict(deps)
+        self._deps = deps
         self._last = last
-        self._rev_next = max(int(rev_next), self._rev_next)
+        self._rev_next = max(rev_next, self._rev_next)
         self._reset_walk_memos()
         self._kill_views = kills_view(self._summaries["kill"], self.features)
         self._spilled_spans.update(spans)
         self.stats.bump("disk.warm_start")
         return True
 
-    def _spill_state(
-        self,
-        prog_key: str,
-        entries: List[_SpanEntry],
-        kinds: Dict[str, str],
-    ) -> None:
-        """Persist this analysis: per-span records plus one program record.
+    def _spill_state(self, prog_key: str, run: _Run) -> None:
+        """Persist what this analysis changed: span records, one unit
+        record per span whose units the walk refreshed, and the manifest.
 
         Span records warm up *partial* overlaps (an edited file reuses
-        every untouched span); the program record warms up an exact reopen
-        (source, features and assertions all unchanged).
+        every untouched span).  A span needs a new unit record only when
+        one of its dependence entries is in none yet, which holds for
+        exactly the entries the walk computed afresh; a reused or
+        restored entry stays in the record it was first written to, so
+        a callee edit does not rewrite its callers' records.  The
+        manifest warms up an exact reopen (source, features and
+        assertions all unchanged); it is written only when every span's
+        record is on disk.
         """
 
-        for entry in entries:
-            if entry.digest in self._spilled_spans:
-                continue
-            guard = _span_guard(entry, kinds)
-            if self._store.save_span(entry.digest, guard, entry.units):
-                self._spilled_spans.add(entry.digest)
-        if not self._store.has_program(prog_key):
-            self._store.save_program(
+        store = self._store
+        spans = []
+        for entry in run.entries:
+            guard = None
+            if entry.digest not in self._spilled_spans:
+                guard = _span_guard(entry, run.kinds)
+                if store.save_span(entry.digest, guard, entry.units):
+                    self._spilled_spans.add(entry.digest)
+            deps = [self._deps[u.name] for u in entry.units]
+            held = {d.record for d in deps}
+            record = held.pop() if len(held) == 1 else None
+            if record is None:
+                record = self._unit_record_key(entry, run, prog_key)
+                payload = {
+                    "digest": entry.digest,
+                    "guard": guard or _span_guard(entry, run.kinds),
+                    "units": entry.units,
+                    "candidates": entry.candidates,
+                    "deps": {
+                        u.name: (d.ua, d.markings, d.verdicts)
+                        for u, d in zip(entry.units, deps)
+                    },
+                }
+                if not store.save_unit_record(record, payload):
+                    record = None
+                for d in deps:
+                    d.record = record
+            spans.append((entry.digest, entry.rev, record))
+        if all(r is not None for _, _, r in spans) and not store.has_program(
+            prog_key
+        ):
+            store.save_program(
                 prog_key,
                 {
-                    "spans": {e.digest: e for e in entries},
+                    "spans": spans,
                     "summaries": self._summaries,
                     "summary_revs": self._summary_revs,
-                    "deps": self._deps,
                     "last": self._last,
                     "rev_next": self._rev_next,
                 },
             )
+
+    def _unit_record_key(
+        self, entry: _SpanEntry, run: _Run, prog_key: str
+    ) -> str:
+        """The content key of a span's unit record: the span digest and,
+        per unit, everything its dependence entry was computed from —
+        its summary key (features, span and callee subtree), inherited
+        constants and assertion texts.  A unit in a recursive SCC has no
+        summary key, so its record is keyed on the whole program."""
+
+        constants = self._summaries["ipconst"]
+        h = hashlib.sha1(entry.digest.encode())
+        for unit in entry.units:
+            name = unit.name
+            ukey = run.ukeys.get(name) or f"prog:{prog_key}"
+            inherited = sorted(constants.get(name, {}).items())
+            h.update(f"\x00{name}\x00{ukey}\x00{inherited!r}".encode())
+            for text in run.asserts.get(name, ()):
+                h.update(b"\x01")
+                h.update(text.encode())
+        return h.hexdigest()
 
     # -- shared pair-test memo: cross-process delta exchange ------------
 
@@ -1406,6 +1496,30 @@ class AnalysisEngine:
                 continue
             self._store.save_unit_summary(key, values)
             self._spilled_usums.add(key)
+
+
+def _dep_key(
+    rev: int,
+    asserts: tuple,
+    constants: Dict,
+    callees,
+    summary_revs: Dict[str, Dict[str, int]],
+) -> tuple:
+    """A dependence entry's cache key: the unit's parse revision, its
+    assertion texts and inherited constants, and its callees' MOD/REF,
+    kill and section summary revisions."""
+
+    mr, kr, sr = (summary_revs[p] for p in ("modref", "kill", "sections"))
+    return (
+        rev,
+        asserts,
+        tuple(sorted(constants.items())),
+        tuple(
+            sorted(
+                (c, mr.get(c, 0), kr.get(c, 0), sr.get(c, 0)) for c in callees
+            )
+        ),
+    )
 
 
 def _guard_ok(

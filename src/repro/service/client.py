@@ -305,6 +305,7 @@ class PedClient:
             except OSError:
                 pass
             proc.wait(timeout=10)
+            proc.stdout.close()
 
         client = cls(proc.stdout, proc.stdin, on_close=_close)
         client.process = proc

@@ -6,8 +6,8 @@ summary / dependence caches here (via
 starts warm.  Design points, each load-bearing:
 
 * **Content addressing** — keys are content digests (span digests,
-  program digests), so entries are valid forever: a stale entry can
-  never be *returned* for current content, only missed.
+  unit-record and program digests), so entries are valid forever: a
+  stale entry can never be *returned* for current content, only missed.
 * **Format-version stamp** — every record embeds
   :data:`FORMAT_VERSION` plus its own kind and key; a version bump, a
   truncated write or a record filed under the wrong digest all fail
@@ -25,12 +25,14 @@ starts warm.  Design points, each load-bearing:
   estimate keeps the common under-budget write O(1) instead of
   O(store).
 
-Counters (``disk.hit`` / ``disk.miss`` / ``disk.write`` / ``disk.evict``
-/ ``disk.error``) feed the attached engine stats.
+Counters (``disk.hit`` / ``disk.miss`` / ``disk.write`` /
+``disk.write_bytes`` / ``disk.evict`` / ``disk.error``) feed the attached
+engine stats.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
 import pickle
@@ -59,9 +61,28 @@ log = logging.getLogger(__name__)
 #: sink side, uncapped loop-independent scalar edges), so persisted
 #: graphs and shared-memo verdicts from v5 must not replay; the tester
 #: lost its local memo.
-FORMAT_VERSION = 6
+#: v7: the program record became a manifest naming one ``unit`` record
+#: per span (the span's bound units with their dependence entries).
+FORMAT_VERSION = 7
 
 _MAGIC = "repro-cache"
+
+
+def _unpickle(blob: bytes) -> object:
+    """``pickle.loads`` with the cyclic collector paused.
+
+    A record is one graph of live objects; the collections its
+    allocations would trigger find no garbage in it but traverse every
+    older object, which in a server holding other sessions' analyses
+    cost more than the load itself."""
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(blob)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class DiskCache:
@@ -111,7 +132,7 @@ class DiskCache:
             log.warning("cache read failed for %s: %s", path, exc)
             return None
         try:
-            record = pickle.loads(blob)
+            record = _unpickle(blob)
             if not isinstance(record, dict) or record.get("magic") != _MAGIC:
                 raise ValueError("not a cache record")
             if record.get("format") != FORMAT_VERSION:
@@ -172,6 +193,7 @@ class DiskCache:
             log.warning("cache write failed for %s: %s", path, exc)
             return False
         self._bump("disk.write")
+        self._bump("disk.write_bytes", len(blob))
         self._maybe_evict(len(blob))
         return True
 
@@ -210,15 +232,25 @@ class DiskCache:
             pass
 
     def _records(self):
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for name in filenames:
-                if name.endswith(".pkl"):
-                    path = Path(dirpath) / name
+        """``(path, size, mtime)`` of every record file under the root,
+        read from the directory entries (one ``stat`` per record)."""
+
+        stack = [str(self.root)]
+        while stack:
+            try:
+                listing = os.scandir(stack.pop())
+            except OSError:
+                continue
+            with listing:
+                for entry in listing:
                     try:
-                        st = path.stat()
+                        if entry.is_dir(follow_symlinks=False):
+                            stack.append(entry.path)
+                        elif entry.name.endswith(".pkl"):
+                            st = entry.stat()
+                            yield Path(entry.path), st.st_size, st.st_mtime
                     except OSError:
                         continue
-                    yield path, st.st_size, st.st_mtime
 
     def _maybe_evict(self, added_bytes: int) -> None:
         """Approximate-size gate in front of :meth:`_evict`.

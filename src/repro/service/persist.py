@@ -1,6 +1,6 @@
 """Warm-start persistence for the incremental analysis engine.
 
-Two record families, both content-addressed into a :class:`DiskCache`:
+Five record families, all content-addressed into a :class:`DiskCache`:
 
 * **Span records** (``span:<digest>``) — the bound units of one source
   span, stored with a *binding guard*: the set of names the span's
@@ -24,15 +24,22 @@ Two record families, both content-addressed into a :class:`DiskCache`:
   SharedPairMemo` entries).  Keys embed the oracle digest, nest depth
   and PARAMETER slice, so one global record safely warms *different*
   programs that repeat the same canonical subscript shapes.
+* **Unit records** (``unit:<digest of the span and, per unit, its
+  usum key, inherited constants and assertion texts>``) — one span's
+  bound units pickled together with their dependence entries (analysis
+  plus pristine marking snapshot) and the span's binding guard.  The
+  entries reference only their own span's ASTs, so the aliasing
+  invariant (a cached ``UnitAnalysis`` shares the AST objects of the
+  cached span) holds within each record.  An engine writes one when a
+  walk refreshes one of the span's units; a reused entry keeps the
+  record it was first written to.
 * **Program records** (``prog:<digest of (features, source,
-  assertions)>``) — the engine's complete cache state for one analyzed
-  program: span entries, the four summary families with their revision
-  counters, the per-unit dependence entries with their pristine marking
-  snapshots, and the change-detection baseline.  Everything is pickled
-  in one stream, so the aliasing invariant (a cached ``UnitAnalysis``
-  references the same AST objects as the cached spans) survives the
-  round trip.  Loading one on a cold engine makes the next ``analyze``
-  a pure cache walk — the warm start the benchmarks measure.
+  assertions)>``) — a small *manifest* of one analyzed program: for
+  each span its digest, revision and unit-record key, the four summary
+  families with their revision counters, and the change-detection
+  baseline.  It holds no ASTs and no dependence entries.  Loading one
+  and the unit records it names on a cold engine makes the next
+  ``analyze`` a pure cache walk — the warm start the benchmarks measure.
 
 The digests mirror the engine's own content keys, so a record can never
 be served for content it was not computed from; anything else (format
@@ -68,6 +75,7 @@ from .diskcache import DiskCache
 log = logging.getLogger(__name__)
 
 SPAN_KIND = "span"
+UNIT_KIND = "unit"
 PROG_KIND = "prog"
 USUM_KIND = "usum"
 MEMO_KIND = "memo"
@@ -288,6 +296,11 @@ class PersistentStore:
         guard: Tuple[frozenset, frozenset],
         units: List[object],
     ) -> bool:
+        """Write one span record unless it is already on disk; True when
+        the record is there afterwards."""
+
+        if self.cache.contains(SPAN_KIND, digest):
+            return True
         names, funcs = guard
         return self.cache.put(
             SPAN_KIND,
@@ -298,6 +311,23 @@ class PersistentStore:
                 "units": units,
             },
         )
+
+    # -- unit records ---------------------------------------------------
+
+    def load_unit_record(self, key: str) -> Optional[Dict[str, object]]:
+        """One span's ``{digest, guard, units, candidates, deps}``, or
+        ``None``."""
+
+        payload = self.cache.get(UNIT_KIND, key)
+        return payload if isinstance(payload, dict) else None
+
+    def save_unit_record(self, key: str, payload: Dict[str, object]) -> bool:
+        """Write one unit record unless it is already on disk; True when
+        the record is there afterwards."""
+
+        if self.cache.contains(UNIT_KIND, key):
+            return True
+        return self.cache.put(UNIT_KIND, key, payload)
 
     # -- per-unit summary records ---------------------------------------
 
@@ -345,7 +375,7 @@ class PersistentStore:
 
         return self.cache.lease("memo", holder=holder, ttl=ttl)
 
-    # -- program records ------------------------------------------------
+    # -- program manifests ----------------------------------------------
 
     def program_key(
         self,
@@ -367,6 +397,8 @@ class PersistentStore:
         return h.hexdigest()
 
     def load_program(self, key: str) -> Optional[dict]:
+        """The program manifest stored under ``key``, or ``None``."""
+
         payload = self.cache.get(PROG_KIND, key)
         return payload if isinstance(payload, dict) else None
 

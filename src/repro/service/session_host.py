@@ -175,6 +175,14 @@ class PedServer:
         self.shutdown_event.set()
         self._work.shutdown(wait=False, cancel_futures=True)
         self.pool.close()
+        # Each journal closes under its session lock, so a mutation
+        # still running finishes its append first.
+        with self._sessions_lock:
+            hosted = list(self.sessions.values())
+        for managed in hosted:
+            if managed.journal_file is not None:
+                with managed.lock:
+                    managed.journal_file.close()
 
     @property
     def executor(self):

@@ -143,6 +143,9 @@ def test_counters_feed_stats(tmp_path):
     assert stats.counter("disk.write") == 1
     assert stats.counter("disk.hit") == 1
     assert stats.counter("disk.miss") == 1
+    assert stats.counter("disk.write_bytes") == cache._path(
+        "span", "abc"
+    ).stat().st_size
 
 
 def test_v2_format_memo_record_falls_back_cold(cache, caplog):

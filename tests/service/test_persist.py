@@ -1,10 +1,12 @@
 """Warm-start persistence: reopened programs hit the disk cache.
 
-Three contracts under test: a warm reopen is fingerprint-identical to a
-cold analysis and runs as a pure cache walk; per-span records warm up
-*partially* overlapping programs but are rejected (with a warning) when
-the unit-kind map changed; and corrupting the store never breaks an
-analysis — it just makes it cold again.
+Four contracts under test: a warm reopen is fingerprint-identical to a
+cold analysis and runs as a pure cache walk, whichever engine wrote the
+unit records its manifest names; per-span records warm up *partially*
+overlapping programs but are rejected (with a warning) when the
+unit-kind map changed; an edit writes only what it changed; and
+corrupting the store never breaks an analysis — it just makes it cold
+again.
 """
 
 import logging
@@ -12,10 +14,22 @@ import logging
 import pytest
 
 from repro.incremental import AnalysisEngine, program_fingerprint
-from repro.service import build_engine
+from repro.service import DiskCache, PedServer, build_engine
+from repro.service.persist import PROG_KIND, UNIT_KIND
 from repro.workloads import SUITE
+from repro.workloads.generator import generate_program
 
 SOURCE = SUITE["onedim"].source
+STAGES = ("parse", "modref", "kill", "sections", "ipconst", "dependence")
+
+
+def _stencil_edit(source):
+    """Change one stencil constant of ``upd0``: its summaries stay put,
+    so no other unit's analysis moves."""
+
+    edited = source.replace("0.01 * (x(i+1)", "0.09 * (x(i+1)", 1)
+    assert edited != source
+    return edited
 
 
 def _engine(tmp_path):
@@ -144,4 +158,204 @@ def test_features_enter_the_program_key(tmp_path):
     _, pa = warm.analyze(SOURCE)
     assert warm.stats.counter("disk.warm_start") == 0
     ref = AnalysisEngine(features=FeatureSet.minimal()).analyze(SOURCE)[1]
+    assert program_fingerprint(pa) == program_fingerprint(ref)
+
+
+def test_one_routine_edit_writes_one_unit_record(tmp_path, monkeypatch):
+    """A durable edit writes what it changed: one unit record (for the
+    one refreshed unit), a few small span and summary records, and the
+    manifest, not the whole program's analysis.  Every other unit stays
+    in the record it was first written to, and the edited program
+    reopens warm from them."""
+
+    source = generate_program(n_routines=30)
+    edited = _stencil_edit(source)
+    engine = _engine(tmp_path)
+    engine.analyze(source)
+    written = []
+    put = DiskCache.put
+
+    def spy(self, kind, key, payload):
+        written.append((kind, payload))
+        return put(self, kind, key, payload)
+
+    monkeypatch.setattr(DiskCache, "put", spy)
+    before = engine.stats.counter("disk.write_bytes")
+    engine.analyze(edited)
+    assert engine.refreshed == {"upd0"}
+    units = [payload for kind, payload in written if kind == UNIT_KIND]
+    assert len(units) == 1
+    assert set(units[0]["deps"]) == {"upd0"}
+    assert engine.stats.counter("disk.write_bytes") - before < 80 * 1024
+
+    warm = _engine(tmp_path)
+    _, pa = warm.analyze(edited)
+    assert warm.stats.counter("disk.warm_start") == 1
+    for stage in STAGES:
+        assert warm.stats.stage(stage).misses == 0, stage
+    ref = AnalysisEngine().analyze(edited)[1]
+    assert program_fingerprint(pa) == program_fingerprint(ref)
+
+
+def test_restore_rewrites_no_records(tmp_path):
+    """Replaying a journal over the store that recorded it finds every
+    record on disk already and writes none."""
+
+    source = generate_program(n_routines=6)
+    cache = tmp_path / "cache"
+    first = PedServer(max_workers=2, cache_dir=cache)
+    try:
+        first.execute({"op": "open", "session": "s", "source": source})
+        for old, new in (("0.01", "0.09"), ("0.02", "0.08")):
+            line = next(
+                i
+                for i, text in enumerate(source.splitlines(), 1)
+                if f"{old} * (x(i+1)" in text
+            )
+            text = source.splitlines()[line - 1].replace(old, new)
+            reply = first.execute(
+                {
+                    "op": "edit",
+                    "session": "s",
+                    "start": line,
+                    "end": line,
+                    "text": text,
+                }
+            )
+            assert reply["ok"], reply
+        live = first.execute({"op": "fingerprint", "session": "s"})
+    finally:
+        first.close()
+    fresh = PedServer(max_workers=2, cache_dir=cache)
+    try:
+        restored = fresh.execute({"op": "session.restore", "session": "s"})
+    finally:
+        fresh.close()
+    assert restored["result"]["fingerprint"] == live["result"]["fingerprint"]
+    assert fresh.stats.counter("disk.hit") > 0
+    assert fresh.stats.counter("disk.write") == 0
+
+
+def test_manifest_over_another_engines_records(tmp_path):
+    """A manifest written in one engine's revision space warm-starts
+    from unit records another engine wrote under different revisions."""
+
+    source = generate_program(n_routines=6)
+    edited = _stencil_edit(source)
+    a = _engine(tmp_path)
+    a.analyze(source)
+    a.analyze(edited)
+    store = a.store
+    key = store.program_key(a.features, edited, {})
+    store.cache._path(PROG_KIND, key).unlink()
+    unit_dir = tmp_path / "cache" / UNIT_KIND
+    records = sorted(unit_dir.rglob("*.pkl"))
+
+    b = _engine(tmp_path)
+    b.analyze(edited)
+    assert b.stats.counter("disk.warm_start") == 0
+    # b's manifest names the record a wrote for the edited unit, whose
+    # revision differs between the two engines.
+    record = b._deps["upd0"].record
+    assert store.cache._path(UNIT_KIND, record) in records
+    assert a._last.revs["upd0"] != b._last.revs["upd0"]
+
+    c = _engine(tmp_path)
+    _, pa = c.analyze(edited)
+    assert c.stats.counter("disk.warm_start") == 1
+    for stage in STAGES:
+        assert c.stats.stage(stage).misses == 0, stage
+    ref = AnalysisEngine().analyze(edited)[1]
+    assert program_fingerprint(pa) == program_fingerprint(ref)
+
+
+def _garbage(path, store, key):
+    path.write_bytes(b"garbage")
+
+
+def _truncated(path, store, key):
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _misfiled(path, store, key):
+    other = next(
+        p for p in path.parent.parent.rglob("*.pkl") if p != path
+    )
+    path.write_bytes(other.read_bytes())
+
+
+def _evicted(path, store, key):
+    path.unlink()
+
+
+def _other_span(path, store, key):
+    payload = store.load_unit_record(key)
+    payload["digest"] = "0" * 40
+    assert store.cache.put(UNIT_KIND, key, payload)
+
+
+def _other_binding(path, store, key):
+    payload = store.load_unit_record(key)
+    names, funcs = payload["guard"]
+    payload["guard"] = (names, funcs | {"driver"})
+    assert store.cache.put(UNIT_KIND, key, payload)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_garbage, _truncated, _misfiled, _evicted, _other_span, _other_binding],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_bad_unit_record_opens_cold(tmp_path, caplog, corrupt):
+    source = generate_program(n_routines=6)
+    cold = _engine(tmp_path)
+    cold.analyze(source)
+    key = cold._deps["driver"].record
+    corrupt(cold.store.cache._path(UNIT_KIND, key), cold.store, key)
+
+    warm = _engine(tmp_path)
+    with caplog.at_level(logging.WARNING):
+        _, pa = warm.analyze(source)
+    assert warm.stats.counter("disk.warm_start") == 0
+    assert any(
+        "ignoring program manifest" in r.getMessage() for r in caplog.records
+    )
+    ref = AnalysisEngine().analyze(source)[1]
+    assert program_fingerprint(pa) == program_fingerprint(ref)
+
+
+_RECURSIVE = (
+    "      program main\n"
+    "      real x(10)\n"
+    "      call a(x, 10)\n"
+    "      end\n"
+    "      subroutine a(x, n)\n"
+    "      real x(n)\n"
+    "      do i = 1, n\n"
+    "         call b(x, i)\n"
+    "      enddo\n"
+    "      end\n"
+    "      subroutine b(x, i)\n"
+    "      real x(*)\n"
+    "      if (i .gt. 100) call a(x, i)\n"
+)
+
+
+def test_recursive_units_records_stay_with_their_program(tmp_path):
+    """``a`` and ``b`` call each other, so ``a``'s analysis depends on
+    ``b``'s body although ``a``'s own span is the same in both programs:
+    a record written for one program must not serve the other."""
+
+    first = _RECURSIVE + "      x(1) = x(1) + 1.0\n      end\n"
+    second = _RECURSIVE + "      x(i) = x(i) + 1.0\n      end\n"
+    ref = AnalysisEngine().analyze(second)[1]
+    assert program_fingerprint(ref) != program_fingerprint(
+        AnalysisEngine().analyze(first)[1]
+    )
+    _engine(tmp_path).analyze(first)
+    _engine(tmp_path).analyze(second)
+    warm = _engine(tmp_path)
+    _, pa = warm.analyze(second)
+    assert warm.stats.counter("disk.warm_start") == 1
     assert program_fingerprint(pa) == program_fingerprint(ref)
