@@ -815,8 +815,11 @@ class _GraphBuilder:
             for v in self.defuse.uses.get(sid, ()):  # uses
                 if not self.table.ensure(v).is_array:
                     uses_by_var.setdefault(v, []).append(sid)
+        # Sorted by name: edge ids come from insertion order, and a
+        # journal ``mark`` names its edge by id, so the order must not
+        # follow string hashing (salted per process).
         for sid, chains in self.defuse.ud.items():
-            for var, def_sites in chains.items():
+            for var, def_sites in sorted(chains.items()):
                 if self.table.ensure(var).is_array:
                     continue
                 for d in def_sites:
@@ -832,7 +835,7 @@ class _GraphBuilder:
                         (),
                         "",
                     )
-        for var, defs in defs_by_var.items():
+        for var, defs in sorted(defs_by_var.items()):
             for u_sid in uses_by_var.get(var, []):
                 for d_sid in defs:
                     if d_sid > u_sid:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..dependence.driver import UnitAnalysis
+from ..dependence.driver import LoopInfo, UnitAnalysis
 from ..fortran.ast_nodes import DoLoop, ProcedureUnit, Stmt
 
 
@@ -117,6 +117,19 @@ def perfect_nest(loop: DoLoop) -> List[DoLoop]:
         nest.append(body[0])
         body = body[0].body
     return nest
+
+
+#: Obstacle prefixes (``analyze_loop``'s wording) that no dependence
+#: marking removes.
+_HARD_OBSTACLES = ("I/O statement", "premature exit", "branch out of loop")
+
+
+def hard_obstacles(info: LoopInfo) -> List[str]:
+    """The loop's I/O, premature-exit and branch-out obstacles.  Running
+    its iterations concurrently, backwards, interchanged or distributed
+    changes what the program reads or prints, or where it stops."""
+
+    return [o for o in info.obstacles if o.startswith(_HARD_OBSTACLES)]
 
 
 def require_ok(advice: Advice, name: str) -> None:

@@ -13,7 +13,14 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from ..fortran.ast_nodes import DoLoop, copy_expr, walk_statements
-from .base import Advice, TransformContext, Transformation, TransformError, find_parent
+from .base import (
+    Advice,
+    TransformContext,
+    Transformation,
+    TransformError,
+    find_parent,
+    hard_obstacles,
+)
 
 
 class LoopDistribution(Transformation):
@@ -22,18 +29,19 @@ class LoopDistribution(Transformation):
     def diagnose(self, ctx: TransformContext, loop: DoLoop = None, **kwargs) -> Advice:
         if loop is None:
             return Advice.no("no loop selected")
-        if loop.sid not in ctx.analysis.loop_info:
+        info = ctx.analysis.loop_info.get(loop.sid)
+        if info is None:
             return Advice.no("selection is not a DO loop of this procedure")
         groups = self._partition(ctx, loop)
         if groups is None:
             return Advice.no("control flow in body prevents distribution")
         if len(groups) < 2:
-            return Advice(
-                True,
-                True,
-                False,
-                ["body is one dependence group; distribution would be a no-op"],
+            return Advice.no(
+                "body is one dependence group: nothing to distribute"
             )
+        hard = hard_obstacles(info)
+        if hard:
+            return Advice.unsafe("; ".join(hard))
         return Advice.yes(
             f"body splits into {len(groups)} independent loops",
         )
@@ -88,8 +96,6 @@ class LoopDistribution(Transformation):
         if not advice.ok:
             raise TransformError(f"distribute: {advice.describe()}")
         groups = self._partition(ctx, loop)
-        if groups is None or len(groups) < 2:
-            raise TransformError("distribute: nothing to distribute")
         where = find_parent(ctx.unit, loop)
         if where is None:
             raise TransformError("distribute: loop not found in unit")

@@ -4,7 +4,8 @@ Swapping two perfectly nested loops permutes every dependence's
 direction vector; the interchange is safe iff no vector becomes
 lexicographically negative — equivalently, no dependence carried on the
 outer loop has direction ``(<, >)`` (or distance signs ``(+, −)``) over
-the pair being swapped.
+the pair being swapped — and the nest does no I/O and cannot leave
+early, since the iterations run in a new order.
 
 Interchange is the workhorse for granularity: moving a parallel inner
 loop outward multiplies the work per fork ("A solution that combines the
@@ -22,6 +23,7 @@ from .base import (
     TransformContext,
     Transformation,
     TransformError,
+    hard_obstacles,
     perfect_nest,
 )
 
@@ -60,6 +62,12 @@ class LoopInterchange(Transformation):
                 "interchange would reverse dependences: "
                 + ", ".join(bad[:3])
             )
+        info = ctx.analysis.loop_info.get(outer.sid)
+        if info is None:
+            return Advice.no("selection is not a DO loop of this procedure")
+        hard = hard_obstacles(info)
+        if hard:
+            return Advice.unsafe("; ".join(hard))
         profitable = True
         reasons = ["moves parallelism outward / improves granularity"]
         return Advice(True, True, profitable, reasons)

@@ -17,7 +17,13 @@ from __future__ import annotations
 from typing import List
 
 from ..fortran.ast_nodes import DoLoop
-from .base import Advice, TransformContext, Transformation, TransformError
+from .base import (
+    Advice,
+    TransformContext,
+    Transformation,
+    TransformError,
+    hard_obstacles,
+)
 
 
 class Parallelize(Transformation):
@@ -37,7 +43,7 @@ class Parallelize(Transformation):
             )
             more = f" (+{len(blocking) - 4} more)" if len(blocking) > 4 else ""
             return Advice.unsafe(f"loop-carried dependences remain: {shown}{more}")
-        hard = [o for o in info.obstacles if "I/O" in o or "exit" in o or "branch" in o]
+        hard = hard_obstacles(info)
         if hard:
             return Advice.unsafe("; ".join(hard))
         if info.privatizable:

@@ -2,14 +2,22 @@
 
 Running iterations in the opposite order flips the sign of every carried
 direction at the loop's level, so reversal is safe exactly when the loop
-carries no dependence (all its vectors are '=' at that level).  Reversal
-is rarely useful alone; it enables fusion/interchange in combination.
+carries no dependence (all its vectors are '=' at that level) and does
+no I/O (which would come out in reverse) and cannot leave early.
+Reversal is rarely useful alone; it enables fusion/interchange in
+combination.
 """
 
 from __future__ import annotations
 
 from ..fortran.ast_nodes import DoLoop, Num, UnOp, copy_expr
-from .base import Advice, TransformContext, Transformation, TransformError
+from .base import (
+    Advice,
+    TransformContext,
+    Transformation,
+    TransformError,
+    hard_obstacles,
+)
 
 
 class LoopReversal(Transformation):
@@ -27,6 +35,9 @@ class LoopReversal(Transformation):
                 f"loop carries {len(carried)} dependence(s); reversal would "
                 "reverse their direction"
             )
+        hard = hard_obstacles(info)
+        if hard:
+            return Advice.unsafe("; ".join(hard))
         return Advice.yes("no carried dependences", profitable=False)
 
     def apply(self, ctx: TransformContext, loop: DoLoop = None, **kwargs) -> str:

@@ -7,7 +7,7 @@ distribution/fusion opportunities and tidy transformed code.
 
 from __future__ import annotations
 
-from ..fortran.ast_nodes import Stmt, walk_statements
+from ..fortran.ast_nodes import IOStmt, Stmt, walk_statements
 from .base import Advice, TransformContext, Transformation, TransformError, find_parent
 
 
@@ -26,6 +26,11 @@ class StatementInterchange(Transformation):
         if idx + 1 >= len(body):
             return Advice.no("no statement follows the selection")
         nxt = body[idx + 1]
+        if _does_io(stmt) and _does_io(nxt):
+            return Advice.unsafe(
+                "both statements do I/O: swapping them reorders the "
+                "program's input or output"
+            )
         a_sids = {s.sid for s in walk_statements([stmt])}
         b_sids = {s.sid for s in walk_statements([nxt])}
         graph = ctx.analysis.graph
@@ -51,3 +56,7 @@ class StatementInterchange(Transformation):
         body, idx = where
         body[idx], body[idx + 1] = body[idx + 1], body[idx]
         return f"swapped statements at lines {stmt.line} and {body[idx].line}"
+
+
+def _does_io(stmt: Stmt) -> bool:
+    return any(isinstance(s, IOStmt) for s in walk_statements([stmt]))

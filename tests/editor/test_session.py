@@ -85,6 +85,16 @@ class TestMarking:
         ]
         assert match and match[0].marking == "rejected"
 
+    def test_mark_then_unmark_runs_no_parse(self, session):
+        """A marking refreshes verdicts without entering the engine."""
+
+        session.select_loop(1)
+        dep = next(d for d in session.dependences() if d.marking == "pending")
+        runs = session.engine.stats.stage("parse").runs
+        session.mark_dependence(dep.id, "accepted")
+        session.mark_dependence(dep.id, "pending")
+        assert session.engine.stats.stage("parse").runs == runs
+
     def test_proven_cannot_be_rejected(self, session):
         session.select_loop(0)
         proven = [d for d in session.dependences() if d.marking == "proven"]

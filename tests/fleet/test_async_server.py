@@ -8,6 +8,7 @@ without killing the server or wedging other connections.
 """
 
 import json
+import resource
 import socket
 import threading
 import time
@@ -184,6 +185,46 @@ def test_concurrent_clients(server):
         t.join(timeout=30)
     assert not errors
     assert results == [True] * 16
+
+
+N_CONNECTIONS = 500
+
+
+@pytest.fixture
+def fd_room():
+    """Descriptors for both ends of ``N_CONNECTIONS`` sockets in this
+    process: raise the soft limit toward the hard one, restore it after."""
+
+    need = 2 * N_CONNECTIONS + 256
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != resource.RLIM_INFINITY and soft < need:
+        if hard != resource.RLIM_INFINITY and hard < need:
+            pytest.skip(f"hard descriptor limit {hard} < {need}")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (need, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+def test_500_concurrent_connections(server, fd_room):
+    """One event loop holds 500 open connections and answers a ping on
+    each, all sent before any reply is read; the gauge records them."""
+
+    srv, port = server
+    conns = []
+    try:
+        for _ in range(N_CONNECTIONS):
+            conns.append(_raw(port))
+        for i, (sock, _fh) in enumerate(conns):
+            ping = json.dumps({"id": i, "op": "ping"}) + "\n"
+            sock.sendall(ping.encode())
+        for i, (_sock, fh) in enumerate(conns):
+            reply = json.loads(fh.readline())
+            assert reply["id"] == i and reply["result"]["pong"] is True
+        assert srv.connections.peak >= N_CONNECTIONS
+    finally:
+        for sock, fh in conns:
+            fh.close()
+            sock.close()
 
 
 def test_cancel_over_async_transport(client):

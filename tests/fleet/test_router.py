@@ -2,30 +2,28 @@
 
 Most tests run shards in-process behind :class:`AsyncTransport` (fast,
 deterministic); the kill tests run a real ``python -m repro fleet
-shard`` subprocess so death is a SIGKILL, not a polite drain.
+shard`` subprocess so death is a SIGKILL, not a polite drain, and one
+test runs the whole fleet from the command line.
 """
 
-import itertools
 import json
-import os
 import re
 import signal
 import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-from repro.fleet import AsyncTransport, FleetRouter, MemoGossip
+from repro.fleet import AsyncTransport, FleetRouter, HashRing, MemoGossip
 from repro.incremental.stats import EngineStats
 from repro.interproc import FeatureSet
 from repro.pipeline import CorpusRunner
 from repro.service import PedClient, PedRequestError, PedServer
 from repro.workloads.generator import generate_program
 
-SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+from ..serving import child_env, names_owned_by
 
 AGG_NAMES = ("summary", "obstacles", "tiers", "transforms")
 
@@ -43,16 +41,6 @@ def _programs(n=8):
         )
         for i in range(n)
     ]
-
-
-def _names_owned_by(ring, shard, n):
-    """``n`` program/session names whose ring owner is ``shard``: the
-    ring hashes ephemeral ports, so fixed names can all land on one
-    shard."""
-
-    names = (f"k{i:03d}" for i in itertools.count())
-    owned = (k for k in names if ring.preference(k)[0] == shard)
-    return list(itertools.islice(owned, n))
 
 
 @pytest.fixture
@@ -128,8 +116,8 @@ def test_corpus_fanout_matches_single_host(rclient, fleet):
     the same corpus on one host."""
 
     addrs, router, _ = fleet
-    names = _names_owned_by(router.ring, addrs[0], 4)
-    names += _names_owned_by(router.ring, addrs[1], 4)
+    names = names_owned_by(router.ring, addrs[0], 4)
+    names += names_owned_by(router.ring, addrs[1], 4)
     programs = [(name, src) for name, (_n, src) in zip(names, _programs(8))]
     reply = rclient.corpus_submit(programs, wait=True)
     assert reply["complete"] is True
@@ -251,29 +239,65 @@ def test_gossip_propagates_memo_between_shards(fleet):
 
 
 # ----------------------------------------------------------------------
-# shard death
+# real processes: the command-line fleet, shard death
 # ----------------------------------------------------------------------
 
 
-def _spawn_shard(cache_dir=None):
-    """A real shard subprocess on an ephemeral port; returns (proc, addr)."""
+def _spawn(*argv):
+    """A real ``python -m repro`` server on an ephemeral port; returns
+    (proc, "host:port")."""
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "repro", "fleet", "shard"]
-    if cache_dir:
-        argv += ["--cache-dir", str(cache_dir)]
     proc = subprocess.Popen(
-        argv,
-        env=env,
+        [sys.executable, "-m", "repro", *argv],
+        env=child_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
     )
     line = proc.stderr.readline()
     match = re.search(r"listening on ([\d.]+):(\d+)", line)
-    assert match, f"no listening banner from shard: {line!r}"
+    assert match, f"no listening banner from {argv}: {line!r}"
     return proc, f"{match.group(1)}:{match.group(2)}"
+
+
+def test_cli_fleet_corpus_matches_single_host():
+    """``fleet route`` over two ``fleet shard`` processes, gossiping
+    every second: a corpus split over both shards rolls up to the same
+    summary as one local :class:`CorpusRunner`."""
+
+    shard_a, addr_a = _spawn("fleet", "shard")
+    shard_b, addr_b = _spawn("fleet", "shard")
+    router, raddr = _spawn(
+        "fleet", "route", "--port", "0", "--shard", addr_a,
+        "--shard", addr_b, "--gossip-interval", "1",
+    )
+    try:
+        # The router's ring over the same addresses places names alike.
+        ring = HashRing([addr_a, addr_b])
+        names = names_owned_by(ring, addr_a, 3)
+        names += names_owned_by(ring, addr_b, 3)
+        programs = [
+            (name, src) for name, (_n, src) in zip(names, _programs(6))
+        ]
+        port = int(raddr.rsplit(":", 1)[1])
+        with PedClient.connect(port=port, retries=3) as client:
+            assert client.request("ping", wait=30)["fleet"]["shards"] == 2
+            reply = client.corpus_submit(programs, wait=True)
+            assert reply["complete"] is True and reply["errors"] == 0
+            assert sorted(reply["shards"]) == sorted([addr_a, addr_b])
+            routed = client.corpus_query(reply["job"], "summary")["value"]
+
+        runner = CorpusRunner(features=FeatureSet(), stats=EngineStats())
+        local = runner.submit(programs)
+        runner.run(local)
+        assert json.dumps(routed, sort_keys=True) == json.dumps(
+            runner.query(local, "summary")[0], sort_keys=True
+        )
+    finally:
+        for proc in (router, shard_a, shard_b):
+            proc.terminate()
+            proc.wait(timeout=20)
+            proc.stderr.close()
 
 
 def test_dead_shard_rehashes_to_survivor():
@@ -281,8 +305,8 @@ def test_dead_shard_rehashes_to_survivor():
     survivor (bounded retry + rehash), the reply completes with zero
     losses, and the dead shard is reported in ping."""
 
-    doomed_proc, doomed = _spawn_shard()
-    live_proc, live = _spawn_shard()
+    doomed_proc, doomed = _spawn("fleet", "shard")
+    live_proc, live = _spawn("fleet", "shard")
     router = FleetRouter([doomed, live], retries=1, backoff=0.01)
     try:
         transport = AsyncTransport(router)
@@ -320,13 +344,13 @@ def test_killed_idle_shard_rehashes_at_once():
     keyed to it fails fast on the dead connection and rehashes onto
     the survivor instead of waiting out the forward timeout."""
 
-    doomed_proc, doomed = _spawn_shard()
-    live_proc, live = _spawn_shard()
+    doomed_proc, doomed = _spawn("fleet", "shard")
+    live_proc, live = _spawn("fleet", "shard")
     router = FleetRouter([doomed, live], retries=0, backoff=0.01)
     try:
         transport = AsyncTransport(router)
         rport = transport.start_background()
-        keys = _names_owned_by(router.ring, doomed, 2)
+        keys = names_owned_by(router.ring, doomed, 2)
         with PedClient.connect(port=rport) as client:
             source = generate_program()
             client.request("open", session=keys[0], source=source, wait=120)
@@ -359,16 +383,16 @@ def test_kill_mid_corpus_retries_in_flight_programs():
     router rehashes the in-flight programs onto the survivor and the
     batch still completes — losses only if no candidate remains."""
 
-    doomed_proc, doomed = _spawn_shard()
-    live_proc, live = _spawn_shard()
+    doomed_proc, doomed = _spawn("fleet", "shard")
+    live_proc, live = _spawn("fleet", "shard")
     router = FleetRouter([doomed, live], retries=0, backoff=0.01)
     try:
         transport = AsyncTransport(router)
         rport = transport.start_background()
         # The doomed shard owns 9 of the 12 programs, so whichever
         # progress event comes first it still has work in flight.
-        names = _names_owned_by(router.ring, doomed, 9)
-        names += _names_owned_by(router.ring, live, 3)
+        names = names_owned_by(router.ring, doomed, 9)
+        names += names_owned_by(router.ring, live, 3)
         programs = [
             (name, src) for name, (_n, src) in zip(names, _programs(12))
         ]
@@ -415,7 +439,7 @@ def test_all_shards_dead_yields_lost_records():
     """With nowhere left to rehash, the submit still completes — every
     program becomes an explicit shard-lost error record."""
 
-    proc, addr = _spawn_shard()
+    proc, addr = _spawn("fleet", "shard")
     router = FleetRouter([addr], retries=0, backoff=0.01)
     try:
         proc.send_signal(signal.SIGKILL)

@@ -112,6 +112,28 @@ def test_query_aggregates_and_caching(client):
     assert sum(tiers["tiers"].values()) == tiers["pairs"]
 
 
+def test_submit_on_a_two_process_pool_matches_inline(client):
+    """``jobs=2`` runs the batch on the corpus process pool; its rollup
+    equals the inline server's."""
+
+    pairs = [(p["name"], p["source"]) for p in PROGRAMS]
+    client.corpus_submit(pairs, job="inline", wait=True)
+    inline = client.corpus_query("inline", "summary")["value"]
+    srv = PedServer(jobs=2, max_workers=4)
+    try:
+        with served(srv) as port, PedClient.connect(port=port) as pooled:
+            result = pooled.corpus_submit(pairs, job="pool", wait=True)
+            assert result["complete"] is True and result["errors"] == 0
+            summary = pooled.corpus_query("pool", "summary")["value"]
+            metrics = pooled.request("metrics")["metrics"]
+    finally:
+        srv.close()
+    assert metrics["pool.tasks"] == len(PROGRAMS)
+    assert "pool.broken" not in metrics, "the batch fell back to inline"
+    assert summary == inline
+    assert summary["programs"] == len(PROGRAMS)
+
+
 def test_extending_a_job_invalidates_cached_aggregates(client):
     pairs = [(p["name"], p["source"]) for p in PROGRAMS]
     client.corpus_submit(pairs[:2], job="j5", wait=True)

@@ -10,18 +10,16 @@ can warm-start from with fingerprints identical to a from-scratch
 analysis.
 """
 
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 from repro.incremental import AnalysisEngine
 from repro.incremental.fingerprint import fingerprint_digest
 from repro.service import build_engine
 from repro.workloads.generator import generate_program
 
-SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+from ..serving import child_env
 
 #: Subprocess body: analyze a program against a shared cache dir twice
 #: (cold then warm), exercising span/usum/memo writes and the leased
@@ -41,14 +39,12 @@ print("ok")
 
 
 def _spawn_writer(cache_dir, n_routines):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [sys.executable, "-c", WRITER, str(cache_dir), str(n_routines)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=child_env(),
     )
 
 

@@ -11,11 +11,10 @@ last confirmed.
 import os
 import signal
 import sys
-from pathlib import Path
 
 from repro.service import PedClient
 
-SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+from ..serving import child_env
 
 SOURCE = (
     "      program main\n"
@@ -36,8 +35,6 @@ SOURCE = (
 
 
 def _spawn_server(cache_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return PedClient.spawn(
         [
             sys.executable,
@@ -48,7 +45,7 @@ def _spawn_server(cache_dir):
             "--cache-dir",
             str(cache_dir),
         ],
-        env=env,
+        env=child_env(),
     )
 
 

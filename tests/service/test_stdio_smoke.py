@@ -1,14 +1,11 @@
 """End-to-end smoke test: a real ``python -m repro serve --stdio``
-subprocess driven through the client.  This is the exact path CI's
-server smoke step exercises."""
+subprocess driven through the client."""
 
-import os
 import sys
-from pathlib import Path
 
 from repro.service import PedClient
 
-SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+from ..serving import child_env
 
 SIMPLE = (
     "      program p\n"
@@ -21,8 +18,6 @@ SIMPLE = (
 
 
 def test_stdio_server_subprocess_round_trip(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     client = PedClient.spawn(
         [
             sys.executable,
@@ -33,7 +28,7 @@ def test_stdio_server_subprocess_round_trip(tmp_path):
             "--cache-dir",
             str(tmp_path / "cache"),
         ],
-        env=env,
+        env=child_env(),
     )
     try:
         assert client.request("ping", wait=60)["pong"] is True

@@ -7,14 +7,12 @@ Each run must answer every request, exit 0 and leave stderr empty.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 from repro.service import PedClient
 
-SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+from ..serving import child_env
 
 SIMPLE = (
     "      program p\n"
@@ -45,12 +43,6 @@ def _argv(tmp_path):
         "--cache-dir",
         str(tmp_path / "cache"),
     ]
-
-
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    return env
 
 
 def _request_bytes() -> bytes:
@@ -84,7 +76,7 @@ def test_file_redirects(tmp_path):
             stdin=fin,
             stdout=fout,
             stderr=subprocess.PIPE,
-            env=_env(),
+            env=child_env(),
             timeout=120,
         )
     assert proc.returncode == 0
@@ -98,7 +90,7 @@ def test_pipes(tmp_path):
         input=_request_bytes(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_env(),
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0
@@ -111,7 +103,7 @@ def test_spawned_client_negotiates_deflate(tmp_path):
     of input, no ``shutdown``) ends the server cleanly."""
 
     client = PedClient.spawn(
-        _argv(tmp_path), env=_env(), stderr=subprocess.PIPE
+        _argv(tmp_path), env=child_env(), stderr=subprocess.PIPE
     )
     try:
         assert client.negotiate_compression(wait=60) is True

@@ -75,6 +75,8 @@ def test_streamed_open_emits_progress_before_result(client, workload40):
     assert "split" in phases
     assert "callgraph" in phases
     assert phases.count("dependence") == len(events[-1].data["units"])
+    # The first signal comes before any unit is analyzed.
+    assert phases.index("split") < phases.index("dependence")
 
 
 def test_streamed_edit_emits_progress(client):

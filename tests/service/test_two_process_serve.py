@@ -10,9 +10,7 @@ engine), and the streamed event ordering guarantees hold across the
 process boundary.
 """
 
-import os
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,12 +19,10 @@ from repro.incremental.fingerprint import fingerprint_digest
 from repro.service import PedClient
 from repro.workloads.generator import generate_program
 
-SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+from ..serving import child_env
 
 
 def _spawn_server(cache_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return PedClient.spawn(
         [
             sys.executable,
@@ -37,7 +33,7 @@ def _spawn_server(cache_dir):
             "--cache-dir",
             str(cache_dir),
         ],
-        env=env,
+        env=child_env(),
     )
 
 

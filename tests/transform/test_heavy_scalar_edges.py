@@ -65,6 +65,7 @@ def test_distribute_keeps_statements_that_share_a_scalar_together():
     session.select_loop(1)
     advice = session.diagnose("distribute")
     # Every statement reads t, so the body is one dependence group.
+    assert not advice.applicable, advice.describe()
     assert not advice.profitable, advice.describe()
     with pytest.raises(PedError):
         session.apply("distribute")

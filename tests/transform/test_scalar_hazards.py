@@ -41,12 +41,14 @@ class TestDistributionScalarHazard:
         session = PedSession(self.SRC)
         session.select_loop(1)
         advice = session.diagnose("distribute")
-        # Both statements communicate through t: one dependence group.
+        # Both statements communicate through t: one dependence group,
+        # so there is nothing to distribute.
+        assert not advice.applicable
         assert not advice.profitable
 
     def test_semantics_preserved_if_forced(self):
-        # Even via apply, the partition keeps the pair together (a no-op
-        # distribution raises rather than miscompiling).
+        # Even via apply, the partition keeps the pair together (an
+        # inapplicable distribution raises rather than miscompiling).
         session = PedSession(self.SRC)
         session.select_loop(1)
         reference = run(self.SRC)
