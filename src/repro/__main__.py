@@ -295,26 +295,16 @@ def cmd_corpus_query(args: argparse.Namespace) -> int:
 def cmd_fleet_route(args: argparse.Namespace) -> int:
     """The shard router: one front end over ``--shard`` servers."""
 
-    from .fleet import FleetRouter, MemoGossip, serve_async_tcp
+    from .fleet import FleetRouter, serve_async_tcp
 
     router = FleetRouter(
         args.shard,
         retries=args.retries,
         backoff=args.backoff,
     )
-    gossip = None
-    if args.gossip_interval > 0:
-        gossip = MemoGossip(
-            args.shard,
-            interval=args.gossip_interval,
-            stats=router.stats,
-        )
-        gossip.start()
     try:
         serve_async_tcp(router, bind=args.host, port=args.port)
     finally:
-        if gossip is not None:
-            gossip.close()
         router.close()
     return 0
 
@@ -586,13 +576,6 @@ def main(argv=None) -> int:
         default=0.05,
         metavar="S",
         help="base retry backoff seconds, doubled per attempt",
-    )
-    p.add_argument(
-        "--gossip-interval",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="memo gossip period in seconds; 0 disables (default 5)",
     )
     p.set_defaults(fn=cmd_fleet_route)
 

@@ -111,8 +111,8 @@ class SharedPairMemo:
     (everything unit-local the local key left implicit).
 
     Every :meth:`lookup` counts one hit or one miss.  :meth:`absorb`
-    merges entries proved elsewhere (a sibling process through the
-    store, a peer server through gossip) without touching the counters.
+    merges entries proved elsewhere (another process, through the
+    store's memo segments) without touching the counters.
     """
 
     #: Deterministic capacity cap — entries beyond this are computed but
@@ -137,10 +137,10 @@ class SharedPairMemo:
             return
         self.entries[key] = value
 
-    def absorb(self, export: Dict[str, object]) -> None:
-        """Merge ``export["entries"]`` up to :data:`MAX_ENTRIES`."""
+    def absorb(self, entries: Dict[tuple, tuple]) -> None:
+        """Merge ``entries`` up to :data:`MAX_ENTRIES`."""
 
-        for key, value in export.get("entries", {}).items():
+        for key, value in entries.items():
             if len(self.entries) >= self.MAX_ENTRIES:
                 break
             self.entries.setdefault(key, value)

@@ -1,8 +1,8 @@
 """The fleet serving tier: many hosts behind one addressable front end.
 
 The session service (:mod:`repro.service`) scales one *process* — a
-corpus worker pool per server, lease-coordinated sharing of one cache
-dir per machine.  This package scales the *fleet*:
+corpus worker pool per server, one cache dir shared by the processes
+of a machine.  This package scales the *fleet*:
 
 * :mod:`repro.fleet.transport` — the one front end: an :mod:`asyncio`
   transport speaking the :mod:`repro.service.protocol` envelopes over
@@ -19,9 +19,10 @@ dir per machine.  This package scales the *fleet*:
   to the owning shard transparently, fans ``corpus.submit`` out across
   shards and merges the per-shard partials into one aggregate reply,
   and survives shard death with bounded retry + rehash.
-* :mod:`repro.fleet.gossip` — cross-shard propagation of the shared
-  pair-test memo over the ``memo.pull`` / ``memo.push`` ops, so a
-  verdict proved on one shard warms the whole fleet.
+
+Shards that should warm each other's pair-test memo share one
+``--cache-dir``: the memo crosses processes only as the store's
+immutable memo segments (:mod:`repro.service.persist`).
 
 ``python -m repro serve`` serves one session host on the transport;
 ``python -m repro fleet shard`` (the same, on an ephemeral port) /
@@ -38,7 +39,6 @@ __all__ = [
     "serve_async_tcp",
     "serve_async_stdio",
     "FleetRouter",
-    "MemoGossip",
 ]
 
 
@@ -51,8 +51,4 @@ def __getattr__(name: str):
         from .router import FleetRouter
 
         return FleetRouter
-    if name == "MemoGossip":
-        from .gossip import MemoGossip
-
-        return MemoGossip
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

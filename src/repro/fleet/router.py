@@ -44,11 +44,6 @@ shard client delivers it as one list, the router re-emits it as one
 in one flush again (re-encoded for that connection, but with its
 ordering and event payloads intact).
 
-**Memo gossip.**  ``memo.pull`` unions the shared pair-test memo across
-shards and ``memo.push`` fans entries to every shard — the ops
-:class:`~repro.fleet.gossip.MemoGossip` drives on an interval so a
-verdict proved on one shard warms the whole fleet.
-
 Cancellation (``cancel``) is connection-local on the router: forwarded
 requests run under the shard client's own correlation ids, so the
 router acknowledges cancels but cannot retarget in-flight shard work.
@@ -450,48 +445,6 @@ class FleetRouter:
             merged.get("net.bytes_out", 0) / raw if raw else 1.0
         )
         return {"metrics": merged}
-
-    # ------------------------------------------------------------------
-    # memo gossip fan-out
-    # ------------------------------------------------------------------
-
-    def _op_memo_pull(self, req: Dict, emit) -> Dict:
-        """Union of every reachable shard's shared memo entries."""
-
-        union: Dict = {}
-        for shard in self.ring.nodes:
-            try:
-                result = self._forward(shard, "memo.pull", {}, timeout=60.0)
-            except (ServerUnavailableError, PedRequestError):
-                continue
-            for key, value in protocol.decode_memo_entries(
-                result.get("entries") or []
-            ).items():
-                union.setdefault(key, value)
-        return {
-            "count": len(union),
-            "total": len(union),
-            "entries": protocol.encode_memo_entries(union),
-        }
-
-    def _op_memo_push(self, req: Dict, emit) -> Dict:
-        """Fan pushed entries to every reachable shard."""
-
-        entries = req.get("entries")
-        absorbed = 0
-        reached = 0
-        for shard in self.ring.nodes:
-            try:
-                result = self._forward(
-                    shard, "memo.push", {"entries": entries}, timeout=60.0
-                )
-            except (ServerUnavailableError, PedRequestError):
-                continue
-            reached += 1
-            absorbed += result.get("absorbed", 0)
-        if reached == 0:
-            raise _ShardLost("no shard reachable for memo.push")
-        return {"absorbed": absorbed, "shards": reached}
 
     # ------------------------------------------------------------------
     # corpus fan-out

@@ -67,8 +67,11 @@ next to the summaries and the change-detection baseline; parse misses
 fall back to per-span disk records (validated against the current
 unit-kind map before acceptance).  Every analysis spills back what it
 changed: new span and summary records, a unit record for each span
-whose units the walk refreshed, and the manifest.  Any invalid or
-corrupt record degrades to recomputation.
+whose units the walk refreshed, and the manifest.  The shared pair-test
+memo crosses processes the same way: each analysis first folds in the
+memo segments other processes wrote, and last writes the entries it
+proved as one new segment.  Any invalid or corrupt record degrades to
+recomputation.
 
 Known approximation: interprocedural constants iterate at most the same
 five Jacobi rounds as the from-scratch pass, so on call chains deeper
@@ -299,10 +302,6 @@ class AnalysisEngine:
             shared_memo if shared_memo is not None else SharedPairMemo()
         )
         self._memo_loaded = False
-        #: Watermark for memo-delta exchange: the keys known to be in
-        #: the store's singleton record.  Local entries outside this set
-        #: are the delta the next export ships.
-        self._memo_disk_keys: Set[tuple] = set()
         self._spilled_usums: Set[str] = set()
         #: Optional progress listener, ``callable(phase: str, detail:
         #: dict)``, invoked at every pipeline stage boundary (and once
@@ -332,7 +331,7 @@ class AnalysisEngine:
             log.warning("progress listener failed for %r", phase, exc_info=True)
 
     def _store_stats(self) -> EngineStats:
-        """Where shared-store counters (memo deltas, leases) accumulate:
+        """Where shared-store counters (memo deltas) accumulate:
         the store's stats when attached (the server-wide object in a
         multi-session server), else this engine's own."""
 
@@ -1317,83 +1316,38 @@ class AnalysisEngine:
                 h.update(text.encode())
         return h.hexdigest()
 
-    # -- shared pair-test memo: cross-process delta exchange ------------
+    # -- shared pair-test memo: the store's segments --------------------
 
     def _absorb_memo_deltas(self) -> None:
-        """Pull memo entries sibling processes persisted since we last
-        looked — the inbound half of the delta exchange.
+        """Fold in the memo segments other processes wrote since the
+        store last looked (``memo.delta_absorbed``).
 
-        Runs at the top of every analysis (record reads are atomic, so
-        no lease is needed): entries in the store's singleton record but
-        not yet in the live memo are merged in with
-        :meth:`SharedPairMemo.absorb`, counted as ``memo.delta_absorbed``.  Absorbing more
-        verdicts can never change results — every entry is fully
-        content-addressed — it only replays work a sibling already did.
+        Runs at the top of every analysis.  Absorbing more verdicts can
+        never change results — every entry is fully content-addressed —
+        it only replays work a sibling already did.
         """
 
-        first = not self._memo_loaded
-        self._memo_loaded = True
-        disk = self._store.load_memo() or {}
         memo = self._shared_memo
-        fresh = {k: v for k, v in disk.items() if k not in memo.entries}
+        fresh = {
+            k: v
+            for k, v in self._store.load_memo().items()
+            if k not in memo.entries
+        }
         if fresh:
-            memo.absorb({"entries": fresh})
+            memo.absorb(fresh)
             self._store_stats().bump("memo.delta_absorbed", len(fresh))
-            if first:
+            if not self._memo_loaded:
                 self.stats.bump("disk.memo_warm")
-        self._memo_disk_keys = set(disk)
-        self.stats.counters["memo.persisted_entries"] = len(disk)
+        self._memo_loaded = True
 
     def _export_memo_deltas(self) -> None:
-        """Ship locally proved entries to the store — the outbound half.
+        """Write the entries proved since the store's last write as one
+        new segment (``memo.delta_exported``)."""
 
-        Export-since-watermark: only entries not already known to be on
-        disk (:attr:`_memo_disk_keys`) are shipped.  The read-merge-
-        write runs under the store's memo lease so N processes extend
-        rather than overwrite each other's records; entries the
-        authoritative re-read reveals are absorbed for free.  A lease
-        timeout skips the export (``memo.delta_skipped``) — the delta
-        stays local and ships on the next analysis.
-        """
-
-        memo = self._shared_memo
-        snapshot = dict(memo.entries)
-        delta = {
-            k: v
-            for k, v in snapshot.items()
-            if k not in self._memo_disk_keys
-        }
-        if not delta:
-            return
-        st = self._store_stats()
-        lease = self._store.memo_lease()
-        if not lease.acquire(timeout=5.0):
-            st.bump("memo.delta_skipped")
-            return
-        try:
-            # Authoritative under the lease: siblings may have written
-            # since our absorb pass.
-            disk = self._store.load_memo() or {}
-            sibling_fresh = {
-                k: v for k, v in disk.items() if k not in memo.entries
-            }
-            if sibling_fresh:
-                memo.absorb({"entries": sibling_fresh})
-                st.bump("memo.delta_absorbed", len(sibling_fresh))
-            merged = dict(disk)
-            exported = 0
-            for k, v in delta.items():
-                if k not in merged:
-                    if len(merged) >= SharedPairMemo.MAX_ENTRIES:
-                        break
-                    merged[k] = v
-                    exported += 1
-            if (exported or not disk) and self._store.save_memo(merged):
-                st.bump("memo.delta_exported", exported)
-            self._memo_disk_keys = set(merged)
-            self.stats.counters["memo.persisted_entries"] = len(merged)
-        finally:
-            lease.release()
+        exported = self._store.save_memo(self._shared_memo.entries)
+        if exported:
+            self._store_stats().bump("memo.delta_exported", exported)
+        self.stats.counters["memo.persisted_entries"] = self._store.memo_entries
 
     # -- per-unit summary records ---------------------------------------
 

@@ -7,16 +7,14 @@ Cooperating subsystems on top of the incremental engine:
   the process pool that fans corpus batches out one program per task;
 * :mod:`repro.service.diskcache` / :mod:`repro.service.persist` — a
   content-addressed on-disk store that lets a reopened session start
-  warm;
+  warm; N server processes can share one ``--cache-dir`` and warm each
+  other through its immutable pair-test memo segments;
 * :mod:`repro.service.protocol` / :mod:`repro.service.session_host` /
   :mod:`repro.service.client` — a JSON-lines envelope protocol
   (requests, replies, server-push events with per-connection sequence
   ids), the transport-agnostic session host and a thin client with a
   streaming iterator/callback API.  The host is served over TCP or
   stdio (``python -m repro serve``) by :mod:`repro.fleet.transport`;
-* :mod:`repro.service.storelock` — lease-based coordination so N server
-  processes can share one ``--cache-dir`` (and exchange pair-test memo
-  deltas through it);
 * :mod:`repro.service.metrics` — the one merged service-metrics
   snapshot the server's ``metrics`` op and the ``stats`` CLI both
   report.
@@ -37,13 +35,11 @@ from .metrics import merged_metrics, render_metrics
 from .persist import PersistentStore
 from .pool import SerialPool, WorkerPool, make_pool
 from .protocol import MAX_REQUEST_BYTES, PROTOCOL_VERSION
-from .storelock import StoreLease
 
 __all__ = [
     "DiskCache",
     "FORMAT_VERSION",
     "PersistentStore",
-    "StoreLease",
     "SerialPool",
     "WorkerPool",
     "make_pool",

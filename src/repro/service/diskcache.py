@@ -6,8 +6,10 @@ summary / dependence caches here (via
 starts warm.  Design points, each load-bearing:
 
 * **Content addressing** — keys are content digests (span digests,
-  unit-record and program digests), so entries are valid forever: a
-  stale entry can never be *returned* for current content, only missed.
+  unit-record, program and memo-segment digests), so entries are valid
+  forever: a stale entry can never be *returned* for current content,
+  only missed.  Records are never rewritten in place, so processes
+  sharing one directory need no lock.
 * **Format-version stamp** — every record embeds
   :data:`FORMAT_VERSION` plus its own kind and key; a version bump, a
   truncated write or a record filed under the wrong digest all fail
@@ -38,9 +40,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Optional
-
-from .storelock import StoreLease
+from typing import Optional, Set
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,9 @@ log = logging.getLogger(__name__)
 #: lost its local memo.
 #: v7: the program record became a manifest naming one ``unit`` record
 #: per span (the span's bound units with their dependence entries).
-FORMAT_VERSION = 7
+#: v8: the shared memo became immutable content-addressed segments
+#: instead of one singleton record.
+FORMAT_VERSION = 8
 
 _MAGIC = "repro-cache"
 
@@ -200,22 +202,31 @@ class DiskCache:
     def contains(self, kind: str, key: str) -> bool:
         return self._path(kind, key).exists()
 
-    def lease(
-        self, name: str, holder: Optional[str] = None, ttl: float = 10.0
-    ) -> StoreLease:
-        """A named :class:`StoreLease` scoped to this store.
+    def keys(self, kind: str) -> Set[str]:
+        """The keys of every ``kind`` record on disk (temp files of
+        writes in flight are not records)."""
 
-        Lease files live under ``<root>/locks/`` (outside the ``.pkl``
-        namespace the LRU eviction walks) so N server processes sharing
-        one ``--cache-dir`` coordinate through the store itself.
-        """
+        found: Set[str] = set()
+        try:
+            shards = os.scandir(self.root / kind)
+        except OSError:
+            return found
+        with shards:
+            for shard in shards:
+                try:
+                    listing = os.scandir(shard.path)
+                except OSError:
+                    continue
+                with listing:
+                    for entry in listing:
+                        if entry.name.endswith(".pkl"):
+                            found.add(entry.name[: -len(".pkl")])
+        return found
 
-        return StoreLease(
-            self.root / "locks" / f"{name}.lease",
-            holder=holder,
-            ttl=ttl,
-            stats=self.stats,
-        )
+    def discard(self, kind: str, key: str) -> None:
+        """Remove one record; a record already gone is no error."""
+
+        self._discard(self._path(kind, key))
 
     # ------------------------------------------------------------------
 

@@ -19,10 +19,11 @@ shared memo and get one flat ``{key: number}`` dict:
   object (the authoritative source) rather than whichever engine last
   copied them.
 * ``memo.delta_absorbed`` / ``memo.delta_exported`` /
-  ``memo.delta_skipped`` / ``memo.persisted_entries`` — cross-process
-  memo-delta exchange counters.
-* ``disk.*`` and ``lease.*`` — persistent-store and store-lease
-  counters, passed through from the stats counters verbatim.
+  ``memo.persisted_entries`` — entries folded in from other processes'
+  memo segments, entries written as new segments, and the distinct
+  entries in the segments the store has read or written.
+* ``disk.*`` — persistent-store counters, passed through from the
+  stats counters verbatim.
 * ``server.connections.open`` / ``server.connections.peak`` /
   ``server.uptime_s`` — live transport gauges (how many clients are
   connected right now, the high-water mark, and how long this server
@@ -62,7 +63,6 @@ STABLE_KEYS = (
     "memo.entries",
     "memo.delta_absorbed",
     "memo.delta_exported",
-    "memo.delta_skipped",
     "memo.persisted_entries",
     "corpus.jobs",
     "corpus.programs",
@@ -119,8 +119,8 @@ def merged_metrics(
     out: Dict[str, float] = {}
     for key in STABLE_KEYS:
         out[key] = 0
-    # Pass through every recorded counter: disk.*, lease.*, pool.*,
-    # memo.delta_*, plus anything a future subsystem adds.
+    # Pass through every recorded counter: disk.*, pool.*, memo.delta_*,
+    # plus anything a future subsystem adds.
     for key, value in stats.counters.items():
         out[key] = value
     if net_stats is not None and net_stats is not stats:

@@ -19,11 +19,16 @@ Five record families, all content-addressed into a :class:`DiskCache`:
   kill, sections), keyed recursively on the unit's span digest and its
   callees' keys, so a cold open of a never-seen program still reuses
   summaries for any call subtree it shares with a prior session.
-* **Shared-memo record** (``memo:shared-pair-memo``) — the program-
-  scoped pair-test memo (:class:`~repro.dependence.hierarchy.
-  SharedPairMemo` entries).  Keys embed the oracle digest, nest depth
-  and PARAMETER slice, so one global record safely warms *different*
-  programs that repeat the same canonical subscript shapes.
+* **Memo segments** (``memo:seg-<digest of the entry keys>``) — the
+  program-scoped pair-test memo (:class:`~repro.dependence.hierarchy.
+  SharedPairMemo` entries), written as immutable segments: each holds
+  the entries one process proved since its last write.  Keys embed the
+  oracle digest, nest depth and PARAMETER slice, so the segments safely
+  warm *different* programs that repeat the same canonical subscript
+  shapes, and processes sharing the directory warm each other.  A
+  reader folds in the segments it has not read yet; one that lists
+  more than :data:`MEMO_SEGMENTS` compacts them.  No record is ever
+  read, merged and rewritten, so no lock is needed.
 * **Unit records** (``unit:<digest of the span and, per unit, its
   usum key, inherited constants and assertion texts>``) — one span's
   bound units pickled together with their dependence entries (analysis
@@ -48,7 +53,7 @@ degrades to a cold analysis.
 
 Next to the content-addressed records, the store also keeps one
 **session journal file** per named session (``<root>/journal/``, outside
-the ``.pkl`` eviction walk like ``locks/``): an append-only JSON-lines
+the ``.pkl`` eviction walk): an append-only JSON-lines
 log — a format-stamped header line followed by one mutation record per
 line — that a :class:`~repro.service.session_host.PedServer` streams
 every session mutation into.  Appends flush to the kernel page cache,
@@ -66,10 +71,12 @@ import hashlib
 import json
 import logging
 import os
+import threading
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..dependence.hierarchy import SharedPairMemo
 from .diskcache import DiskCache
 
 log = logging.getLogger(__name__)
@@ -79,10 +86,9 @@ UNIT_KIND = "unit"
 PROG_KIND = "prog"
 USUM_KIND = "usum"
 MEMO_KIND = "memo"
-#: The shared pair-test memo is one global record: its keys are fully
-#: content-addressed (oracle digest + canonical pair form + PARAMETER
-#: slice), so every program reads and extends the same table.
-MEMO_KEY = "shared-pair-memo"
+#: A reader that lists more memo segments than this compacts them into
+#: one, so a listing stays short however many analyses wrote one.
+MEMO_SEGMENTS = 8
 
 
 #: Bump when the journal file layout (header/line grammar) changes
@@ -250,6 +256,13 @@ class PersistentStore:
 
     def __init__(self, cache: DiskCache) -> None:
         self.cache = cache
+        #: Serializes the memo methods of the engines sharing this store
+        #: (a server's session engines).
+        self._memo_lock = threading.Lock()
+        #: The memo segments this store has read or written.
+        self._memo_segments: Set[str] = set()
+        #: The keys of the entries those segments hold.
+        self._memo_keys: Set[tuple] = set()
 
     @classmethod
     def at(cls, path, max_bytes: int = 256 * 1024 * 1024, stats=None):
@@ -342,38 +355,107 @@ class PersistentStore:
             return False
         return self.cache.put(USUM_KIND, key, dict(values))
 
-    # -- shared pair-test memo ------------------------------------------
+    # -- shared pair-test memo segments ---------------------------------
 
-    def load_memo(self) -> Optional[Dict[tuple, tuple]]:
-        """The persisted shared-memo entries, or ``None``."""
+    def load_memo(self) -> Dict[tuple, tuple]:
+        """The entries of the memo segments this store has not read yet,
+        less those a segment it did read holds.
 
-        payload = self.cache.get(MEMO_KIND, MEMO_KEY)
-        return payload if isinstance(payload, dict) else None
+        Reads nothing while the listing names no new segment.  A listing
+        of more than :data:`MEMO_SEGMENTS` segments is compacted: their
+        union, capped at :data:`SharedPairMemo.MAX_ENTRIES`, is written
+        as one segment first, and only then are the segments it was read
+        from unlinked.  A segment that vanished since the listing (a
+        concurrent compaction unlinked it after writing the union that
+        holds its entries) or fails validation is skipped.
+        """
 
-    def save_memo(self, entries: Dict[tuple, tuple]) -> bool:
-        return self.cache.put(MEMO_KIND, MEMO_KEY, dict(entries))
+        with self._memo_lock:
+            names = self.cache.keys(MEMO_KIND)
+            compact = len(names) > MEMO_SEGMENTS
+            fresh: Dict[tuple, tuple] = {}
+            union: Dict[tuple, tuple] = {}
+            read = []
+            for name in sorted(names):
+                if name in self._memo_segments and not compact:
+                    continue
+                entries = self.cache.get(MEMO_KIND, name)
+                if not isinstance(entries, dict):
+                    continue
+                read.append(name)
+                for key, value in entries.items():
+                    if key not in self._memo_keys:
+                        fresh.setdefault(key, value)
+                    if compact and len(union) < SharedPairMemo.MAX_ENTRIES:
+                        union.setdefault(key, value)
+            self._memo_segments.intersection_update(names)
+            self._memo_segments.update(read)
+            self._memo_keys.update(fresh)
+            if compact and read:
+                kept = self._put_memo_segment(union)
+                if kept is not None:
+                    for name in read:
+                        if name != kept:
+                            self.cache.discard(MEMO_KIND, name)
+                            self._memo_segments.discard(name)
+            return fresh
+
+    def save_memo(self, entries: Dict[tuple, tuple]) -> int:
+        """Write the entries no segment this store has read or written
+        holds (those proved since its last write) as one new segment;
+        returns how many it wrote."""
+
+        # Other sessions' walks may be adding to a server's memo.
+        snapshot = dict(entries)
+        with self._memo_lock:
+            delta = {
+                k: v for k, v in snapshot.items() if k not in self._memo_keys
+            }
+            if not delta or self._put_memo_segment(delta) is None:
+                return 0
+            self._memo_keys.update(delta)
+            return len(delta)
+
+    @property
+    def memo_entries(self) -> int:
+        """How many distinct entries the memo segments this store has
+        read or written hold."""
+
+        return len(self._memo_keys)
+
+    def _put_memo_segment(self, entries: Dict[tuple, tuple]) -> Optional[str]:
+        """Write ``entries`` as the segment named by their keys; its
+        name, or ``None`` when the write failed."""
+
+        h = hashlib.sha1()
+        for text in sorted(map(repr, entries)):
+            h.update(text.encode())
+            h.update(b"\x00")
+        # One shared prefix files every segment in one directory, so a
+        # listing reads one directory however many segments came and went.
+        name = f"seg-{h.hexdigest()}"
+        if not (
+            self.cache.contains(MEMO_KIND, name)
+            or self.cache.put(MEMO_KIND, name, entries)
+        ):
+            return None
+        self._memo_segments.add(name)
+        return name
 
     # -- session journals ----------------------------------------------
 
     def journal(self, session: str) -> JournalFile:
         """The durable journal file for one named session.
 
-        Files live under ``<root>/journal/`` — like ``locks/``, outside
-        the ``.pkl`` eviction walk, so the LRU sweep never reaps a
-        session's history — and are named by the session-name digest
+        Files live under ``<root>/journal/`` — outside the ``.pkl``
+        eviction walk, so the LRU sweep never reaps a session's
+        history — and are named by the session-name digest
         (client-chosen names are not filesystem-safe).
         """
 
         digest = hashlib.sha1(session.encode()).hexdigest()
         path = self.cache.root / "journal" / f"{digest}.jsonl"
         return JournalFile(path, session, stats=self.stats)
-
-    def memo_lease(self, holder=None, ttl: float = 10.0):
-        """The lease guarding read-merge-write on the singleton memo
-        record — the one mutable object N processes sharing this store
-        all update (see :mod:`repro.service.storelock`)."""
-
-        return self.cache.lease("memo", holder=holder, ttl=ttl)
 
     # -- program manifests ----------------------------------------------
 

@@ -51,13 +51,6 @@ error still correlates).  Error types emitted across the protocol:
 the shard holding the request's key mid-flight and ran out of retries)
 and ``internal``.
 
-**Memo gossip payloads.**  The cross-shard memo exchange (``memo.pull``
-/ ``memo.push``) moves shared pair-test memo entries — nested tuples of
-JSON scalars — over the wire; :func:`encode_memo_entries` /
-:func:`decode_memo_entries` are the canonical tuple↔list codecs, so a
-pulled entry pushed to a sibling shard round-trips to the exact key the
-memo indexes on.
-
 **Per-connection deflate (v9).**  A connection starts on JSON lines.  A
 client may send ``{"op": "compress", "mode": "deflate"}``; the transport
 answers it *inline* with a JSON-line ``ok`` reply carrying
@@ -92,8 +85,8 @@ from typing import Dict, List, Optional
 #: (``graph.describe``, ``graph.last``, ``graph.plan``) and corpus batch
 #: ops (``corpus.submit``, ``corpus.status``, ``corpus.query``) with
 #: per-program ``analysis.progress`` events.  v4: fleet serving —
-#: ``corpus.results``, memo gossip ops (``memo.pull``, ``memo.push``),
-#: ``server.connections.*``/``server.uptime_s`` gauges in ``metrics``
+#: ``corpus.results``, two ops that exchanged pair-test memo entries
+#: between shards, ``server.connections.*``/``server.uptime_s`` gauges in ``metrics``
 #: and the ``shard-lost`` error type.  v5: the ``frames`` negotiation op
 #: and the length-prefixed binary framing with delta-encoded repeats.
 #: v6: the ``compress`` negotiation op, adaptive per-frame zlib
@@ -109,10 +102,13 @@ from typing import Dict, List, Optional
 #: "deflate"}``, a raw-deflate stream of JSON lines per direction; the
 #: v5 binary frames and the v6 ``zlib`` frame compression are gone
 #: (``frames`` gets ``unknown-op``, ``zlib`` gets ``bad-request``).
+#: v10: the two v4 memo exchange ops are gone (they now get
+#: ``unknown-op``); shards share pair-test verdicts through one cache
+#: directory's memo segments instead.
 #: The envelope grammar itself is unchanged since v2, so clients that
-#: stay on JSON lines interoperate with v9 servers (compression and
+#: stay on JSON lines interoperate with v10 servers (compression and
 #: journal ops are strictly opt-in).
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 
 #: Default cap on one request line; oversized requests get a structured
 #: ``payload-too-large`` error instead of an ad-hoc disconnect.
@@ -445,42 +441,3 @@ class LineAssembler:
             data = data[nl + 1 :]
             self._discarding = False
         self._buf += data
-
-
-# ----------------------------------------------------------------------
-# memo gossip payloads (tuple-keyed memo entries over JSON)
-# ----------------------------------------------------------------------
-
-
-def _to_wire(value):
-    if isinstance(value, tuple):
-        return [_to_wire(v) for v in value]
-    return value
-
-
-def _from_wire(value):
-    if isinstance(value, list):
-        return tuple(_from_wire(v) for v in value)
-    return value
-
-
-def encode_memo_entries(entries: Dict) -> list:
-    """Memo entries (tuple keys and values) → a JSON-safe pair list."""
-
-    return [[_to_wire(k), _to_wire(v)] for k, v in entries.items()]
-
-
-def decode_memo_entries(payload) -> Dict:
-    """The inverse of :func:`encode_memo_entries`; raises
-    :class:`ProtocolError` on a malformed payload."""
-
-    if not isinstance(payload, list):
-        raise ProtocolError(BAD_REQUEST, "memo entries must be a list")
-    out: Dict = {}
-    for item in payload:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ProtocolError(
-                BAD_REQUEST, "each memo entry must be a [key, value] pair"
-            )
-        out[_from_wire(item[0])] = _from_wire(item[1])
-    return out

@@ -58,9 +58,9 @@ own counters).
 Session engines analyze inline, on the request's worker thread; all
 sessions share the server's persistent store and shared pair-test memo,
 so a server with ``--cache-dir`` gives every client warm starts for
-free — and N server *processes* pointed at one ``--cache-dir`` exchange
-memo deltas and warm records through the store's lease-coordinated
-singleton records (:mod:`repro.service.storelock`).
+free — and N server *processes* pointed at one ``--cache-dir`` warm
+each other through its records, the pair-test memo included as
+immutable memo segments (:mod:`repro.service.persist`).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class PedServer:
         )
         #: One pair-test memo for the whole server: every session's
         #: engine reads and extends it, so sessions warm each other
-        #: (and, through the store's singleton record, sibling server
+        #: (and, through the store's memo segments, sibling server
         #: processes warm this one).
         self.shared_memo = SharedPairMemo()
         #: Corpus-batch executor: jobs fan their per-program analyses
@@ -881,8 +881,8 @@ class PedServer:
         return self.stats.snapshot()
 
     def _op_metrics(self, req: Dict) -> Dict:
-        """One merged service-metrics snapshot: pool gauges, disk and
-        lease counters, shared-memo totals and delta-exchange counts —
+        """One merged service-metrics snapshot: pool gauges, disk
+        counters, shared-memo totals and memo-segment counts —
         the same key set (and values) the ``stats`` CLI command renders.
         """
 
@@ -905,50 +905,6 @@ class PedServer:
                 memo=self.shared_memo,
                 server=self,
             )
-        }
-
-    # ------------------------------------------------------------------
-    # memo gossip ops (the cross-shard exchange channel)
-    # ------------------------------------------------------------------
-
-    def _op_memo_pull(self, req: Dict) -> Dict:
-        """Export the shared pair-test memo for a gossip peer.
-
-        Entries are fully content-addressed (oracle digest + canonical
-        pair form + PARAMETER slice), so a peer can absorb any subset
-        without coordination — the same invariant the on-disk singleton
-        record relies on.  ``known`` (optional) is a list of encoded
-        keys the peer already holds; only the complement ships back.
-        """
-
-        entries = dict(self.shared_memo.entries)
-        known = req.get("known")
-        if known is not None:
-            if not isinstance(known, list):
-                raise _BadRequest("memo.pull 'known' must be a key list")
-            have = {protocol._from_wire(k) for k in known}
-            entries = {k: v for k, v in entries.items() if k not in have}
-        return {
-            "count": len(entries),
-            "total": len(self.shared_memo.entries),
-            "entries": protocol.encode_memo_entries(entries),
-        }
-
-    def _op_memo_push(self, req: Dict) -> Dict:
-        """Absorb memo entries a gossip peer proved — idempotent."""
-
-        try:
-            entries = protocol.decode_memo_entries(req.get("entries"))
-        except protocol.ProtocolError as exc:
-            raise _BadRequest(str(exc))
-        before = len(self.shared_memo.entries)
-        self.shared_memo.absorb({"entries": entries})
-        absorbed = len(self.shared_memo.entries) - before
-        if absorbed:
-            self.stats.bump("memo.gossip_absorbed", absorbed)
-        return {
-            "absorbed": absorbed,
-            "entries": len(self.shared_memo.entries),
         }
 
     # ------------------------------------------------------------------

@@ -13,10 +13,11 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from repro.fleet import AsyncTransport, FleetRouter, HashRing, MemoGossip
+from repro.fleet import AsyncTransport, FleetRouter, HashRing
 from repro.incremental.stats import EngineStats
 from repro.interproc import FeatureSet
 from repro.pipeline import CorpusRunner
@@ -43,14 +44,15 @@ def _programs(n=8):
     ]
 
 
-@pytest.fixture
-def fleet():
-    """Two in-process shards behind a routed front end."""
+@contextmanager
+def _two_shards(cache_dir=None):
+    """Two in-process shards (over one cache dir, when given) behind a
+    routed front end: ``(addrs, router, router_port, servers)``."""
 
     shards = []
     addrs = []
     for _ in range(2):
-        srv = PedServer(max_workers=4)
+        srv = PedServer(max_workers=4, cache_dir=cache_dir)
         transport = AsyncTransport(srv)
         port = transport.start_background()
         shards.append((srv, transport))
@@ -58,12 +60,22 @@ def fleet():
     router = FleetRouter(addrs, retries=1, backoff=0.01)
     rtransport = AsyncTransport(router)
     rport = rtransport.start_background()
-    yield addrs, router, rport
-    rtransport.stop_background()
-    router.close()
-    for srv, transport in shards:
-        transport.stop_background()
-        srv.close()
+    try:
+        yield addrs, router, rport, [srv for srv, _ in shards]
+    finally:
+        rtransport.stop_background()
+        router.close()
+        for srv, transport in shards:
+            transport.stop_background()
+            srv.close()
+
+
+@pytest.fixture
+def fleet():
+    """Two in-process shards behind a routed front end."""
+
+    with _two_shards() as (addrs, router, rport, _):
+        yield addrs, router, rport
 
 
 @pytest.fixture
@@ -193,49 +205,47 @@ def test_metrics_merge_sums_shards(rclient):
     assert metrics["memo.entries"] > 0  # summed across shards
 
 
-def test_memo_ops_fan_out(rclient):
-    """memo.pull through the router unions both shards; memo.push
-    reaches both."""
-
-    rclient.request("open", session="warm", source=generate_program(), wait=120)
-    pulled = rclient.request("memo.pull", wait=60)
-    assert pulled["count"] > 0
-    pushed = rclient.request(
-        "memo.push", entries=pulled["entries"], wait=60
-    )
-    assert pushed["shards"] == 2
-    # Idempotent: pushing what every shard now has absorbs nothing new.
-    again = rclient.request(
-        "memo.push", entries=pulled["entries"], wait=60
-    )
-    assert again["absorbed"] == 0
-
-
-def test_gossip_propagates_memo_between_shards(fleet):
-    """A memo warmed on one shard reaches the other within one gossip
-    round, and a second round is a no-op (converged)."""
+def test_memo_exchange_ops_are_unknown(rclient, fleet):
+    """The memo crosses processes only through a shared cache dir:
+    ``memo.pull`` and ``memo.push`` are unknown ops on a server and
+    through a router alike."""
 
     addrs, _, _ = fleet
-    source = generate_program(n_routines=4)
-    with PedClient.connect(port=int(addrs[0].rsplit(":", 1)[1])) as direct:
-        direct.request("open", session="g", source=source, wait=120)
-        have = direct.request("memo.pull", wait=60)["count"]
-    assert have > 0
+    port = int(addrs[0].rsplit(":", 1)[1])
+    with PedClient.connect(port=port) as direct:
+        for client in (direct, rclient):
+            for op in ("memo.pull", "memo.push"):
+                with pytest.raises(PedRequestError) as err:
+                    client.request(op, entries=[], wait=60)
+                assert err.value.type == "unknown-op"
 
-    gossip = MemoGossip(addrs, interval=60)
+
+def test_shards_sharing_a_cache_dir_warm_each_other(tmp_path):
+    """A program opened on one shard warms a sibling program opened on
+    the other through the memo segments in their one cache dir: the
+    second shard folds the first one's entries and replays them, so it
+    runs fewer pair tests than a shard without the store."""
+
+    source = generate_program(n_routines=6)
+    sibling = source.replace("(x(i+1) - x(i-1))", "(x(i+2) - x(i-2))", 1)
+    assert sibling != source
+    cold = PedServer(max_workers=2)
     try:
-        first = gossip.run_once()
-        assert first["pushed"] > 0
-        assert first["unreachable"] == []
-        second = gossip.run_once()
-        assert second["pushed"] == 0, "gossip should converge"
+        cold.execute({"op": "open", "session": "c", "source": sibling})
+        cold_misses = cold.shared_memo.misses
     finally:
-        gossip.close()
+        cold.close()
 
-    with PedClient.connect(port=int(addrs[1].rsplit(":", 1)[1])) as other:
-        assert other.request("memo.pull", wait=60)["count"] >= have
-        metrics = other.request("metrics", wait=60)["metrics"]
-        assert metrics["memo.gossip_absorbed"] > 0
+    with _two_shards(tmp_path / "cache") as (addrs, router, rport, servers):
+        first = names_owned_by(router.ring, addrs[0], 1, prefix="a")[0]
+        second = names_owned_by(router.ring, addrs[1], 1, prefix="b")[0]
+        with PedClient.connect(port=rport) as client:
+            client.request("open", session=first, source=source, wait=120)
+            client.request("open", session=second, source=sibling, wait=120)
+        warmed = servers[1].execute({"op": "metrics"})["result"]["metrics"]
+        assert warmed["memo.delta_absorbed"] > 0
+        assert warmed["memo.shared_hits"] > 0
+        assert warmed["memo.shared_misses"] < cold_misses
 
 
 # ----------------------------------------------------------------------
@@ -261,15 +271,15 @@ def _spawn(*argv):
 
 
 def test_cli_fleet_corpus_matches_single_host():
-    """``fleet route`` over two ``fleet shard`` processes, gossiping
-    every second: a corpus split over both shards rolls up to the same
-    summary as one local :class:`CorpusRunner`."""
+    """``fleet route`` over two ``fleet shard`` processes: a corpus
+    split over both shards rolls up to the same summary as one local
+    :class:`CorpusRunner`."""
 
     shard_a, addr_a = _spawn("fleet", "shard")
     shard_b, addr_b = _spawn("fleet", "shard")
     router, raddr = _spawn(
         "fleet", "route", "--port", "0", "--shard", addr_a,
-        "--shard", addr_b, "--gossip-interval", "1",
+        "--shard", addr_b,
     )
     try:
         # The router's ring over the same addresses places names alike.

@@ -120,7 +120,7 @@ def test_shared_memo_counts_lookups_and_absorbs_entries_only():
     assert memo.lookup(("k1",)) == ("v1",)
     assert (memo.hits, memo.misses) == (1, 1)
 
-    memo.absorb({"entries": {("k1",): ("other",), ("k2",): ("v2",)}})
+    memo.absorb({("k1",): ("other",), ("k2",): ("v2",)})
     assert memo.entries == {("k1",): ("v1",), ("k2",): ("v2",)}
     assert (memo.hits, memo.misses) == (1, 1)
 

@@ -362,7 +362,7 @@ def test_negotiation_is_idempotent(server):
         # Asking again on a deflated connection is answered ok.
         assert c.request(**NEGOTIATE) == {"compress": "deflate"}
         assert c.request("open", session="s", source=SIMPLE)["units"] == ["p"]
-        assert c.request("ping")["protocol"] == 9
+        assert c.request("ping")["protocol"] == 10
 
 
 def test_refused_negotiations_stay_on_json(server):

@@ -149,24 +149,25 @@ def test_counters_feed_stats(tmp_path):
 
 
 def test_v2_format_memo_record_falls_back_cold(cache, caplog):
-    """A shared-memo record written by the previous (v2) format must be
-    a logged miss — not a crash, not stale memo shapes — when read by
-    the current format."""
+    """A memo segment written by an older format must be a logged miss —
+    not a crash, not stale memo shapes — when read by the current
+    format."""
 
-    from repro.service.persist import MEMO_KEY, MEMO_KIND, PersistentStore
+    from repro.service.persist import MEMO_KIND, PersistentStore
 
-    store = PersistentStore(cache)
-    assert store.save_memo({("ctx", "pair"): ("verdict",)})
-    path = cache._path(MEMO_KIND, MEMO_KEY)
+    entries = {("ctx", "pair"): ("verdict",)}
+    assert PersistentStore(cache).save_memo(entries) == 1
+    (name,) = cache.keys(MEMO_KIND)
+    path = cache._path(MEMO_KIND, name)
     record = pickle.loads(path.read_bytes())
-    record["format"] = FORMAT_VERSION - 1  # i.e. a leftover v2 cache
+    record["format"] = FORMAT_VERSION - 1  # i.e. a leftover older cache
     path.write_bytes(pickle.dumps(record))
 
     with caplog.at_level(logging.WARNING):
-        assert store.load_memo() is None  # cold, no crash
+        assert PersistentStore(cache).load_memo() == {}  # cold, no crash
     assert any("format version" in r.message for r in caplog.records)
     assert not path.exists()  # the stale record was discarded
 
     # The store recovers: a fresh save round-trips under the new format.
-    assert store.save_memo({("ctx", "pair"): ("verdict",)})
-    assert store.load_memo() == {("ctx", "pair"): ("verdict",)}
+    assert PersistentStore(cache).save_memo(entries) == 1
+    assert PersistentStore(cache).load_memo() == entries

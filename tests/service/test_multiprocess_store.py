@@ -1,13 +1,14 @@
-"""Concurrent-writer disk-cache integrity (satellite 3).
+"""Concurrent-writer disk-cache integrity.
 
-Two *real* subprocesses analyze overlapping programs against the same
+Two *real* subprocesses analyze programs against the same
 ``--cache-dir`` at the same time, racing writes to the same span /
-unit-summary / shared-memo keys.  The content-addressed store plus
-atomic renames plus the memo lease must deliver: zero corrupted records
-(``disk.error`` stays 0 on a subsequent full read-back), no livelock
-(both writers finish within the timeout), and a store a third engine
-can warm-start from with fingerprints identical to a from-scratch
-analysis.
+unit-summary keys and writing, folding and compacting memo segments.
+The content-addressed store plus atomic renames must deliver: zero
+corrupted records (every record validates on a full read-back), no
+livelock (both writers finish within the timeout), no lost memo entry
+(a third engine folds every entry either writer held), and a store a
+third engine can warm-start from with fingerprints identical to a
+from-scratch analysis.
 """
 
 import pickle
@@ -17,30 +18,42 @@ import sys
 from repro.incremental import AnalysisEngine
 from repro.incremental.fingerprint import fingerprint_digest
 from repro.service import build_engine
+from repro.service.diskcache import FORMAT_VERSION, _MAGIC
+from repro.service.persist import MEMO_KIND, MEMO_SEGMENTS
+from repro.workloads import SUITE
 from repro.workloads.generator import generate_program
 
 from ..serving import child_env
 
-#: Subprocess body: analyze a program against a shared cache dir twice
-#: (cold then warm), exercising span/usum/memo writes and the leased
-#: memo read-merge-write against a live sibling process.
+#: Subprocess body: analyze each named program (a suite program, or a
+#: generated one of that many routines) against a shared cache dir, each
+#: with a new engine that folds the memo segments on disk and writes its
+#: own; then print the repr of every memo entry key those engines held.
 WRITER = """
 import sys
 from repro.service import build_engine
+from repro.workloads import SUITE
 from repro.workloads.generator import generate_program
 
-cache_dir, n = sys.argv[1], int(sys.argv[2])
-source = generate_program(n_routines=n)
-for _ in range(2):
+cache_dir = sys.argv[1]
+keys = set()
+for spec in sys.argv[2:]:
+    if spec in SUITE:
+        source = SUITE[spec].source
+    else:
+        source = generate_program(n_routines=int(spec))
     engine = build_engine(cache_dir=cache_dir)
     engine.analyze(source)
+    keys.update(map(repr, engine.shared_memo.entries))
+for key in sorted(keys):
+    print(key)
 print("ok")
 """
 
 
-def _spawn_writer(cache_dir, n_routines):
+def _spawn_writer(cache_dir, *programs):
     return subprocess.Popen(
-        [sys.executable, "-c", WRITER, str(cache_dir), str(n_routines)],
+        [sys.executable, "-c", WRITER, str(cache_dir), *map(str, programs)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -48,30 +61,17 @@ def _spawn_writer(cache_dir, n_routines):
     )
 
 
-def test_two_subprocess_writers_no_corruption_no_livelock(tmp_path):
-    cache_dir = tmp_path / "cache"
-    # Same n_routines → byte-identical generated program → both
-    # processes race the *same* span, usum and memo keys.
-    a = _spawn_writer(cache_dir, 12)
-    b = _spawn_writer(cache_dir, 12)
-    out_a, err_a = a.communicate(timeout=300)
-    out_b, err_b = b.communicate(timeout=300)
-    assert a.returncode == 0, err_a
-    assert b.returncode == 0, err_b
-    assert "ok" in out_a and "ok" in out_b
+def _held_keys(proc):
+    """The memo keys a finished writer's engines held."""
 
-    # No leftover lease: both processes released (or their records
-    # expired and nothing is stuck).
-    lease = cache_dir / "locks" / "memo.lease"
-    if lease.exists():
-        import json, time
-        rec = json.loads(lease.read_bytes())
-        assert rec["expires"] <= time.time() + 15  # bounded, not stuck
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    lines = out.splitlines()
+    assert lines and lines[-1] == "ok"
+    return set(lines[:-1])
 
-    # Every record in the store unpickles and validates: zero corrupted
-    # records after the race.
-    from repro.service.diskcache import FORMAT_VERSION, _MAGIC
 
+def _assert_every_record_validates(cache_dir):
     records = list(cache_dir.rglob("*.pkl"))
     assert records, "the writers must have populated the store"
     for path in records:
@@ -79,31 +79,49 @@ def test_two_subprocess_writers_no_corruption_no_livelock(tmp_path):
         assert rec["magic"] == _MAGIC
         assert rec["format"] == FORMAT_VERSION
 
+
+def test_two_subprocess_writers_no_corruption_no_livelock(tmp_path):
+    cache_dir = tmp_path / "cache"
+    # Same n_routines → byte-identical generated program, analyzed cold
+    # then warm → both processes race the *same* span and usum keys.
+    a = _spawn_writer(cache_dir, 12, 12)
+    b = _spawn_writer(cache_dir, 12, 12)
+    held = _held_keys(a) | _held_keys(b)
+    assert held
+
+    # Every record in the store unpickles and validates: zero corrupted
+    # records after the race.
+    _assert_every_record_validates(cache_dir)
+
     # A third engine warm-starts off the raced store with fingerprints
-    # identical to a from-scratch analysis.
+    # identical to a from-scratch analysis, and folds every memo entry
+    # either writer held.
     source = generate_program(n_routines=12)
     third = build_engine(cache_dir=cache_dir)
     _, pa = third.analyze(source)
     assert third.stats.counter("disk.error") == 0
     assert third.stats.counter("disk.warm_start") >= 1
+    assert held <= set(map(repr, third.shared_memo.entries))
     _, pa_scratch = AnalysisEngine().analyze(source)
     assert fingerprint_digest(pa) == fingerprint_digest(pa_scratch)
 
 
 def test_overlapping_programs_share_memo_across_processes(tmp_path):
-    """Different programs racing one store still interleave cleanly,
-    and a later engine absorbs the union of their memo deltas."""
+    """No lost update: two writers analyze different programs, each with
+    a new engine per program, so between them they write more segments
+    than a listing may hold and compact while the other writes.  A third
+    engine folds the union of what both exported."""
 
     cache_dir = tmp_path / "cache"
-    a = _spawn_writer(cache_dir, 10)
-    b = _spawn_writer(cache_dir, 14)
-    _, err_a = a.communicate(timeout=300)
-    _, err_b = b.communicate(timeout=300)
-    assert a.returncode == 0, err_a
-    assert b.returncode == 0, err_b
+    suite = sorted(SUITE)
+    a = _spawn_writer(cache_dir, *suite[::2], 10)
+    b = _spawn_writer(cache_dir, *suite[1::2], 14)
+    union = _held_keys(a) | _held_keys(b)
 
+    _assert_every_record_validates(cache_dir)
     engine = build_engine(cache_dir=cache_dir)
     engine.analyze(generate_program(n_routines=10))
-    # The singleton memo record survived both writers and is absorbable.
-    assert engine.stats.counter("memo.delta_absorbed") > 0
+    assert union <= set(map(repr, engine.shared_memo.entries))
+    assert engine.stats.counter("memo.delta_absorbed") >= len(union)
     assert engine.stats.counter("disk.error") == 0
+    assert len(engine.store.cache.keys(MEMO_KIND)) <= MEMO_SEGMENTS

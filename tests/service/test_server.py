@@ -43,7 +43,7 @@ def client(server):
 def test_ping(client):
     reply = client.request("ping")
     assert reply["pong"] is True
-    assert reply["protocol"] == 9
+    assert reply["protocol"] == 10
 
 
 def test_open_query_edit_lifecycle(client):

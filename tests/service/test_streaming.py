@@ -209,6 +209,7 @@ def test_metrics_op_matches_cli_key_set(client):
     ):
         assert key in server_metrics
         assert key in rendered
+    assert "memo.delta_skipped" not in server_metrics
 
     # Gauges reflect the live pool.
     assert server_metrics["pool.workers"] >= 1

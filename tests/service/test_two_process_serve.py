@@ -2,9 +2,8 @@
 
 The acceptance scenario of the multi-process shared store: two *real*
 server processes run concurrently against the same cache directory; the
-first populates it while the second absorbs the first's memo deltas
-through the lease-coordinated singleton record
-(``memo.delta_absorbed > 0`` in its metrics), analyses stay
+first populates it while the second folds in the memo segment the first
+wrote (``memo.delta_absorbed > 0`` in its metrics), analyses stay
 fingerprint-identical across processes (and to the in-process serial
 engine), and the streamed event ordering guarantees hold across the
 process boundary.
@@ -56,7 +55,7 @@ def test_two_servers_share_store_and_exchange_memo_deltas(
         assert first.request("ping", wait=60)["pong"] is True
         assert second.request("ping", wait=60)["pong"] is True
 
-        # Process A populates the store (spans, summaries, memo record).
+        # Process A populates the store (spans, summaries, memo segment).
         first.request("open", session="a", source=workload, wait=300)
         fp_a = first.request("fingerprint", session="a", wait=60)
         metrics_a = first.request("metrics", wait=60)["metrics"]
@@ -64,7 +63,7 @@ def test_two_servers_share_store_and_exchange_memo_deltas(
 
         # Process B — still running concurrently — opens the same
         # program with streaming: ordered events across the process
-        # boundary, then absorbs A's memo deltas from the shared store.
+        # boundary, then folds in A's memo segment from the shared store.
         events = list(
             second.stream("open", session="b", source=workload, wait=300)
         )
