@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..analysis.cfg import CFG, build_cfg
+from ..analysis.cfg import build_cfg
 from ..analysis.constants import ConstantMap, propagate_constants
 from ..analysis.defuse import (
     ConservativeEffects,
@@ -193,17 +193,19 @@ class LoopInfo:
 
 @dataclass
 class UnitAnalysis:
-    """All analysis artifacts of one procedure."""
+    """What Ped's answers read of one procedure's analysis.  Sessions
+    cache it and ``unit:`` records pickle it, so the CFG, the rest of
+    the def-use solution and the per-pair results are not kept."""
 
     unit: ProcedureUnit
-    cfg: CFG
-    defuse: DefUse
+    #: sid → variables live after that statement (scalar expansion).
+    live_out: Dict[int, FrozenSet[str]]
     constants: ConstantMap
     loops: List[LoopNest]
     graph: DependenceGraph
     loop_info: Dict[int, LoopInfo]
+    #: Kept for its counters (M1 tiers, corpus rollups, hotpath_stats).
     tester: DependenceTester
-    pair_results: List[PairResult]
     stmt_index: UnitStatementIndex
     #: Wall seconds of the whole graph build (pair testing + scalar +
     #: control dependences) and of the array-pair testing stage alone;
@@ -300,7 +302,7 @@ def analyze_unit(
         inductions,
     )
     build_t0 = perf_counter()
-    pair_results = builder.build()
+    builder.build()
     build_seconds = perf_counter() - build_t0
     # The shared memo has done its job for this unit; detach it so
     # cached/pickled UnitAnalysis objects stay lean (hit/miss counters
@@ -323,14 +325,12 @@ def analyze_unit(
 
     return UnitAnalysis(
         unit,
-        cfg,
-        defuse,
+        defuse.live_out,
         constants,
         loops,
         graph,
         loop_info,
         tester,
-        pair_results,
         stmt_index,
         build_seconds=build_seconds,
         pair_seconds=builder.pair_seconds,
@@ -397,6 +397,9 @@ class _GraphBuilder:
     # -- array dependences --------------------------------------------------
 
     def build(self) -> List[PairResult]:
+        """Add the unit's edges to the graph; return the per-pair results
+        in pair order (a test oracle: :func:`analyze_unit` drops them)."""
+
         refs = collect_refs(self.unit, self.config.section_provider)
         by_array: Dict[str, List[ArrayAccess]] = {}
         for r in refs:

@@ -9,21 +9,20 @@ used by the editor: ``proven`` (established by an exact test), ``pending``
 — Ped never forgets a user decision, it only filters — but they no longer
 inhibit parallelization.
 
-Query performance: :meth:`DependenceGraph.add` maintains secondary
-indices (by source sid, by destination sid, by carrier-loop sid, by
-variable, by id and by nest membership) so the hot queries the driver,
-the editor panes and the transformations issue — ``carried_by``,
-``edges_within``, ``find``, per-variable pane filters — cost O(results)
-instead of O(edges).  All indices hold the same :class:`Dependence`
-objects as ``edges`` (never copies), so marking mutations are visible
-everywhere and ``marking_snapshot`` / ``restore_markings`` keep working
-off the canonical insertion order.
+An edge's id is its position in ``edges``, so ``find`` is a range check
+and an index.  :meth:`DependenceGraph.add` maintains four secondary
+indices (by source sid, carrier-loop sid, variable and nest membership)
+so the hot queries the driver, the editor panes and the transformations
+issue — ``carried_by``, ``edges_within``, ``in_nest``, per-variable
+pane filters — cost O(results) instead of O(edges).  All indices hold
+the same :class:`Dependence` objects as ``edges`` (never copies), so
+marking mutations are visible everywhere and ``marking_snapshot`` /
+``restore_markings`` keep working off the canonical insertion order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..fortran.ast_nodes import DoLoop
@@ -125,9 +124,7 @@ class DependenceGraph:
     """All dependence edges of one procedure."""
 
     edges: List[Dependence] = field(default_factory=list)
-    _ids: count = field(default_factory=count)
     by_src: Dict[int, List[Dependence]] = field(default_factory=dict)
-    by_dst: Dict[int, List[Dependence]] = field(default_factory=dict)
     #: carrier-loop sid → carried data edges (``_NO_CARRIER`` bucket holds
     #: loop-independent edges); control edges are excluded, matching the
     #: ``carried_by`` contract.
@@ -136,7 +133,6 @@ class DependenceGraph:
     by_var: Dict[str, List[Dependence]] = field(default_factory=dict)
     #: common-nest loop sid → edges whose nest_sids mention that loop.
     by_nest: Dict[int, List[Dependence]] = field(default_factory=dict)
-    _by_id: Dict[int, Dependence] = field(default_factory=dict)
 
     def add(
         self,
@@ -154,7 +150,7 @@ class DependenceGraph:
         nest_sids: Tuple[int, ...] = (),
     ) -> Dependence:
         dep = Dependence(
-            next(self._ids),
+            len(self.edges),
             kind,
             var,
             src_sid,
@@ -176,15 +172,10 @@ class DependenceGraph:
         if bucket is None:
             self.by_src[src_sid] = bucket = []
         bucket.append(dep)
-        bucket = self.by_dst.get(dst_sid)
-        if bucket is None:
-            self.by_dst[dst_sid] = bucket = []
-        bucket.append(dep)
         bucket = self.by_var.get(var)
         if bucket is None:
             self.by_var[var] = bucket = []
         bucket.append(dep)
-        self._by_id[dep.id] = dep
         if kind != CONTROL:
             # Inline carrier_sid(): the extra method call shows up here.
             if 0 < level <= len(nest_sids):
@@ -203,10 +194,10 @@ class DependenceGraph:
         return dep
 
     def find(self, dep_id: int) -> Dependence:
-        try:
-            return self._by_id[dep_id]
-        except KeyError:
-            raise KeyError(dep_id) from None
+        # The range check keeps a negative id from indexing from the end.
+        if 0 <= dep_id < len(self.edges):
+            return self.edges[dep_id]
+        raise KeyError(dep_id)
 
     def marking_snapshot(self) -> List[str]:
         """Edge markings in edge order — the only per-edge state users
@@ -278,8 +269,3 @@ class DependenceGraph:
         """Edges flowing through variable ``var``."""
 
         return list(self.by_var.get(var, ()))
-
-    def at_loop(self, loop: DoLoop, body_sids) -> List[Dependence]:
-        """All edges whose endpoints both lie in ``loop``'s body."""
-
-        return self.edges_within(body_sids)

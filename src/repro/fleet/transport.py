@@ -539,11 +539,13 @@ class AsyncTransport:
 
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for conn in list(self._connections):
             await conn.finish_requests(self.drain_timeout)
         for conn in list(self._connections):
             await conn._teardown()
+        if self._server is not None:
+            # From Python 3.12 this also waits for the open connections.
+            await self._server.wait_closed()
 
     async def serve_stdio(self, stdin, stdout) -> None:
         """Serve one client on a binary ``stdin``/``stdout`` pair until

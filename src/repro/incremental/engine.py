@@ -1347,7 +1347,8 @@ class AnalysisEngine:
         exported = self._store.save_memo(self._shared_memo.entries)
         if exported:
             self._store_stats().bump("memo.delta_exported", exported)
-        self.stats.counters["memo.persisted_entries"] = self._store.memo_entries
+        for stats in (self.stats, self._store_stats()):
+            stats.counters["memo.persisted_entries"] = self._store.memo_entries
 
     # -- per-unit summary records ---------------------------------------
 

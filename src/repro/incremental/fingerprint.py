@@ -1,8 +1,8 @@
 """Structural fingerprints of analysis results.
 
 Engine-cached results must be *bit-identical* to a from-scratch
-``analyze_program`` — except for dependence edge ids, which are handed
-out by a per-graph counter and carry no meaning.  These helpers project
+``analyze_program`` — except for dependence edge ids, which are edge
+positions in insertion order and carry no meaning.  These helpers project
 a :class:`ProgramAnalysis` onto a comparable value that captures every
 user-visible artifact (edges, vectors, markings, verdicts, privatization
 and idiom results, inherited constants) while ignoring object identity.

@@ -65,7 +65,11 @@ log = logging.getLogger(__name__)
 #: per span (the span's bound units with their dependence entries).
 #: v8: the shared memo became immutable content-addressed segments
 #: instead of one singleton record.
-FORMAT_VERSION = 8
+#: v9: UnitAnalysis keeps live_out instead of the CFG and the def-use
+#: solution, and no per-pair test results; the dependence graph keeps
+#: four indices and no id counter (an edge's id is its position in
+#: ``edges``).
+FORMAT_VERSION = 9
 
 _MAGIC = "repro-cache"
 

@@ -34,9 +34,9 @@ shared memo and get one flat ``{key: number}`` dict:
   so ``net.compress_ratio = bytes_out / bytes_out_raw`` (1.0 when
   nothing was written, lower is better).  ``net.coalesced_events`` /
   ``net.flushes`` count events that shared a deflate flush with another
-  event, and writer flushes.  Transport counters are server-scoped, so
-  a session-bound ``metrics`` request overlays them from the server
-  stats rather than the engine's.
+  event, and writer flushes.  Transport, journal and memo-segment
+  counters are server-scoped, so a session-bound ``metrics`` request
+  overlays them from the server stats rather than the engine's.
 * ``analyses`` — how many engine analysis cycles fed these numbers.
 
 Keys with a zero value are still present (a dashboard wants stable
@@ -113,7 +113,7 @@ def merged_metrics(
     """The one service-metrics dict (see module docstring for keys).
 
     ``net_stats`` lets a session-bound snapshot overlay the server-scoped
-    transport counters (``net.*``) on top of the engine's own stats.
+    counters (``net.*``, ``journal.*``, memo segments) on top.
     """
 
     out: Dict[str, float] = {}
@@ -124,11 +124,13 @@ def merged_metrics(
     for key, value in stats.counters.items():
         out[key] = value
     if net_stats is not None and net_stats is not stats:
-        # Transport traffic and journal durability are server-scoped
-        # counters; overlay them so a session-bound snapshot still
-        # reports them truthfully.
+        # Transport traffic, journal durability and the store's memo
+        # segments are server-scoped counters; overlay them so a
+        # session-bound snapshot still reports them truthfully.
         for key, value in net_stats.counters.items():
-            if key.startswith(("net.", "journal.")):
+            if key.startswith(
+                ("net.", "journal.", "memo.delta_", "memo.persisted_entries")
+            ):
                 out[key] = value
     out["analyses"] = stats.analyses
     if pool is not None:

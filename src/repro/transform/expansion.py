@@ -64,7 +64,7 @@ class ScalarExpansion(Transformation):
                 "the pre-loop value — expansion keeps it via t$(lo−1) "
                 "semantics only if the body assigns before use; verify"
             )
-        live_after = var in ctx.analysis.defuse.live_out.get(loop.sid, frozenset())
+        live_after = var in ctx.analysis.live_out.get(loop.sid, frozenset())
         if live_after:
             reasons.append("live after loop: last-value copy-out added")
         return Advice(True, True, True, reasons)
@@ -92,7 +92,7 @@ class ScalarExpansion(Transformation):
         sym.dims = [(None, copy_expr(loop.end))]
         map_scalar_to_array(loop.body, var, array_name, VarRef(0, loop.var))
         summary = f"expanded scalar {var} into {array_name}({loop.var})"
-        live_after = var in ctx.analysis.defuse.live_out.get(loop.sid, frozenset())
+        live_after = var in ctx.analysis.live_out.get(loop.sid, frozenset())
         if live_after:
             where = find_parent(ctx.unit, loop)
             if where is not None:

@@ -1,4 +1,6 @@
-"""Reference pair walk: the parity oracle for the driver's batched walk.
+"""Reference pair walk: the parity oracle for the driver's batched walk,
+and :func:`recorded_pairs`, which keeps the per-pair results
+``analyze_unit`` drops.
 
 This is the original pair-at-a-time walk: pairs in canonical order, the
 prune predicate, then per pair a canonical key, the local memo, the
@@ -184,3 +186,25 @@ def reference_walk(prune: bool = True, memoize: bool = True):
 
     with mock.patch.object(_GraphBuilder, "_build_batched", build):
         yield
+
+
+@contextmanager
+def recorded_pairs():
+    """Record the per-pair list ``_GraphBuilder.build`` returns.
+
+    Yields ``pairs_of(ua)``: the :class:`PairResult` list, in pair
+    order, of the build that made ``ua``'s dependence graph.  It keeps
+    answering after the block ends.
+    """
+
+    by_graph = {}
+    build = _GraphBuilder.build
+
+    def recording(builder):
+        results = build(builder)
+        # The graph is held in the value, so its id stays unique.
+        by_graph[id(builder.graph)] = (builder.graph, results)
+        return results
+
+    with mock.patch.object(_GraphBuilder, "build", recording):
+        yield lambda ua: by_graph[id(ua.graph)][1]

@@ -6,6 +6,8 @@ from repro.assertions import AssertionDB
 from repro.dependence import AnalysisConfig, analyze_unit
 from repro.fortran import parse_and_bind
 
+from tests.dependence.reference_walk import recorded_pairs
+
 
 def analysis_with(body, asserts=(), decls="real a(200), b(200)"):
     src = "      program t\n"
@@ -162,11 +164,12 @@ class TestSharedMemoInvalidation:
 
         def analyze(db):
             unit = parse_and_bind(source).units[0]
-            ua = analyze_unit(
-                unit, AnalysisConfig(oracle=db, shared_memo=shared)
-            )
+            with recorded_pairs() as pairs_of:
+                ua = analyze_unit(
+                    unit, AnalysisConfig(oracle=db, shared_memo=shared)
+                )
             (pair,) = [
-                r for r in ua.pair_results if r.src.is_write != r.snk.is_write
+                r for r in pairs_of(ua) if r.src.is_write != r.snk.is_write
             ]
             return pair, ua.tester.shared_hits
 

@@ -23,6 +23,7 @@ from repro.dependence import analyze_unit
 from repro.fortran import parse_and_bind
 from repro.fortran.printer import expr_to_str
 
+from tests.dependence.reference_walk import recorded_pairs
 from tests.perf.test_batch_parity import generate_routine
 
 SEEDS = range(100)
@@ -63,12 +64,13 @@ def test_reported_vectors_cover_every_observed_conflict():
     checked = 0
     failures = []
     for seed, source in _routines():
-        ua = analyze_unit(parse_and_bind(source).units[0])
+        with recorded_pairs() as pairs_of:
+            ua = analyze_unit(parse_and_bind(source).units[0])
         nest = ua.loops[-1].parents + (ua.loops[-1].loop,)
         space = list(
             product(*(range(lp.start.value, lp.end.value + 1) for lp in nest))
         )
-        for pair in ua.pair_results:
+        for pair in pairs_of(ua):
             src, snk = pair.src, pair.snk
             if not (src.is_write or snk.is_write):
                 continue

@@ -16,6 +16,8 @@ from repro.dependence.subscript import (
 )
 from repro.fortran import parse_and_bind
 
+from tests.dependence.reference_walk import recorded_pairs
+
 
 def accesses_of(assign_text, decls="real a(50, 50), b(50)\ninteger ip(50)"):
     src = "      program t\n"
@@ -130,9 +132,10 @@ class TestTesterDetails:
                 f"      do {read_loop} = 1, 50\n{read}      end do\n"
             )
         src = f"      program t\n      real b(200), x\n{body}      end\n"
-        ua = analyze_unit(parse_and_bind(src).units[0])
+        with recorded_pairs() as pairs_of:
+            ua = analyze_unit(parse_and_bind(src).units[0])
         (result,) = [
-            r for r in ua.pair_results if r.src.is_write != r.snk.is_write
+            r for r in pairs_of(ua) if r.src.is_write != r.snk.is_write
         ]
         return result, ua.tester
 

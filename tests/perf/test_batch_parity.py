@@ -27,7 +27,7 @@ from repro.incremental import program_fingerprint
 from repro.interproc import FeatureSet, analyze_program
 from repro.workloads import SUITE
 
-from tests.dependence.reference_walk import reference_walk
+from tests.dependence.reference_walk import recorded_pairs, reference_walk
 
 #: Observables that depend on memo bookkeeping, not on results.
 MEMO_KEYS = ("memo", "shared")
@@ -46,12 +46,14 @@ def observe(source: str, walk=None, share: bool = True):
         if share
         else mock.patch("repro.interproc.program.SharedPairMemo", lambda: None)
     )
-    with walk or nullcontext(), no_share:
-        return observables(analyze_program(parse_and_bind(source), FeatureSet()))
+    with walk or nullcontext(), no_share, recorded_pairs() as pairs_of:
+        pa = analyze_program(parse_and_bind(source), FeatureSet())
+    return observables(pa, pairs_of)
 
 
-def observables(pa):
-    """Every observable the pair walk could disturb, per unit."""
+def observables(pa, pairs_of):
+    """Every observable the pair walk could disturb, per unit;
+    ``pairs_of`` is a :func:`recorded_pairs` lookup."""
 
     out = {"fingerprint": program_fingerprint(pa)}
     for name, ua in sorted(pa.units.items()):
@@ -76,7 +78,7 @@ def observables(pa):
                         for v in p.vectors
                     ),
                 )
-                for p in ua.pair_results
+                for p in pairs_of(ua)
             ],
         }
     return out

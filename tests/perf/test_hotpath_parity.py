@@ -19,7 +19,7 @@ from repro.incremental import program_fingerprint
 from repro.interproc import FeatureSet, analyze_program
 from repro.workloads import SUITE
 
-from tests.dependence.reference_walk import reference_walk
+from tests.dependence.reference_walk import recorded_pairs, reference_walk
 from tests.perf.test_batch_parity import observables, observe
 
 
@@ -46,17 +46,17 @@ def test_parity_under_assertions_and_overrides():
     source = SUITE["onedim"].source
 
     def run_session(walk=None):
-        with walk or nullcontext():
+        with walk or nullcontext(), recorded_pairs() as pairs_of:
             session = PedSession(source)
             session.select_unit("build")
             session.select_loop(0)
-            steps = [observables(session.analysis)]
+            steps = [observables(session.analysis, pairs_of)]
             session.add_assertion("n >= 1")
-            steps.append(observables(session.analysis))
+            steps.append(observables(session.analysis, pairs_of))
             session.reclassify("t", "private")
-            steps.append(observables(session.analysis))
+            steps.append(observables(session.analysis, pairs_of))
             session.undo()
-            steps.append(observables(session.analysis))
+            steps.append(observables(session.analysis, pairs_of))
         return steps
 
     production = run_session()

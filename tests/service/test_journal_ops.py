@@ -19,6 +19,12 @@ SIMPLE = (
 )
 
 
+#: One loop-carried flow edge on ``a`` plus scalar and control edges.
+CARRIED = SIMPLE.replace("i = 1, 10", "i = 2, 10").replace(
+    "a(i) = i", "a(i) = a(i-1) + i"
+)
+
+
 def _ok(reply):
     assert reply["ok"], reply.get("error")
     return reply["result"]
@@ -253,3 +259,30 @@ def test_metrics_report_journal_counters(server):
     # Session-bound snapshots overlay the server-scoped journal counters.
     bound = _ok(server.execute({"op": "metrics", "session": "s"}))["metrics"]
     assert bound["journal.records"] == metrics["journal.records"]
+
+
+def test_mark_of_no_edge_is_a_ped_error_and_journals_nothing(server):
+    """Edge ids are positions in the unit's edge list: ``-1`` and one
+    past the last edge name no edge (``-1`` must not mean the last)."""
+
+    _ok(server.execute({"op": "open", "session": "s", "source": CARRIED}))
+    deps = _ok(
+        server.execute({"op": "deps", "session": "s", "unfiltered": True})
+    )["deps"]
+    assert [d["id"] for d in deps] == list(range(len(deps)))
+    assert len(deps) > 1
+    for dep in (-1, len(deps)):
+        err = _err(
+            server.execute(
+                {
+                    "op": "mark",
+                    "session": "s",
+                    "dep": dep,
+                    "marking": "accepted",
+                }
+            )
+        )
+        assert err["type"] == protocol.PED_ERROR
+        assert err["message"] == f"no dependence #{dep} in p"
+    log = _ok(server.execute({"op": "session.log", "session": "s"}))
+    assert log["total"] == 0

@@ -13,6 +13,7 @@ import threading
 from repro.dependence.hierarchy import SharedPairMemo
 from repro.service import DiskCache, PedServer, build_engine
 from repro.service.persist import MEMO_KIND, MEMO_SEGMENTS, PersistentStore
+from repro.workloads import SUITE
 from repro.workloads.generator import generate_program
 
 
@@ -124,6 +125,27 @@ def test_sessions_of_one_server_write_each_entry_once(tmp_path, monkeypatch):
         )
     finally:
         server.close()
+
+
+def test_both_metrics_views_agree_on_the_memo_segment_counters(tmp_path):
+    """The store's memo counters are server-scoped: the server-wide and
+    the session-bound ``metrics`` views report the same values."""
+
+    server = PedServer(max_workers=2, cache_dir=tmp_path / "cache")
+    try:
+        server.execute(
+            {"op": "open", "session": "s", "source": SUITE["onedim"].source}
+        )
+        views = [
+            server.execute({"op": "metrics", **scope})["result"]["metrics"]
+            for scope in ({}, {"session": "s"})
+        ]
+    finally:
+        server.close()
+    keys = ("memo.delta_exported", "memo.persisted_entries")
+    server_wide, session_bound = ([v[k] for k in keys] for v in views)
+    assert server_wide == session_bound
+    assert all(server_wide), server_wide
 
 
 def test_a_segment_gone_before_its_read_is_skipped(tmp_path, monkeypatch):
