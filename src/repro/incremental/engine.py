@@ -62,12 +62,14 @@ assertion change alone, ``None`` for an identical rerun.
 The service layer plugs in through the **persistent store**: with a
 :class:`~repro.service.persist.PersistentStore` attached, a cold engine
 first tries a warm start from the program's manifest, which names one
-unit record per span (the span's units with their dependence entries)
-next to the summaries and the change-detection baseline; parse misses
-fall back to per-span disk records (validated against the current
-unit-kind map before acceptance).  Every analysis spills back what it
-changed: new span and summary records, a unit record for each span
-whose units the walk refreshed, and the manifest.  The shared pair-test
+unit record per span (the span's units with their summaries and
+dependence entries) next to the summary revisions and the
+change-detection baseline; parse misses fall back to per-span disk
+records (validated against the current unit-kind map before
+acceptance).  Every analysis spills back what it changed: new span
+records, a summary record for each unit whose summaries it recomputed,
+a unit record for each span whose units the walk refreshed, and the
+manifest.  The shared pair-test
 memo crosses processes the same way: each analysis first folds in the
 memo segments other processes wrote, and last writes the entries it
 proved as one new segment.  Any invalid or corrupt record degrades to
@@ -197,6 +199,8 @@ class _Run:
     ukeys: Dict[str, Optional[str]] = field(default_factory=dict)
     #: Disk-restored ``{unit: {phase: value}}``, filled on first demand.
     warm: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    #: Units whose bottom-up summaries this walk recomputed or restored.
+    summarized: Set[str] = field(default_factory=set)
     pa: Optional[ProgramAnalysis] = None
 
 
@@ -477,7 +481,7 @@ class AnalysisEngine:
             stats.counters["memo.shared_misses"] = memo.misses
             if self._store is not None:
                 self._spill_state(prog_key, run)
-                self._spill_unit_summaries(run.ukeys)
+                self._spill_unit_summaries(run)
                 self._export_memo_deltas()
         return run.sf, run.pa
 
@@ -870,8 +874,9 @@ class AnalysisEngine:
         compute, so a warm unit skips computation while keeping the
         rev-bump and miss accounting of a recomputed one.
 
-        Returns the recomputed units.  A unit whose value moved makes
-        its callers' dependence keys stale.
+        Returns the recomputed units and adds them to
+        ``run.summarized``.  A unit whose value moved makes its callers'
+        dependence keys stale.
         """
 
         cg, changed = run.cg, run.changed
@@ -934,6 +939,7 @@ class AnalysisEngine:
             recomputed.extend(stale)
         if recomputed:
             cache = self._summaries[phase] = dict(cache)
+            run.summarized.update(recomputed)
         for n in recomputed:
             if n in moved:
                 revs[n] = revs.get(n, 0) + 1
@@ -1165,28 +1171,28 @@ class AnalysisEngine:
 
         Only attempted on a cold engine (``_last is None``); success makes
         the following pipeline walk hit every cache.  Each unit record
-        pickles one span's units with their dependence entries, so a
-        restored entry aliases its own span's ASTs.  The manifest's
-        revisions become this engine's, and every restored entry's
-        dependence key is rebuilt from them, whichever engine wrote the
-        record.  A missing or invalid manifest or record, or a record
-        whose span digest or binding guard disagrees with the manifest,
-        leaves the engine cold (with one log line).
+        pickles one span's units with their summaries and dependence
+        entries, so a restored entry aliases its own span's ASTs.  The
+        records are read first: their summaries fill the summary caches,
+        and only then is every restored entry's dependence key rebuilt,
+        because it needs the inherited constants.  The manifest's
+        revisions become this engine's and enter those keys, whichever
+        engine wrote the record.  A missing or invalid manifest or
+        record, or a record whose span digest or binding guard disagrees
+        with the manifest, leaves the engine cold (with one log line).
         """
 
         state = self._store.load_program(key)
         if state is None:
             return False
         try:
-            summaries = state["summaries"]
             summary_revs = state["summary_revs"]
             last = state["last"]
             rev_next = int(state["rev_next"])
-            if not all(p in summaries and p in summary_revs for p in _PHASES):
+            if not all(p in summary_revs for p in _PHASES):
                 raise ValueError("missing summary phase")
-            constants = summaries["ipconst"]
-            spans: Dict[str, _SpanEntry] = {}
-            deps: Dict[str, _DepEntry] = {}
+            summaries: Dict[str, Dict[str, object]] = {p: {} for p in _PHASES}
+            records = []
             for digest, rev, record_key in state["spans"]:
                 record = self._store.load_unit_record(record_key)
                 if record is None:
@@ -1198,6 +1204,14 @@ class AnalysisEngine:
                         f"unit record {record_key} was bound under "
                         "another unit-kind map"
                     )
+                for name, values in record["summaries"].items():
+                    for phase, value in values.items():
+                        summaries[phase][name] = value
+                records.append((digest, rev, record_key, record))
+            constants = summaries["ipconst"]
+            spans: Dict[str, _SpanEntry] = {}
+            deps: Dict[str, _DepEntry] = {}
+            for digest, rev, record_key, record in records:
                 units = list(record["units"])
                 for unit in units:
                     name = unit.name
@@ -1227,7 +1241,7 @@ class AnalysisEngine:
             self.stats.bump("disk.error")
             return False
         self._spans = spans
-        self._summaries = {p: dict(summaries[p]) for p in _PHASES}
+        self._summaries = summaries
         self._summary_revs = {p: dict(summary_revs[p]) for p in _PHASES}
         self._deps = deps
         self._last = last
@@ -1243,14 +1257,20 @@ class AnalysisEngine:
         record per span whose units the walk refreshed, and the manifest.
 
         Span records warm up *partial* overlaps (an edited file reuses
-        every untouched span).  A span needs a new unit record only when
-        one of its dependence entries is in none yet, which holds for
-        exactly the entries the walk computed afresh; a reused or
-        restored entry stays in the record it was first written to, so
-        a callee edit does not rewrite its callers' records.  The
-        manifest warms up an exact reopen (source, features and
-        assertions all unchanged); it is written only when every span's
-        record is on disk.
+        every untouched span).  A unit record holds the span's units
+        with their summaries (``{unit: {phase: value}}``) and dependence
+        entries.  A span needs a new one only when one of its dependence
+        entries is in none yet, which holds for exactly the entries the
+        walk computed afresh; a reused or restored entry stays in the
+        record it was first written to, so a callee edit does not
+        rewrite its callers' records.  That record's summaries are still
+        the current ones: a unit whose summary moves gets a fresh
+        dependence entry, because its span, a callee's summary revision
+        or its inherited constants moved.  The manifest — spans,
+        summary revisions and the change-detection baseline — warms up
+        an exact reopen (source, features and assertions all
+        unchanged); it is written only when every span's record is on
+        disk.
         """
 
         store = self._store
@@ -1271,6 +1291,14 @@ class AnalysisEngine:
                     "guard": guard or _span_guard(entry, run.kinds),
                     "units": entry.units,
                     "candidates": entry.candidates,
+                    "summaries": {
+                        u.name: {
+                            p: values[u.name]
+                            for p, values in self._summaries.items()
+                            if u.name in values
+                        }
+                        for u in entry.units
+                    },
                     "deps": {
                         u.name: (d.ua, d.markings, d.verdicts)
                         for u, d in zip(entry.units, deps)
@@ -1288,7 +1316,6 @@ class AnalysisEngine:
                 prog_key,
                 {
                     "spans": spans,
-                    "summaries": self._summaries,
                     "summary_revs": self._summary_revs,
                     "last": self._last,
                     "rev_next": self._rev_next,
@@ -1426,9 +1453,15 @@ class AnalysisEngine:
         self.stats.bump("disk.usum_miss")
         return {}
 
-    def _spill_unit_summaries(
-        self, ukeys: Dict[str, Optional[str]]
-    ) -> None:
+    def _spill_unit_summaries(self, run: _Run) -> None:
+        """Write a ``usum`` record for each unit whose summaries this
+        walk recomputed or restored (``run.summarized``).
+
+        An ancestor whose content key moved while early cutoff kept its
+        values gets none: a later lookup of that key misses and
+        recomputes, as any cache miss does.
+        """
+
         feats = self.features
         phases = []
         if feats.needs_modref():
@@ -1439,8 +1472,12 @@ class AnalysisEngine:
             phases.append("sections")
         if not phases:
             return
-        for n, key in ukeys.items():
-            if key is None or key in self._spilled_usums:
+        for n, key in run.ukeys.items():
+            if (
+                n not in run.summarized
+                or key is None
+                or key in self._spilled_usums
+            ):
                 continue
             values = {
                 p: self._summaries[p][n]

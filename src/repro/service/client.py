@@ -88,6 +88,8 @@ from . import protocol
 MAX_REPLY_LINE_BYTES = 256 * 1024 * 1024
 #: Reader chunk size.
 CHUNK = 64 * 1024
+#: How long closing a TCP client waits for its reader to see EOF.
+READER_STOP_S = 5.0
 
 
 class PedRequestError(Exception):
@@ -275,17 +277,25 @@ class PedClient:
             # reader thread keeps ``rfile`` open — a bare ``close()``
             # would leave the TCP connection half-alive (no FIN) and
             # the reader blocked forever.  ``shutdown`` tears the
-            # stream down for real and wakes the reader with EOF.
+            # stream down for real and wakes the reader with EOF; once
+            # the reader has stopped, closing ``rfile`` drops the last
+            # io-ref, so the fd closes now and not when the collector
+            # gets to the socket.  The wait is bounded: a listener the
+            # reader is calling may itself be waiting on the closer.
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            if client._reader is not threading.current_thread():
+                client._reader.join(timeout=READER_STOP_S)
             try:
                 sock.close()
+                rfile.close()
             except OSError:
                 pass
 
-        return cls(rfile, wfile, on_close=_close)
+        client = cls(rfile, wfile, on_close=_close)
+        return client
 
     @classmethod
     def spawn(cls, argv=None, **popen_kwargs) -> "PedClient":

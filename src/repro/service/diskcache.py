@@ -69,7 +69,9 @@ log = logging.getLogger(__name__)
 #: solution, and no per-pair test results; the dependence graph keeps
 #: four indices and no id counter (an edge's id is its position in
 #: ``edges``).
-FORMAT_VERSION = 9
+#: v10: unit records carry their units' summaries, and the program
+#: manifest no longer does.
+FORMAT_VERSION = 10
 
 _MAGIC = "repro-cache"
 

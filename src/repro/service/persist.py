@@ -17,8 +17,11 @@ Five record families, all content-addressed into a :class:`DiskCache`:
 * **Unit-summary records** (``usum:<digest of (features, name, span,
   callee keys)>``) — one unit's bottom-up summary values (MOD/REF,
   kill, sections), keyed recursively on the unit's span digest and its
-  callees' keys, so a cold open of a never-seen program still reuses
-  summaries for any call subtree it shares with a prior session.
+  callees' keys, so a cold open of a never-seen program (or a journal
+  replay) still reuses summaries for any call subtree it shares with a
+  prior session.  An engine writes one for each unit whose summaries a
+  walk recomputed; an ancestor whose key moved while early cutoff kept
+  its values gets none until a later lookup misses and recomputes it.
 * **Memo segments** (``memo:seg-<digest of the entry keys>``) — the
   program-scoped pair-test memo (:class:`~repro.dependence.hierarchy.
   SharedPairMemo` entries), written as immutable segments: each holds
@@ -31,20 +34,24 @@ Five record families, all content-addressed into a :class:`DiskCache`:
   read, merged and rewritten, so no lock is needed.
 * **Unit records** (``unit:<digest of the span and, per unit, its
   usum key, inherited constants and assertion texts>``) — one span's
-  bound units pickled together with their dependence entries (analysis
-  plus pristine marking snapshot) and the span's binding guard.  The
-  entries reference only their own span's ASTs, so the aliasing
+  bound units pickled together with their four summaries (MOD/REF,
+  kill, sections, inherited constants), their dependence entries
+  (analysis plus pristine marking snapshot) and the span's binding
+  guard.  The key covers everything those summaries are computed from.
+  The entries reference only their own span's ASTs, so the aliasing
   invariant (a cached ``UnitAnalysis`` shares the AST objects of the
   cached span) holds within each record.  An engine writes one when a
   walk refreshes one of the span's units; a reused entry keeps the
-  record it was first written to.
+  record it was first written to, whose summaries are still current
+  (a unit whose summary moves gets a fresh entry).  Unlike ``usum``
+  records they are reached only through a manifest.
 * **Program records** (``prog:<digest of (features, source,
   assertions)>``) — a small *manifest* of one analyzed program: for
-  each span its digest, revision and unit-record key, the four summary
-  families with their revision counters, and the change-detection
-  baseline.  It holds no ASTs and no dependence entries.  Loading one
-  and the unit records it names on a cold engine makes the next
-  ``analyze`` a pure cache walk — the warm start the benchmarks measure.
+  each span its digest, revision and unit-record key, the summary
+  revision counters, and the change-detection baseline.  It holds no
+  ASTs, summaries or dependence entries.  Loading one and the unit
+  records it names on a cold engine makes the next ``analyze`` a pure
+  cache walk — the warm start the benchmarks measure.
 
 The digests mirror the engine's own content keys, so a record can never
 be served for content it was not computed from; anything else (format

@@ -8,7 +8,9 @@ Two interchangeable backends execute :func:`repro.service.tasks.run_task`:
   it is the ``--jobs 1`` corpus backend.
 * :class:`WorkerPool` — a ``ProcessPoolExecutor`` that pickles payloads
   out and results back; it serves corpus batches, one whole program per
-  task (``serve --jobs N``, ``corpus analyze --jobs N``).  Submission
+  task (``serve --jobs N``, ``corpus analyze --jobs N``).  Its workers
+  start by forkserver (spawn where that is missing), never by fork,
+  because the pool lives in a threaded server.  Submission
   order is preserved (``executor.map``), so merges on the main process
   are deterministic; a broken pool (killed worker, unpicklable payload)
   degrades to inline execution with a logged warning rather than
@@ -27,6 +29,7 @@ executor starts, and ``pool.broken`` when a batch falls back inline.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
@@ -84,7 +87,16 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            # Never fork: the pool lives in a server whose transport
+            # and handler threads may hold a lock at the moment of the
+            # fork, which the child would then wait on forever.
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "forkserver" if "forkserver" in methods else "spawn"
+            )
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs, mp_context=context
+            )
             if self.stats is not None:
                 self.stats.gauge("pool.workers", self.jobs)
         return self._executor

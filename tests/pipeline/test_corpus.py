@@ -8,6 +8,7 @@ progress, also when the pool's workers die mid-batch.
 """
 
 import logging
+import multiprocessing
 import os
 import signal
 import time
@@ -251,6 +252,16 @@ class TestCorpusPool:
         four = make_pool(4)
         assert type(four) is WorkerPool and four.jobs == 4
         four.close()
+
+    def test_worker_pool_never_forks(self):
+        """The pool lives in a threaded server, where a forked child
+        can inherit a lock another thread holds."""
+
+        methods = multiprocessing.get_all_start_methods()
+        expected = "forkserver" if "forkserver" in methods else "spawn"
+        with WorkerPool(2) as pool:
+            context = pool._ensure_executor()._mp_context
+            assert context.get_start_method() == expected
 
     def test_worker_pool_matches_serial(self, serial_batch):
         records, progress = serial_batch

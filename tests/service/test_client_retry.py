@@ -101,6 +101,25 @@ def test_send_failure_raises_typed_error():
     client.close()
 
 
+def test_close_closes_the_reader_file():
+    """Closing a TCP client stops its reader and closes the reader's
+    file, so the socket's descriptor goes at once, not whenever the
+    collector reaches it."""
+
+    srv = PedServer(max_workers=2)
+    transport = AsyncTransport(srv)
+    port = transport.start_background()
+    try:
+        client = PedClient.connect(port=port)
+        assert client.request("ping", wait=30)["pong"] is True
+        client.close()
+        assert not client._reader.is_alive()
+        assert client._rfile.closed
+    finally:
+        transport.stop_background()
+        srv.close()
+
+
 def test_request_after_server_stops_fails_fast():
     """Once the reader has seen EOF, nothing can ever answer: a new
     request raises at once instead of waiting out its timeout."""

@@ -1,12 +1,12 @@
 """Warm-start persistence: reopened programs hit the disk cache.
 
 Four contracts under test: a warm reopen is fingerprint-identical to a
-cold analysis and runs as a pure cache walk, whichever engine wrote the
-unit records its manifest names; per-span records warm up *partially*
-overlapping programs but are rejected (with a warning) when the
-unit-kind map changed; an edit writes only what it changed; and
-corrupting the store never breaks an analysis — it just makes it cold
-again.
+cold analysis, with the same summaries, and runs as a pure cache walk,
+whichever engine wrote the unit records its manifest names; per-span
+records warm up *partially* overlapping programs but are rejected (with
+a warning) when the unit-kind map changed; an edit writes only what it
+changed; and corrupting the store never breaks an analysis — it just
+makes it cold again.
 """
 
 import logging
@@ -15,7 +15,12 @@ import pytest
 
 from repro.incremental import AnalysisEngine, program_fingerprint
 from repro.service import DiskCache, PedServer, build_engine
-from repro.service.persist import PROG_KIND, UNIT_KIND
+from repro.service.persist import (
+    PROG_KIND,
+    SPAN_KIND,
+    UNIT_KIND,
+    USUM_KIND,
+)
 from repro.workloads import SUITE
 from repro.workloads.generator import generate_program
 
@@ -34,6 +39,31 @@ def _stencil_edit(source):
 
 def _engine(tmp_path):
     return build_engine(cache_dir=tmp_path / "cache")
+
+
+def _assert_summaries_match_cold(pa, source):
+    """Every phase's summary of every unit equals a cold analysis's."""
+
+    ref = AnalysisEngine().analyze(source)[1]
+    for phase in ("modref", "kills", "sections", "ip_constants"):
+        warm, cold = getattr(pa, phase), getattr(ref, phase)
+        assert warm.keys() == cold.keys(), phase
+        for name in cold:
+            assert warm[name] == cold[name], (phase, name)
+
+
+def _spy_puts(monkeypatch):
+    """``(kind, payload)`` of every record written from now on."""
+
+    written = []
+    put = DiskCache.put
+
+    def spy(self, kind, key, payload):
+        written.append((kind, payload))
+        return put(self, kind, key, payload)
+
+    monkeypatch.setattr(DiskCache, "put", spy)
+    return written
 
 
 def test_warm_reopen_is_identical_and_all_hits(tmp_path):
@@ -162,31 +192,31 @@ def test_features_enter_the_program_key(tmp_path):
 
 
 def test_one_routine_edit_writes_one_unit_record(tmp_path, monkeypatch):
-    """A durable edit writes what it changed: one unit record (for the
-    one refreshed unit), a few small span and summary records, and the
-    manifest, not the whole program's analysis.  Every other unit stays
-    in the record it was first written to, and the edited program
-    reopens warm from them."""
+    """A durable edit writes what it changed: the edited span, one unit
+    record (the one refreshed unit with its summaries), one summary
+    record (the one recomputed unit) and a manifest that holds no
+    summaries, not the whole program's analysis.  Every other unit
+    stays in the record it was first written to — ``upd0``'s caller
+    too, whose summaries did not move — and the edited program reopens
+    warm from them, with a cold analysis's summaries."""
 
     source = generate_program(n_routines=30)
     edited = _stencil_edit(source)
     engine = _engine(tmp_path)
-    engine.analyze(source)
-    written = []
-    put = DiskCache.put
-
-    def spy(self, kind, key, payload):
-        written.append((kind, payload))
-        return put(self, kind, key, payload)
-
-    monkeypatch.setattr(DiskCache, "put", spy)
+    (caller,) = engine.analyze(source)[1].callgraph.callers["upd0"]
+    caller_record = engine._deps[caller].record
+    written = _spy_puts(monkeypatch)
     before = engine.stats.counter("disk.write_bytes")
     engine.analyze(edited)
     assert engine.refreshed == {"upd0"}
-    units = [payload for kind, payload in written if kind == UNIT_KIND]
-    assert len(units) == 1
-    assert set(units[0]["deps"]) == {"upd0"}
-    assert engine.stats.counter("disk.write_bytes") - before < 80 * 1024
+    kinds = sorted(kind for kind, _ in written)
+    assert kinds == sorted([PROG_KIND, SPAN_KIND, UNIT_KIND, USUM_KIND])
+    payloads = dict(written)
+    assert set(payloads[UNIT_KIND]["deps"]) == {"upd0"}
+    assert set(payloads[UNIT_KIND]["summaries"]) == {"upd0"}
+    assert "summaries" not in payloads[PROG_KIND]
+    assert engine.stats.counter("disk.write_bytes") - before < 20 * 1024
+    assert engine._deps[caller].record == caller_record
 
     warm = _engine(tmp_path)
     _, pa = warm.analyze(edited)
@@ -195,6 +225,37 @@ def test_one_routine_edit_writes_one_unit_record(tmp_path, monkeypatch):
         assert warm.stats.stage(stage).misses == 0, stage
     ref = AnalysisEngine().analyze(edited)[1]
     assert program_fingerprint(pa) == program_fingerprint(ref)
+    _assert_summaries_match_cold(pa, edited)
+
+
+def test_leaf_edit_leaves_ancestor_summaries_to_a_later_miss(
+    tmp_path, monkeypatch
+):
+    """A leaf edit writes a summary record for the leaf alone, although
+    its ancestors' content keys moved.  Without the edited program's
+    manifest, a fresh engine misses on exactly those ancestors,
+    recomputes and writes them, and matches a cold analysis."""
+
+    source = generate_program(n_routines=30)
+    edited = _stencil_edit(source)
+    a = _engine(tmp_path)
+    a.analyze(source)
+    a.analyze(edited)
+    a.store.cache._path(
+        PROG_KIND, a.store.program_key(a.features, edited, {})
+    ).unlink()
+
+    written = _spy_puts(monkeypatch)
+    b = _engine(tmp_path)
+    _, pa = b.analyze(edited)
+    assert b.stats.counter("disk.warm_start") == 0
+    # upd0's caller and the main program above it.
+    assert b.stats.counter("disk.usum_miss") == 2
+    assert b.stats.counter("disk.usum_hit") == 30
+    assert sum(kind == USUM_KIND for kind, _ in written) == 2
+    ref = AnalysisEngine().analyze(edited)[1]
+    assert program_fingerprint(pa) == program_fingerprint(ref)
+    _assert_summaries_match_cold(pa, edited)
 
 
 def test_restore_rewrites_no_records(tmp_path):
@@ -267,6 +328,7 @@ def test_manifest_over_another_engines_records(tmp_path):
         assert c.stats.stage(stage).misses == 0, stage
     ref = AnalysisEngine().analyze(edited)[1]
     assert program_fingerprint(pa) == program_fingerprint(ref)
+    _assert_summaries_match_cold(pa, edited)
 
 
 def _garbage(path, store, key):
