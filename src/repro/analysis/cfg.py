@@ -18,7 +18,7 @@ algorithm; the postdominator tree drives control-dependence construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..fortran.ast_nodes import (
     DoLoop,
@@ -67,22 +67,6 @@ class CFG:
         """Postdominator sets, computed on the reversed graph from EXIT."""
 
         return _dominance(self.nodes(), self.succ, EXIT)
-
-    def immediate_postdominators(self) -> Dict[int, Optional[int]]:
-        """Map each node to its immediate postdominator (None for EXIT)."""
-
-        pdom = self.postdominators()
-        ipdom: Dict[int, Optional[int]] = {}
-        for n in self.nodes():
-            strict = pdom[n] - {n}
-            ipdom[n] = None
-            # The immediate postdominator is the strict postdominator that
-            # is postdominated by every other strict postdominator.
-            for cand in strict:
-                if all(cand in pdom[other] or other == cand for other in strict):
-                    ipdom[n] = cand
-                    break
-        return ipdom
 
     def reverse_postorder(self) -> List[int]:
         """Reverse postorder from ENTRY (good iteration order forward)."""

@@ -30,7 +30,6 @@ from ..fortran.ast_nodes import (
     Stmt,
     VarRef,
     walk_expr,
-    walk_statements,
 )
 from ..fortran.symbols import COMMON, SymbolTable
 from .cfg import CFG, ENTRY, build_cfg
@@ -293,19 +292,3 @@ def compute_defuse(
     result.live_in = live_in
     result.live_out = live_out
     return result
-
-
-def scalar_defs_in(body: List[Stmt], table: SymbolTable) -> Set[str]:
-    """Scalar names assigned anywhere in a statement list (lexically)."""
-
-    out: Set[str] = set()
-    for st in walk_statements(body):
-        if isinstance(st, Assign) and isinstance(st.target, VarRef):
-            out.add(st.target.name)
-        elif isinstance(st, DoLoop):
-            out.add(st.var)
-        elif isinstance(st, IOStmt) and st.kind == "read":
-            for item in st.items:
-                if isinstance(item, VarRef):
-                    out.add(item.name)
-    return out

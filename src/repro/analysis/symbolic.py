@@ -70,9 +70,6 @@ class Linear:
         items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
         return Linear(items, const)
 
-    def as_dict(self) -> Dict[str, Fraction]:
-        return dict(self.coeffs)
-
     # -- queries -----------------------------------------------------------
 
     def coeff(self, name: str) -> Fraction:

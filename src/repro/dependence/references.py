@@ -76,10 +76,6 @@ class ArrayAccess:
     #: Lazily computed :meth:`point_rank` (-1 = not all-point).
     _points: Optional[int] = field(default=None, repr=False, compare=False)
 
-    @property
-    def is_section(self) -> bool:
-        return self.section is not None
-
     def common_nest(self, other: "ArrayAccess") -> Tuple[DoLoop, ...]:
         common: List[DoLoop] = []
         for a, b in zip(self.nest, other.nest):

@@ -28,11 +28,6 @@ class HierarchyStats:
     total_pairs: int = 0
     total_classic: int = 0
 
-    def resolved_fraction(self, tier: str) -> float:
-        if not self.total_pairs:
-            return 0.0
-        return self.pairs_resolved.get(tier, 0) / self.total_pairs
-
     def cheap_fraction(self) -> float:
         """Fraction of *classic element-reference pairs* settled by the
         cheap tiers (structural pruning, ZIV and exact SIV) — the paper's

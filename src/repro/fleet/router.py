@@ -65,7 +65,7 @@ from ..service.client import (
     PedRequestError,
     ServerUnavailableError,
 )
-from ..service.metrics import ConnectionGauge
+from ..service.metrics import ConnectionGauge, derive_ratios
 from .ring import HashRing
 
 __all__ = ["FleetRouter"]
@@ -414,7 +414,8 @@ class FleetRouter:
 
     def _op_metrics(self, req: Dict, emit) -> Dict:
         """Fleet-wide metrics: per-shard counters summed, router gauges
-        overlaid (``server.*`` describes *this* routing tier)."""
+        overlaid (``server.*`` describes *this* routing tier), and the
+        ratios derived again from the summed totals."""
 
         merged: Dict[str, float] = {}
         reachable = 0
@@ -439,12 +440,7 @@ class FleetRouter:
         merged["fleet.shards"] = len(self.ring)
         merged["fleet.shards.reachable"] = reachable
         merged["fleet.shards.dead"] = len(self._dead)
-        # Ratios don't sum — recompute the fleet-wide one from totals.
-        raw = merged.get("net.bytes_out_raw", 0)
-        merged["net.compress_ratio"] = (
-            merged.get("net.bytes_out", 0) / raw if raw else 1.0
-        )
-        return {"metrics": merged}
+        return {"metrics": derive_ratios(merged)}
 
     # ------------------------------------------------------------------
     # corpus fan-out

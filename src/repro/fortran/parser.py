@@ -82,11 +82,6 @@ class _StmtTokens:
         self.toks = toks
         self.line = line
 
-    def first_name(self) -> str:
-        if self.toks and self.toks[0].kind == lx.NAME:
-            return self.toks[0].value
-        return ""
-
 
 def _group_statements(tokens: List[Token]) -> List[_StmtTokens]:
     stmts: List[_StmtTokens] = []

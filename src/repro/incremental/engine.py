@@ -48,10 +48,16 @@ appears or disappears), and :meth:`AnalysisEngine.invalidate` must be
 called after in-place AST mutation (transformations), since cached units
 alias the session's AST.
 
-Span parses, same-level summary steps and per-unit dependence analyses
-run inline, in a fixed order, through a private
-:class:`~repro.service.pool.SerialPool`: each is a task of
-:mod:`repro.service.tasks`, a function of its payload alone.
+Every span parse (stale-guard reparses too), every summary step
+(recursive SCCs' fixpoint steps too) and every per-unit dependence
+analysis runs inline, in a fixed order, as one call of
+``repro.service.pool.run_task`` (looked up on the module at call time,
+since that name is the layer seam the benchmark's tracer wraps) on the
+engine's own objects: the unit, the walk's call graph and summaries,
+and a config built with the same
+:func:`~repro.interproc.program.build_providers` and
+:func:`~repro.interproc.program.unit_config` that
+:func:`~repro.interproc.program.analyze_program` composes.
 
 Streaming clients see one ``analysis.progress`` event per stage (one
 per unit in the dependence stage), then a per-walk ``graph`` summary,
@@ -88,6 +94,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..assertions.engine import AssertionDB
 from ..dependence.driver import UnitAnalysis
 from ..dependence.hierarchy import SharedPairMemo
 from ..fortran.ast_nodes import (
@@ -100,7 +107,6 @@ from ..fortran.ast_nodes import (
     walk_expr,
     walk_statements,
 )
-from ..fortran.parser import parse_source
 from ..fortran.symbols import Binder
 from ..interproc.callgraph import CallGraph, CallSite
 from ..interproc.ipconst import gather_site_proposals, resolve_slot
@@ -109,11 +115,13 @@ from ..interproc.modref import ModRefInfo, local_summary
 from ..interproc.program import (
     FeatureSet,
     ProgramAnalysis,
+    build_providers,
     kills_view,
+    unit_config,
 )
 from ..interproc.sections import SectionInfo, sections_differ, unit_sections
 from ..analysis.constants import propagate_constants
-from ..service.pool import SerialPool
+from ..service import pool
 from ..service.persist import features_digest
 from .splitter import UnitSpan, split_units
 from .stats import EngineStats
@@ -252,21 +260,6 @@ def _scc_schedule(cg: CallGraph) -> List[Tuple[List[str], bool]]:
     return schedule
 
 
-def _summary_payload(
-    phase: str, name: str, cg: CallGraph, work: Dict[str, object]
-) -> Dict[str, object]:
-    """Everything one summary step needs, cut loose from the engine."""
-
-    callees = sorted(cg.callees.get(name, ()))
-    return {
-        "phase": phase,
-        "unit": cg.units[name],
-        "callee_units": {c: cg.units[c] for c in callees},
-        "sites": cg.sites_in(name),
-        "summaries": {c: work[c] for c in callees if c in work},
-    }
-
-
 class AnalysisEngine:
     """Incremental replacement for ``analyze_program(parse_and_bind(...))``.
 
@@ -286,7 +279,6 @@ class AnalysisEngine:
     ) -> None:
         self.features = features or FeatureSet()
         self.stats = stats or EngineStats()
-        self._pool = SerialPool()
         self._store = store
         self._rev_next = 1
         self._spans: Dict[str, _SpanEntry] = {}
@@ -674,23 +666,12 @@ class AnalysisEngine:
                 to_parse.append(i)
             if hits:
                 self.stats.hit("parse", hits)
-            if to_parse:
-                payloads = [
-                    {
-                        "start_line": spans[i].start_line,
-                        "text": spans[i].text,
-                    }
-                    for i in to_parse
-                ]
-                fresh: List[_SpanEntry] = []
-                for i, units in zip(
-                    to_parse, self._pool.map("parse", payloads)
-                ):
-                    entry = _SpanEntry(
-                        spans[i].digest, self._new_rev(), list(units)
-                    )
-                    entries[i] = entry
-                    fresh.append(entry)
+            parsed = [pool.run_task("parse", spans[i]) for i in to_parse]
+            fresh: List[_SpanEntry] = []
+            for i, units in zip(to_parse, parsed):
+                entry = _SpanEntry(spans[i].digest, self._new_rev(), units)
+                entries[i] = entry
+                fresh.append(entry)
         self._emit_progress(
             "parse",
             parsed=len(to_parse),
@@ -736,11 +717,9 @@ class AnalysisEngine:
             )
             self.stats.bump("disk.span_rejected", len(stale))
             for i in stale:
-                span = spans[i]
-                padded = "\n" * (span.start_line - 1) + span.text
-                sub = parse_source(padded)
+                units = pool.run_task("parse", spans[i])
                 entries[i] = _SpanEntry(
-                    span.digest, self._new_rev(), list(sub.units)
+                    spans[i].digest, self._new_rev(), units
                 )
             sf = SourceFile([u for e in entries for u in e.units])
             binder = Binder(sf)
@@ -903,20 +882,13 @@ class AnalysisEngine:
                 # Same-level, non-recursive units: their callees are
                 # final and they cannot read each other's summaries, so
                 # one step call per unit *is* its fixpoint.
-                live = []
                 for n in stale:
                     value = warm(n) if warm is not None else None
                     if value is None:
-                        live.append(n)
-                    else:
-                        work[n] = value
-                payloads = [
-                    _summary_payload(phase, n, cg, work) for n in live
-                ]
-                for n, new in zip(
-                    live, self._pool.map("summary", payloads)
-                ):
-                    work[n] = new
+                        value = pool.run_task(
+                            "summary", (step, cg.units[n], cg, work)
+                        )
+                    work[n] = value
             else:
                 stale = group
                 for n in group:
@@ -929,7 +901,9 @@ class AnalysisEngine:
                     scc_changed = False
                     passes += 1
                     for n in group:
-                        new = step(cg.units[n], cg, work)
+                        new = pool.run_task(
+                            "summary", (step, cg.units[n], cg, work)
+                        )
                         if not equal(new, work[n]):
                             work[n] = new
                             scc_changed = True
@@ -1042,9 +1016,10 @@ class AnalysisEngine:
         edge markings and verdicts are restored only if a session
         reported changing them (:meth:`note_mutated`).
 
-        Misses are collected and analyzed in call-graph order; each
-        analysis reads the program's own unit AST, so cached analyses
-        alias the program AST.
+        Misses are collected and analyzed in call-graph order, with the
+        providers built once over the walk's call graph and the engine's
+        summary dicts; each analysis reads the program's own unit AST,
+        so cached analyses alias the program AST.
 
         The analysis holds the engine's summary dicts themselves, not
         copies: the engine replaces a summary dict whenever it changes
@@ -1100,36 +1075,21 @@ class AnalysisEngine:
             if hits:
                 stats.hit("dependence", hits)
             if misses:
-                payloads = []
+                providers = build_providers(cg, feats, modref, sections, kv)
+                analyses = []
                 for name, _key in misses:
-                    callees = sorted(cg.callees.get(name, ()))
-                    payloads.append(
-                        {
-                            "unit": cg.units[name],
-                            "callee_units": {
-                                c: cg.units[c] for c in callees
-                            },
-                            "sites": cg.sites_in(name),
-                            "modref": {
-                                c: modref[c] for c in callees if c in modref
-                            },
-                            "sections": {
-                                c: sections[c]
-                                for c in callees
-                                if c in sections
-                            },
-                            "kills": {
-                                c: kv[c] for c in callees if c in kv
-                            },
-                            "constants": constants.get(name, {}),
-                            "asserts": asserts.get(name, ()),
-                            "features": feats,
-                            "memo": self._shared_memo,
-                        }
+                    config = unit_config(
+                        name,
+                        feats,
+                        providers,
+                        constants,
+                        _oracle(asserts.get(name, ())),
+                        shared_memo=self._shared_memo,
                     )
-                for (name, key), ua in zip(
-                    misses, self._pool.map("dep", payloads)
-                ):
+                    analyses.append(
+                        pool.run_task("dep", (cg.units[name], config))
+                    )
+                for (name, key), ua in zip(misses, analyses):
                     self._emit_progress("dependence", unit=name)
                     # Per-tier wall time (``--profile``): the tester's
                     # timings surface as stats counters, so tier costs
@@ -1545,6 +1505,17 @@ def _span_guard(
             names.update(table.symbols)
     funcs = frozenset(n for n in names if kinds.get(n) == "function")
     return (frozenset(names), funcs)
+
+
+def _oracle(texts: tuple) -> Optional[AssertionDB]:
+    """One unit's assertion oracle, ``None`` when it has no assertions."""
+
+    if not texts:
+        return None
+    oracle = AssertionDB()
+    for text in texts:
+        oracle.add(text)
+    return oracle
 
 
 def _restore_pristine(entry: _DepEntry) -> None:

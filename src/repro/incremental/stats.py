@@ -120,15 +120,6 @@ class EngineStats:
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0)
 
-    def shared_memo_hit_rate(self) -> float:
-        """Fraction of shared-memo lookups that replayed a prior
-        verdict (cross-unit or cross-session reuse)."""
-
-        hits = self.counters.get("memo.shared_hits", 0)
-        misses = self.counters.get("memo.shared_misses", 0)
-        looked = hits + misses
-        return hits / looked if looked else 0.0
-
     def pool_utilization(self) -> float:
         """Worker busy time over main-process wait time (≈ effective
         parallel speedup of the dispatched batches)."""

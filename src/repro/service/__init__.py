@@ -3,8 +3,9 @@
 Cooperating subsystems on top of the incremental engine:
 
 * :mod:`repro.service.tasks` / :mod:`repro.service.pool` — the task
-  kinds the engine runs inline (parse, summary steps, dependence), and
-  the process pool that fans corpus batches out one program per task;
+  kinds the engine runs inline on its own objects (parse, summary
+  steps, dependence) through ``pool.run_task``, and the process pool
+  that fans corpus batches out one program per task;
 * :mod:`repro.service.diskcache` / :mod:`repro.service.persist` — a
   content-addressed on-disk store that lets a reopened session start
   warm; N server processes can share one ``--cache-dir`` and warm each

@@ -1,14 +1,13 @@
 """A thin Python client for the Ped session server.
 
 Speaks the JSON-lines envelope protocol of
-:mod:`repro.service.protocol` over any line-oriented transport: a TCP
-connection (:meth:`PedClient.connect`), a spawned ``python -m repro
-serve --stdio`` subprocess (:meth:`PedClient.spawn`) or an in-process
-pipe pair (tests).  A reader thread matches replies to requests by id,
-so many requests may be in flight at once; :meth:`request` is the
-blocking convenience wrapper and :meth:`submit` the asynchronous one.
+:mod:`repro.service.protocol` over a pair of byte streams: a TCP
+connection (:meth:`PedClient.connect`) or a spawned ``python -m repro
+serve --stdio`` subprocess (:meth:`PedClient.spawn`).  A reader thread
+matches replies to requests by id, so many requests may be in flight at
+once; :meth:`request` is the blocking convenience wrapper and
+:meth:`submit` the asynchronous one.
 
-On a byte-level transport (``connect`` and ``spawn`` both provide one)
 :meth:`negotiate_compression` switches the connection to one raw-deflate
 stream per direction, whose history spans the whole connection, so a
 pane refresh or a progress record the client has seen before costs a
@@ -165,37 +164,15 @@ def _event(env: Dict) -> "ServerEvent":
     )
 
 
-def _is_binary(f) -> bool:
-    """True when ``f`` reads/writes bytes rather than text."""
-
-    mode = getattr(f, "mode", None)
-    if isinstance(mode, str) and mode:
-        return "b" in mode
-    # Pipes and wrappers without a mode: a zero-length read tells the
-    # truth without consuming anything (writers have no cheap probe;
-    # transports always pair like with like).
-    try:
-        probe = f.read(0)
-    except (AttributeError, OSError, ValueError):
-        return False
-    return isinstance(probe, bytes)
-
-
 class PedClient:
-    """One protocol connection; safe to use from multiple threads."""
+    """One protocol connection over a pair of byte streams; safe to use
+    from multiple threads."""
 
     def __init__(self, rfile, wfile, *, on_close=None) -> None:
         self._rfile = rfile
         self._wfile = wfile
         self._on_close = on_close
-        # Byte-level streams (socket/pipe makefiles in "b" mode) enable
-        # exact wire accounting and deflate negotiation; text streams
-        # (tests hand in StringIO pairs) stay JSON-lines only.
-        self._rbinary = _is_binary(rfile)
-        self._wbinary = _is_binary(wfile)
-        #: Wire traffic counters, framing-independent (binary streams
-        #: count exact bytes; text streams count characters, close
-        #: enough for the ASCII-dominated envelopes).
+        #: Exact wire bytes in each direction, in every mode.
         self.bytes_sent = 0
         self.bytes_received = 0
         #: The read side; it starts inflating right after the reply to
@@ -347,14 +324,7 @@ class PedClient:
 
     def _read_loop(self) -> None:
         try:
-            if self._rbinary:
-                self._read_stream()
-            else:
-                for line in self._rfile:
-                    self.bytes_received += len(line)
-                    env = _parse(line)
-                    if env is not None:
-                        self._deliver([env])
+            self._read_stream()
         except (OSError, ValueError):
             pass  # stream torn down under the reader
         except protocol.ProtocolError as exc:
@@ -559,10 +529,8 @@ class PedClient:
 
         if self._encoder is not None:
             data = self._encoder.encode(req)
-        elif self._wbinary:
-            data = (json.dumps(req) + "\n").encode("utf-8")
         else:
-            data = json.dumps(req) + "\n"
+            data = (json.dumps(req) + "\n").encode("utf-8")
         self._wfile.write(data)
         self._wfile.flush()
         self.bytes_sent += len(data)
@@ -577,8 +545,8 @@ class PedClient:
         success.
 
         Returns False, with the connection still on JSON lines and fully
-        usable, when the transport is text-level or the server answers
-        ``unknown-op`` or ``bad-request``.  The write lock is held across
+        usable, when the server answers ``unknown-op`` or
+        ``bad-request``.  The write lock is held across
         the exchange: the request must be the last plain line this side
         sends, so concurrent submitters block for one round trip and
         then come out deflated.  A timeout or a failed send closes the
@@ -587,8 +555,6 @@ class PedClient:
         neither side could tell where the plain lines end.
         """
 
-        if not (self._rbinary and self._wbinary):
-            return False
         with self._write_lock:
             if self._encoder is not None:
                 return True

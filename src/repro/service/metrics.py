@@ -148,6 +148,15 @@ def merged_metrics(
         started = getattr(server, "started_monotonic", None)
         if started is not None:
             out["server.uptime_s"] = time.monotonic() - started
+    return derive_ratios(out)
+
+
+def derive_ratios(out: Dict[str, float]) -> Dict[str, float]:
+    """Set ``memo.shared_hit_rate``, ``pool.utilization`` and
+    ``net.compress_ratio`` from the totals in ``out``.  Ratios do not
+    sum, so a merge of several snapshots (the fleet router's) sums the
+    totals and derives the ratios again."""
+
     hits = out.get("memo.shared_hits", 0)
     misses = out.get("memo.shared_misses", 0)
     looked = hits + misses

@@ -1,11 +1,14 @@
-"""Pools: run tasks inline, or fan corpus programs out across processes.
+"""Pools: run corpus tasks inline, or fan them out across processes.
 
-Two interchangeable backends execute :func:`repro.service.tasks.run_task`:
+This module's ``run_task`` (imported from :mod:`repro.service.tasks`) is
+the one name every task call goes through.  Session engines call it
+directly, looked up here at call time, for each span parse, summary
+step and dependence analysis: it is the layer seam the benchmark's
+tracer wraps.  Two interchangeable backends execute it for corpus
+batches:
 
 * :class:`SerialPool` — tasks run inline, in submission order, on the
-  caller's objects (no pickling).  Every session engine runs its parse,
-  summary and dependence tasks through a private, stats-less one, and
-  it is the ``--jobs 1`` corpus backend.
+  caller's objects (no pickling): the ``--jobs 1`` corpus backend.
 * :class:`WorkerPool` — a ``ProcessPoolExecutor`` that pickles payloads
   out and results back; it serves corpus batches, one whole program per
   task (``serve --jobs N``, ``corpus analyze --jobs N``).  Its workers
@@ -40,7 +43,7 @@ log = logging.getLogger(__name__)
 
 
 class SerialPool:
-    """Inline task execution: session engines and ``--jobs 1`` corpora."""
+    """Inline task execution: ``--jobs 1`` corpora."""
 
     jobs = 1
 

@@ -130,8 +130,3 @@ def hard_obstacles(info: LoopInfo) -> List[str]:
     changes what the program reads or prints, or where it stops."""
 
     return [o for o in info.obstacles if o.startswith(_HARD_OBSTACLES)]
-
-
-def require_ok(advice: Advice, name: str) -> None:
-    if not advice.ok:
-        raise TransformError(f"{name}: {advice.describe()}")

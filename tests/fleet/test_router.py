@@ -193,8 +193,20 @@ def test_streamed_corpus_renumbers_progress(rclient):
     assert all(p["total"] == 6 for p in progress)
 
 
-def test_metrics_merge_sums_shards(rclient):
-    rclient.request("open", session="m", source=generate_program(), wait=120)
+def test_metrics_merge_sums_shards(rclient, fleet):
+    """Counters sum across shards; ratios are derived again from the
+    summed totals, never summed themselves."""
+
+    addrs, router, _ = fleet
+    source = generate_program()
+    for addr in addrs:
+        session = names_owned_by(router.ring, addr, 1, prefix="m")[0]
+        rclient.request("open", session=session, source=source, wait=120)
+    for addr in addrs:
+        port = int(addr.rsplit(":", 1)[1])
+        with PedClient.connect(port=port) as direct:
+            shard = direct.request("metrics", wait=60)["metrics"]
+        assert shard["memo.shared_hits"] > 0
     metrics = rclient.request("metrics", wait=60)["metrics"]
     assert metrics["fleet.shards"] == 2
     assert metrics["fleet.shards.reachable"] == 2
@@ -203,6 +215,10 @@ def test_metrics_merge_sums_shards(rclient):
     assert metrics["server.connections.open"] == 1
     assert metrics["server.uptime_s"] > 0
     assert metrics["memo.entries"] > 0  # summed across shards
+    hits = metrics["memo.shared_hits"]
+    misses = metrics["memo.shared_misses"]
+    assert metrics["memo.shared_hit_rate"] == hits / (hits + misses)
+    assert metrics["memo.shared_hit_rate"] <= 1
 
 
 def test_memo_exchange_ops_are_unknown(rclient, fleet):

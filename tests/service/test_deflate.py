@@ -11,7 +11,6 @@ client's behaviour against fake peers that answer late, send garbage,
 hang up or stall in the middle of a deflate block.
 """
 
-import io
 import json
 import socket
 import threading
@@ -392,12 +391,6 @@ def test_unknown_compression_mode_rejected(server):
                     c.request("compress", mode=mode)
                 assert exc.value.type == protocol.BAD_REQUEST
             assert c.request("ping")["pong"] is True
-
-
-def test_text_client_stays_on_json_lines():
-    c = PedClient(io.StringIO(""), io.StringIO())
-    assert c.negotiate_compression() is False
-    c.close()
 
 
 def test_fallback_on_unknown_op():
