@@ -3,7 +3,11 @@
 Dependence testing needs subscripts as *linear forms* over loop induction
 variables plus symbolic unknowns:  ``a(2*i + n - 1)`` becomes
 ``2·i + 1·n + (-1)``.  The :class:`Linear` class represents
-``Σ coeff·atom + const`` with exact :class:`fractions.Fraction` arithmetic.
+``Σ coeff·atom + const`` with exact arithmetic.  Fortran subscripts,
+bounds and constants are integers, so a form holds each coefficient and
+its constant as an ``int`` where integral and as a
+:class:`fractions.Fraction` only otherwise (the quotient
+:func:`linear_of_expr` tries for ``(2*i + 1)/2``, say).
 
 Atoms are usually variable names.  Nonlinear subterms (``n*n``, ``ip(j)``,
 function results) are folded into *opaque atoms* keyed by their printed
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..fortran.ast_nodes import (
     ArrayRef,
@@ -41,53 +45,74 @@ from ..fortran.printer import expr_to_str
 from ..fortran.symbols import SymbolTable
 
 
+#: A coefficient or constant: an ``int`` when integral, else a ``Fraction``.
+Number = Union[int, Fraction]
+
+
+def _num(value) -> Number:
+    """The normal form of a coefficient or constant: ``value`` as an
+    ``int`` when it is integral, as a ``Fraction`` otherwise.
+
+    Every value a :class:`Linear` stores passes through here, so
+    integral values never carry a ``Fraction`` (or a ``bool``).
+    """
+
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class Linear:
     """An affine form ``Σ coeffs[atom]·atom + const`` (exact arithmetic).
 
     Immutable; arithmetic returns new instances.  Zero coefficients are
-    never stored.
+    never stored, and every stored value is in :func:`_num`'s normal
+    form.  An ``int`` and the equal ``Fraction`` compare and hash alike,
+    so forms built either way are interchangeable as keys.
     """
 
-    coeffs: Tuple[Tuple[str, Fraction], ...] = ()
-    const: Fraction = Fraction(0)
+    coeffs: Tuple[Tuple[str, Number], ...] = ()
+    const: Number = 0
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(value) -> "Linear":
-        return Linear((), Fraction(value))
+        return Linear((), _num(value))
 
     @staticmethod
     def atom(name: str, coeff=1) -> "Linear":
-        c = Fraction(coeff)
+        c = _num(coeff)
         if c == 0:
             return Linear()
-        return Linear(((name, c),), Fraction(0))
+        return Linear(((name, c),), 0)
 
     @staticmethod
-    def _from_dict(coeffs: Mapping[str, Fraction], const: Fraction) -> "Linear":
-        items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
-        return Linear(items, const)
+    def _from_dict(coeffs: Mapping[str, Number], const) -> "Linear":
+        items = sorted((k, _num(v)) for k, v in coeffs.items() if v != 0)
+        return Linear(tuple(items), _num(const))
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> Number:
         for k, v in self.coeffs:
             if k == name:
                 return v
-        return Fraction(0)
+        return 0
 
     @property
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[Number]:
         return self.const if self.is_constant else None
 
     def int_value(self) -> Optional[int]:
-        if self.is_constant and self.const.denominator == 1:
-            return int(self.const)
+        if self.is_constant and type(self.const) is int:
+            return self.const
         return None
 
     def atoms(self) -> Tuple[str, ...]:
@@ -96,32 +121,52 @@ class Linear:
     def drop(self, names) -> "Linear":
         """Remove the given atoms (used to project out loop indices)."""
 
-        d = {k: v for k, v in self.coeffs if k not in names}
-        return Linear._from_dict(d, self.const)
+        kept = tuple((k, v) for k, v in self.coeffs if k not in names)
+        return Linear(kept, self.const)
 
     def restrict(self, names) -> "Linear":
         """Keep only the given atoms, dropping the constant."""
 
-        d = {k: v for k, v in self.coeffs if k in names}
-        return Linear._from_dict(d, Fraction(0))
+        return Linear(tuple((k, v) for k, v in self.coeffs if k in names), 0)
 
     # -- arithmetic ----------------------------------------------------------
+    #
+    # Removing atoms or scaling by a nonzero factor keeps the coefficients
+    # sorted and nonzero, so only a merge of two atom lists rebuilds them.
 
     def __add__(self, other: "Linear") -> "Linear":
+        if not other.coeffs:
+            return Linear(self.coeffs, _num(self.const + other.const))
+        if not self.coeffs:
+            return Linear(other.coeffs, _num(self.const + other.const))
         d = dict(self.coeffs)
         for k, v in other.coeffs:
-            d[k] = d.get(k, Fraction(0)) + v
+            d[k] = d.get(k, 0) + v
         return Linear._from_dict(d, self.const + other.const)
 
     def __sub__(self, other: "Linear") -> "Linear":
-        return self + other.scale(-1)
+        if not other.coeffs:
+            return Linear(self.coeffs, _num(self.const - other.const))
+        if not self.coeffs:
+            return Linear(
+                tuple((k, -v) for k, v in other.coeffs),
+                _num(self.const - other.const),
+            )
+        d = dict(self.coeffs)
+        for k, v in other.coeffs:
+            d[k] = d.get(k, 0) - v
+        return Linear._from_dict(d, self.const - other.const)
 
     def scale(self, factor) -> "Linear":
-        f = Fraction(factor)
+        f = _num(factor)
+        if f == 1:
+            return self
         if f == 0:
             return Linear()
-        d = {k: v * f for k, v in self.coeffs}
-        return Linear._from_dict(d, self.const * f)
+        return Linear(
+            tuple((k, _num(v * f)) for k, v in self.coeffs),
+            _num(self.const * f),
+        )
 
     def __neg__(self) -> "Linear":
         return self.scale(-1)
@@ -191,8 +236,8 @@ def linear_of_expr(
             if right.is_constant and right.const != 0:
                 scaled = left.scale(Fraction(1) / right.const)
                 # Integer division only commutes with scaling when exact.
-                if all(v.denominator == 1 for _, v in scaled.coeffs) and (
-                    scaled.const.denominator == 1
+                if type(scaled.const) is int and all(
+                    type(v) is int for _, v in scaled.coeffs
                 ):
                     return scaled
             return _opaque(expr)
@@ -200,10 +245,9 @@ def linear_of_expr(
             if right.is_constant and right.const == 1:
                 return left
             if left.is_constant and right.is_constant:
-                base = left.const
                 exp = right.const
-                if exp.denominator == 1 and exp >= 0:
-                    return Linear.constant(base ** int(exp))
+                if type(exp) is int and exp >= 0:
+                    return Linear.constant(left.const**exp)
             return _opaque(expr)
         return _opaque(expr)
     if isinstance(expr, (ArrayRef, FuncRef)):
@@ -237,9 +281,9 @@ def affine(
     index_set = set(index_vars)
     for name, value in lin.coeffs:
         if name in index_set:
-            if value.denominator != 1:
+            if type(value) is not int:
                 return None
-            coeffs[name] = int(value)
+            coeffs[name] = value
         elif name.startswith("@"):
             # An index variable hidden inside a nonlinear term?
             body = name[1:]

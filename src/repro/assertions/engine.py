@@ -189,8 +189,8 @@ def _scalar_ratio(a: Linear, b: Linear) -> Optional[Fraction]:
         return None
     ratio: Optional[Fraction] = None
     for atom, bc in b_dict.items():
-        ac = a_dict[atom]
-        r = ac / bc
+        # Exact: on two ints ``/`` would divide in floating point.
+        r = Fraction(a_dict[atom], bc)
         if ratio is None:
             ratio = r
         elif ratio != r:

@@ -72,6 +72,31 @@ class Dependence:
     #: level refer to positions in this tuple.
     nest_sids: Tuple[int, ...] = ()
 
+    def __reduce__(self):
+        # Pickle as constructor arguments, not as a ``__dict__``: an
+        # edge then costs its values alone, without a dict keyed by
+        # field name, which makes unit records smaller and faster to
+        # load.  Pickle's memo still shares one object between
+        # ``edges``, the graph's indices and ``LoopInfo.carried``.
+        return (
+            Dependence,
+            (
+                self.id,
+                self.kind,
+                self.var,
+                self.src_sid,
+                self.dst_sid,
+                self.vector,
+                self.level,
+                self.marking,
+                self.test,
+                self.src_line,
+                self.dst_line,
+                self.reason,
+                self.nest_sids,
+            ),
+        )
+
     @property
     def loop_carried(self) -> bool:
         return self.level > 0

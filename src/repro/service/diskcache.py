@@ -71,7 +71,10 @@ log = logging.getLogger(__name__)
 #: ``edges``).
 #: v10: unit records carry their units' summaries, and the program
 #: manifest no longer does.
-FORMAT_VERSION = 10
+#: v11: affine forms hold integral values as ``int`` (section summaries
+#: in ``usum`` and ``unit`` records), and dependence edges pickle as
+#: their constructor arguments instead of their ``__dict__``.
+FORMAT_VERSION = 11
 
 _MAGIC = "repro-cache"
 

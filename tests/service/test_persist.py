@@ -9,7 +9,9 @@ changed; and corrupting the store never breaks an analysis — it just
 makes it cold again.
 """
 
+import io
 import logging
+import pickle
 
 import pytest
 
@@ -421,3 +423,41 @@ def test_recursive_units_records_stay_with_their_program(tmp_path):
     _, pa = warm.analyze(second)
     assert warm.stats.counter("disk.warm_start") == 1
     assert program_fingerprint(pa) == program_fingerprint(ref)
+
+
+class _ModuleSpy(pickle.Unpickler):
+    """Unpickles a blob and records every module it names."""
+
+    def __init__(self, blob):
+        super().__init__(io.BytesIO(blob))
+        self.modules = set()
+
+    def find_class(self, module, name):
+        self.modules.add(module)
+        return super().find_class(module, name)
+
+
+@pytest.mark.parametrize("name", [*SUITE, "generated30"])
+def test_records_hold_integral_forms_as_int(tmp_path, name):
+    """Section summaries pickle affine forms inside ``usum:`` and
+    ``unit:`` records.  Their integral coefficients are ``int``, so no
+    record refers to ``fractions``; records written while forms held
+    ``Fraction`` are why ``FORMAT_VERSION`` moved to 11."""
+
+    if name == "generated30":
+        source = generate_program(n_routines=30)
+    else:
+        source = SUITE[name].source
+    engine = _engine(tmp_path)
+    engine.analyze(source)
+    cache = engine.store.cache
+    modules = set()
+    for kind in (USUM_KIND, UNIT_KIND):
+        keys = cache.keys(kind)
+        assert keys, kind
+        for key in keys:
+            spy = _ModuleSpy(cache._path(kind, key).read_bytes())
+            spy.load()
+            assert "fractions" not in spy.modules, (kind, key)
+            modules |= spy.modules
+    assert "repro.analysis.symbolic" in modules
