@@ -22,7 +22,10 @@ That single invariant buys several features at once:
 Records only capture *user-level intent* (the arguments the caller
 passed), never derived state: replay re-derives everything through the
 same analysis pipeline, which is what makes the fingerprint parity a
-meaningful end-to-end check.
+meaningful end-to-end check.  Replay analyzes only where a question is
+asked: each record goes through the session's own mutation method and
+updates the text and the parse, and the analysis settles with one
+engine walk when a record or the caller reads it.
 """
 
 from __future__ import annotations
@@ -222,14 +225,21 @@ def replay_journal(
     states cheap) and journals its own replay, so
     ``replayed.journal.records == journal.records[:upto]`` — an equality
     the parity tests pin down.
+
+    The base source is analyzed as it opens; the records are applied
+    under :meth:`PedSession.deferring`, so each updates the text and the
+    parse, and the analysis settles with one walk when something reads
+    it: a record that needs it (``mark``, ``apply``, a loop selection)
+    or the caller.
     """
 
     from .session import PedSession
 
     records = journal.records if upto is None else journal.records[:upto]
     session = PedSession(journal.base_source, features=features, engine=engine)
-    for i, record in enumerate(records):
-        if progress is not None:
-            progress(i, record)
-        apply_record(session, record)
+    with session.deferring():
+        for i, record in enumerate(records):
+            if progress is not None:
+                progress(i, record)
+            apply_record(session, record)
     return session

@@ -14,7 +14,11 @@ confined to one procedure reparses and reanalyzes only that procedure,
 an assertion or reclassification change reanalyzes without any reparse,
 and undo/redo restore previously seen program states straight from the
 engine's content-keyed caches — bench M2 quantifies all of it, and the
-``stats`` command shows the per-stage numbers live.
+``stats`` command shows the per-stage numbers live.  Journal replay is
+the one caller that defers (:meth:`PedSession.deferring`): there a
+mutation reparses at once, so syntax errors still surface in the record
+that made them, and the analysis settles with one walk when
+:attr:`PedSession.analysis` is next read.
 
 The session is event-sourced: every successful mutation appends a typed
 record to :attr:`PedSession.journal`
@@ -24,11 +28,11 @@ produce.  Undo/redo are journal *positions*: each mutation remembers the
 record count it happened at, plus an interned snapshot of the state then.
 Undo appends an ``undo`` marker and restores the target position — from
 its snapshot when still cached, otherwise by replaying the journal
-prefix (cheap: previously seen program states hit the engine's
-content-keyed caches).  Snapshots intern identical unit texts across
-history and are capped (``max_snapshots``), with evictions counted on
-``session.undo_evicted`` — undo depth stays unbounded while undo memory
-does not.
+prefix (cheap: the prefix's records only reparse, and previously seen
+program states hit the engine's content-keyed caches).  Snapshots
+intern identical unit texts across history and are capped
+(``max_snapshots``), with evictions counted on ``session.undo_evicted``
+— undo depth stays unbounded while undo memory does not.
 """
 
 from __future__ import annotations
@@ -36,11 +40,13 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..dependence.driver import LoopInfo, UnitAnalysis
 from ..dependence.graph import Dependence
+from ..dependence.references import collect_loops
 from ..fortran.ast_nodes import DoLoop, ProcedureUnit, SourceFile
 from ..fortran.printer import to_source
 from ..incremental import AnalysisEngine
@@ -117,13 +123,19 @@ class PedSession:
         #: ``_snapshots`` caches the interned state at each position.
         self._undo: List[int] = []
         self._redo: List[int] = []
+        #: The redo stack a pending mutation's ``_push_undo`` replaced.
+        self._redo_before: List[int] = []
         self._snapshots: "OrderedDict[int, _Snapshot]" = OrderedDict()
         self._max_snapshots = (
             self.MAX_SNAPSHOTS if max_snapshots is None else max(1, max_snapshots)
         )
         self._intern_pool: Dict[str, str] = {}
         self.sf: SourceFile = None  # type: ignore[assignment]
-        self.analysis: ProgramAnalysis = None  # type: ignore[assignment]
+        self._analysis: ProgramAnalysis = None  # type: ignore[assignment]
+        #: ``reanalyze`` only parses while set (:meth:`deferring`)...
+        self._defer = False
+        #: ...and leaves the analysis behind the parse until it is read.
+        self._stale = False
         self.last_message = ""
         self.reanalyze()
 
@@ -131,30 +143,56 @@ class PedSession:
     # analysis lifecycle
     # ------------------------------------------------------------------
 
+    @property
+    def analysis(self) -> ProgramAnalysis:
+        """The whole-program analysis of the current state.  When
+        deferred mutations left it behind the parse, reading it settles
+        it first with one engine walk."""
+
+        if self._stale:
+            self._analyze()
+            self._refresh_analysis()
+        return self._analysis
+
+    @contextmanager
+    def deferring(self) -> Iterator[None]:
+        """Within the block, :meth:`reanalyze` only parses and binds the
+        new source, and the analysis settles when something reads it.
+
+        Journal replay applies its records this way: nothing reads the
+        states between them, so N records cost N parses plus one walk
+        instead of N walks.  A parse raises every front-end error a walk
+        would, so a bad edit is still rejected in its own record.
+        """
+
+        self._defer = True
+        try:
+            yield
+        finally:
+            self._defer = False
+
     def reanalyze(self) -> None:
         """(Re)parse and (re)analyze; re-apply markings and overrides.
 
         Runs through the incremental engine: only units whose source
         span, assertions or interprocedural inputs changed are actually
-        recomputed.  Markings, reclassifications and verdicts are then
-        refreshed only where they can differ from what the engine handed
-        back: in units it recomputed or restored, and in units holding a
-        marking or reclassification.  The latter are reported to the
-        engine as changed in place, so its next walk restores them.
-        Every other unit is the pristine analysis, on which a verdict
-        refresh changes nothing.
+        recomputed.  Under :meth:`deferring`, only the parse runs now
+        and the rest waits until :attr:`analysis` is read.
 
         When the current unit is gone (an edit renamed or deleted it),
         the session moves to the program's first unit, clears the loop
-        selection and says so in :attr:`warnings`.
+        selection and says so in :attr:`warnings`.  Reclassifications
+        follow their loops (:meth:`_remap_overrides`).  Both read only
+        the parse.
         """
 
         self.warnings = []
-        engine = self.engine
-        self.sf, self.analysis = engine.analyze(
-            self.source, assertions=self.assertion_texts
-        )
-        if self.current_unit not in self.analysis.units:
+        if self._defer:
+            self.sf = self.engine.parse(self.source)
+            self._stale = True
+        else:
+            self._analyze()
+        if self.current_unit not in self._unit_names():
             gone = self.current_unit
             self.current_unit = self.sf.units[0].name if self.sf.units else ""
             self.loop_index = None
@@ -164,14 +202,38 @@ class PedSession:
                     f"is now {self.current_unit!r}"
                 )
         self._remap_overrides()
+        if not self._stale:
+            self._refresh_analysis()
+
+    def _analyze(self) -> None:
+        self.sf, self._analysis = self.engine.analyze(
+            self.source, assertions=self.assertion_texts
+        )
+        self._stale = False
+
+    def _refresh_analysis(self) -> None:
+        """Re-apply markings, reclassifications and verdicts after a walk.
+
+        Only where they can differ from what the engine handed back: in
+        units it recomputed or restored, and in units holding a marking
+        or reclassification.  The latter are reported to the engine as
+        changed in place, so its next walk restores them.  Every other
+        unit is the pristine analysis, on which a verdict refresh
+        changes nothing.
+        """
+
+        engine = self.engine
         held = self._units_with_marks() | self.overrides.keys()
         touched = engine.refreshed | held
-        for name, ua in self.analysis.units.items():
+        for name, ua in self._analysis.units.items():
             if name in touched:
                 self.markings.apply(ua.graph)
                 self._apply_overrides(ua)
                 self._recompute_verdicts(ua)
         engine.note_mutated(held)
+
+    def _unit_names(self) -> set:
+        return {u.name for u in self.sf.units}
 
     def _units_with_marks(self) -> set:
         """Units a stored marking can land in.  Marking keys name their
@@ -190,10 +252,13 @@ class PedSession:
                     held.add(units[i].name)
         return held
 
-    def _loop_anchors(self, ua: UnitAnalysis) -> List[LoopAnchor]:
+    def _loop_anchors(self, unit: ProcedureUnit) -> List[LoopAnchor]:
+        """One anchor per loop of ``unit``, in the order of its
+        analysis's loop list (:func:`collect_loops` builds both)."""
+
         counts: Dict[str, int] = {}
         anchors: List[LoopAnchor] = []
-        for nest in ua.loops:
+        for nest in collect_loops(unit):
             var = nest.loop.var
             occurrence = counts.get(var, 0)
             counts[var] = occurrence + 1
@@ -212,15 +277,16 @@ class PedSession:
 
         new_overrides: Dict[str, Dict[int, Dict[str, str]]] = {}
         new_anchors: Dict[str, Dict[int, LoopAnchor]] = {}
+        units = {u.name: u for u in self.sf.units}
         for unit_name, per_unit in self.overrides.items():
-            ua = self.analysis.units.get(unit_name)
-            if ua is None:
+            unit = units.get(unit_name)
+            if unit is None:
                 self.warnings.append(
                     f"dropped reclassifications for {unit_name!r}: "
                     "the unit no longer exists"
                 )
                 continue
-            anchors = self._loop_anchors(ua)
+            anchors = self._loop_anchors(unit)
             index_of = {anchor: i for i, anchor in enumerate(anchors)}
             unit_anchors = self._override_anchors.get(unit_name, {})
             for old_idx in sorted(per_unit):
@@ -298,8 +364,9 @@ class PedSession:
 
     def select_unit(self, name: str) -> None:
         name = name.lower()
-        if name not in self.analysis.units:
-            known = ", ".join(sorted(self.analysis.units))
+        names = self._unit_names()
+        if name not in names:
+            known = ", ".join(sorted(names))
             raise PedError(f"unknown unit {name!r}; program units: {known}")
         self.current_unit = name
         self.loop_index = None
@@ -369,8 +436,8 @@ class PedSession:
 
     def _intern_pieces(self, source: str) -> Tuple[str, ...]:
         """Source as a tuple of interned fragments: the texts of the
-        engine's unit spans, which it keeps for the sources it analyzed
-        last (an analyzed source is all this is asked for).
+        engine's unit spans, which it keeps for the sources it split
+        last (a parsed source is all this is asked for).
 
         Unedited units keep byte-identical span texts across snapshots
         and collapse to one interned string each.  Span texts end every
@@ -418,7 +485,14 @@ class PedSession:
         position = len(self.journal)
         self._remember(position)
         self._undo.append(position)
-        self._redo.clear()
+        self._redo_before, self._redo = self._redo, []
+
+    def _drop_undo(self) -> None:
+        """Take back :meth:`_push_undo` for a mutation that failed: it
+        journals nothing, so it must leave redo as it was too."""
+
+        self._undo.pop()
+        self._redo = self._redo_before
 
     def _restore(self, snap: _Snapshot) -> None:
         self.source = snap.source
@@ -495,7 +569,7 @@ class PedSession:
         try:
             self.markings.mark(dep, marking)
         except MarkingError as exc:
-            self._undo.pop()
+            self._drop_undo()
             raise PedError(str(exc)) from exc
         # The edge lives in the current unit's graph: only its verdicts
         # can move.
@@ -530,7 +604,7 @@ class PedSession:
         else:
             classes[var.lower()] = classification
         if classes:
-            anchors = self._loop_anchors(self.unit_analysis)
+            anchors = self._loop_anchors(self.unit)
             self._override_anchors.setdefault(self.current_unit, {})[
                 self.loop_index
             ] = anchors[self.loop_index]
@@ -543,11 +617,16 @@ class PedSession:
         self.journal.append("reclassify", var=var, classification=classification)
         return f"{var} reclassified as {classification}"
 
+    def _transform_context(self) -> TransformContext:
+        # The analysis first: settling it can rebind ``self.sf``.
+        ua = self.unit_analysis
+        return TransformContext(self.unit, ua, self.sf)
+
     def diagnose(self, name: str, **kwargs) -> Advice:
         """Power steering step 1: ask for advice without changing code."""
 
         transform = get_transformation(name)
-        ctx = TransformContext(self.unit, self.unit_analysis, self.sf)
+        ctx = self._transform_context()
         kwargs = self._resolve_selection(kwargs)
         return transform.diagnose(ctx, **kwargs)
 
@@ -562,12 +641,12 @@ class PedSession:
         # what keeps the record serializable and the replay honest.
         given = dict(kwargs)
         self._push_undo()
-        ctx = TransformContext(self.unit, self.unit_analysis, self.sf)
+        ctx = self._transform_context()
         kwargs = self._resolve_selection(kwargs)
         try:
             summary = transform.apply(ctx, **kwargs)
         except TransformError as exc:
-            self._undo.pop()
+            self._drop_undo()
             raise PedError(str(exc)) from exc
         self.source = to_source(self.sf)
         # The transformation mutated the AST in place, and cached units
@@ -645,7 +724,7 @@ class PedSession:
         except FortranError as exc:
             self.source = old_source
             self.markings.restore(saved_marks)
-            self._undo.pop()
+            self._drop_undo()
             self.reanalyze()
             raise PedError(f"edit rejected: {exc}") from exc
         self.journal.append(

@@ -72,6 +72,9 @@ __all__ = ["FleetRouter"]
 
 log = logging.getLogger(__name__)
 
+#: The one per-store metric (distinct entries in a store's memo segments).
+_PERSISTED = "memo.persisted_entries"
+
 
 class _BadRequest(Exception):
     pass
@@ -415,21 +418,28 @@ class FleetRouter:
     def _op_metrics(self, req: Dict, emit) -> Dict:
         """Fleet-wide metrics: per-shard counters summed, router gauges
         overlaid (``server.*`` describes *this* routing tier), and the
-        ratios derived again from the summed totals."""
+        ratios derived again from the summed totals.
+
+        ``memo.persisted_entries`` counts what a store holds, and shards
+        sharing one cache directory report the same store: each store
+        counts once, with the largest report among its shards."""
 
         merged: Dict[str, float] = {}
+        stores: Dict[str, float] = {}
         reachable = 0
         for shard in self.ring.nodes:
             try:
-                shard_metrics = self._forward(
-                    shard, "metrics", {}, timeout=30.0
-                )["metrics"]
+                reply = self._forward(shard, "metrics", {}, timeout=30.0)
             except (ServerUnavailableError, PedRequestError, _ShardLost):
                 continue
             reachable += 1
-            for key, value in shard_metrics.items():
-                if isinstance(value, (int, float)):
+            store = reply.get("store")
+            for key, value in reply["metrics"].items():
+                if key == _PERSISTED and store is not None:
+                    stores[store] = max(stores.get(store, 0), value)
+                elif isinstance(value, (int, float)):
                     merged[key] = merged.get(key, 0) + value
+        merged[_PERSISTED] = merged.get(_PERSISTED, 0) + sum(stores.values())
         for key, value in self.stats.counters.items():
             merged[key] = merged.get(key, 0) + value
         merged["server.connections.open"] = self.connections.open

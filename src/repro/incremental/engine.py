@@ -48,6 +48,12 @@ appears or disappears), and :meth:`AnalysisEngine.invalidate` must be
 called after in-place AST mutation (transformations), since cached units
 alias the session's AST.
 
+:meth:`AnalysisEngine.parse` runs only the split and parse stages, the
+flush included, for a caller that needs the bound program but not yet
+its analysis (journal replay between records).  Change detection keeps
+comparing against the last walk, so the walk after any number of
+parses is the one a single edit spanning them would run.
+
 Every span parse (stale-guard reparses too), every summary step
 (recursive SCCs' fixpoint steps too) and every per-unit dependence
 analysis runs inline, in a fixed order, as one call of
@@ -290,6 +296,9 @@ class AnalysisEngine:
         self._summary_revs: Dict[str, Dict[str, int]] = {p: {} for p in _PHASES}
         self._deps: Dict[str, _DepEntry] = {}
         self._last: Optional[_ProgramState] = None
+        #: The ``{unit: kind}`` map the span cache's entries are bound
+        #: under (``None`` while it holds none to compare).
+        self._kinds: Optional[Dict[str, str]] = None
         self._reset_walk_memos()
         self._spilled_spans: Set[str] = set()
         #: Program-scoped pair-test memo: one per engine by default, or
@@ -386,6 +395,7 @@ class AnalysisEngine:
         self._summary_revs = {p: {} for p in _PHASES}
         self._deps.clear()
         self._last = None
+        self._kinds = None
         self._last_inputs = None
         self._reset_walk_memos()
 
@@ -547,9 +557,30 @@ class AnalysisEngine:
             del self._splits[next(iter(self._splits))]
         return spans
 
+    def parse(self, source: str) -> SourceFile:
+        """``source`` split, parsed and bound, without analyzing it.
+
+        Runs the walk's split and parse stages, the unit-kind-map flush
+        included, and raises the same front-end errors a walk would.
+        It emits no progress and writes nothing to the store, and the
+        next walk detects changes against the last *walk*, so any
+        number of parses between two walks cost that walk nothing
+        extra: it is the walk an edit spanning all of them would run.
+        """
+
+        run = _Run(source=source, asserts={})
+        progress, self.progress = self.progress, None
+        try:
+            with self.stats.timer("split"):
+                run.spans = self._split(source)
+            self._stage_parse(run)
+        finally:
+            self.progress = progress
+        return run.sf
+
     def _stage_parse(self, run: _Run) -> None:
         entries, sf, kinds = self._assemble(run.spans)
-        if self._last is not None and kinds != self._last.kinds:
+        if self._kinds is not None and kinds != self._kinds:
             # The unit set (or a unit's kind) changed: name resolution
             # inside *unchanged* units can legitimately differ (array
             # reference vs function call, intrinsic shadowing), so
@@ -562,6 +593,7 @@ class AnalysisEngine:
         for entry in entries:
             self._spans[entry.digest] = entry
         self._trim_span_cache(entries)
+        self._kinds = kinds
         run.entries, run.sf, run.kinds = entries, sf, kinds
 
     def _stage_callgraph(self, run: _Run) -> None:
@@ -1205,6 +1237,7 @@ class AnalysisEngine:
         self._summary_revs = {p: dict(summary_revs[p]) for p in _PHASES}
         self._deps = deps
         self._last = last
+        self._kinds = last.kinds
         self._rev_next = max(rev_next, self._rev_next)
         self._reset_walk_memos()
         self._kill_views = kills_view(self._summaries["kill"], self.features)

@@ -185,10 +185,7 @@ class DiskCache:
         }
         try:
             blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".tmp-{key[:8]}-"
-            )
+            fd, tmp = self._mkstemp(path, key)
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(blob)
@@ -207,6 +204,18 @@ class DiskCache:
         self._bump("disk.write_bytes", len(blob))
         self._maybe_evict(len(blob))
         return True
+
+    @staticmethod
+    def _mkstemp(path: Path, key: str):
+        """A temp file beside ``path``.  Its shard directory is made only
+        when it is missing, which after a store's first few writes it
+        almost never is."""
+
+        try:
+            return tempfile.mkstemp(dir=path.parent, prefix=f".tmp-{key[:8]}-")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            return tempfile.mkstemp(dir=path.parent, prefix=f".tmp-{key[:8]}-")
 
     def contains(self, kind: str, key: str) -> bool:
         return self._path(kind, key).exists()

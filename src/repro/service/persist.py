@@ -70,6 +70,10 @@ loader follows the cache's degradation philosophy: a truncated trailing
 line (the append the crash interrupted) is dropped with a warning, and
 any other corruption or format drift logs and falls back cold
 (``None`` — the session just isn't restorable).
+
+A ``store-id`` file in the root names the store (:attr:`PersistentStore.id`):
+every process sharing the directory reports the same name in its
+``metrics`` reply, so a fleet router counts per-store figures once.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import threading
 from dataclasses import asdict
 from pathlib import Path
@@ -88,6 +93,8 @@ from .diskcache import DiskCache
 
 log = logging.getLogger(__name__)
 
+#: The file naming a cache directory's store (:attr:`PersistentStore.id`).
+STORE_ID = "store-id"
 SPAN_KIND = "span"
 UNIT_KIND = "unit"
 PROG_KIND = "prog"
@@ -263,6 +270,7 @@ class PersistentStore:
 
     def __init__(self, cache: DiskCache) -> None:
         self.cache = cache
+        self._id: Optional[str] = None
         #: Serializes the memo methods of the engines sharing this store
         #: (a server's session engines).
         self._memo_lock = threading.Lock()
@@ -282,6 +290,32 @@ class PersistentStore:
     @stats.setter
     def stats(self, value) -> None:
         self.cache.stats = value
+
+    @property
+    def id(self) -> Optional[str]:
+        """The name of the directory this store lives in, kept in its
+        ``store-id`` file, so every process sharing one cache directory
+        reports the same store; ``None`` when the file cannot be read or
+        made.  The first process to link a new one into place wins."""
+
+        if self._id is None:
+            path = self.cache.root / STORE_ID
+            try:
+                fd, tmp = tempfile.mkstemp(
+                    dir=self.cache.root, prefix=".tmp-id-"
+                )
+                try:
+                    with os.fdopen(fd, "w") as fh:
+                        fh.write(os.urandom(16).hex())
+                    os.link(tmp, path)
+                except FileExistsError:
+                    pass
+                finally:
+                    os.unlink(tmp)
+                self._id = path.read_text()
+            except OSError as exc:
+                log.warning("cannot name the store at %s: %s", path, exc)
+        return self._id
 
     # -- span records ---------------------------------------------------
 

@@ -759,7 +759,13 @@ class PedServer:
     def _replay(self, journal, upto, progress_phase: str):
         """Replay a journal prefix on a scratch engine (sharing the
         server's store/memo, so previously seen states are warm),
-        streaming one progress event per record."""
+        streaming one progress event per record; returns the session
+        and its fingerprint.
+
+        The stream is the base's analysis walk, one event per record,
+        then the one walk that settles the replayed analysis."""
+
+        from ..incremental.fingerprint import fingerprint_digest
 
         emit = self._emit()
         total = len(journal) if upto is None else upto
@@ -778,16 +784,15 @@ class PedServer:
 
         engine = self._session_engine()
         with self._progress_stream(engine):
-            return replay_journal(
+            session = replay_journal(
                 journal, upto, engine=engine, progress=progress
             )
+            return session, fingerprint_digest(session.analysis)
 
     def _op_session_replay(self, req: Dict) -> Dict:
         """Rebuild the session's state at journal record ``upto`` (all
         records when omitted) and report its analysis fingerprint — the
         deterministic time-travel op the parity suite leans on."""
-
-        from ..incremental.fingerprint import fingerprint_digest
 
         journal, origin = self._session_journal(req)
         upto = req.get("upto")
@@ -797,14 +802,14 @@ class PedServer:
                     f"session.replay 'upto' must be an int in "
                     f"0..{len(journal)}"
                 )
-        session = self._replay(journal, upto, "journal.replay")
+        session, fingerprint = self._replay(journal, upto, "journal.replay")
         self.stats.bump("journal.replays")
         return {
             "session": req["session"],
             "origin": origin,
             "records": len(session.journal),
             "total": len(journal),
-            "fingerprint": fingerprint_digest(session.analysis),
+            "fingerprint": fingerprint,
             "units": [u.name for u in session.sf.units],
             "unit": session.current_unit,
             "loop": session.loop_index,
@@ -815,8 +820,6 @@ class PedServer:
         """Resurrect a session from its persisted journal (the
         crash-recovery path: a killed server reopens with every
         acknowledged mutation intact)."""
-
-        from ..incremental.fingerprint import fingerprint_digest
 
         name = req.get("session")
         if not isinstance(name, str) or not name:
@@ -834,7 +837,7 @@ class PedServer:
                 f"no persisted journal for session {name!r}"
             )
         journal = SessionJournal.from_wire(payload)
-        session = self._replay(journal, None, "journal.restore")
+        session, fingerprint = self._replay(journal, None, "journal.restore")
         # The file already holds every replayed record: reopen it for
         # appends and hook the listener only now, after the replay.
         journal_file = self._attach_journal(name, session, fresh=False)
@@ -849,7 +852,7 @@ class PedServer:
         return {
             "session": name,
             "records": len(journal),
-            "fingerprint": fingerprint_digest(session.analysis),
+            "fingerprint": fingerprint,
             "units": [u.name for u in session.sf.units],
             "undo_depth": session.undo_depth,
             "redo_depth": session.redo_depth,
@@ -884,28 +887,29 @@ class PedServer:
         """One merged service-metrics snapshot: pool gauges, disk
         counters, shared-memo totals and memo-segment counts —
         the same key set (and values) the ``stats`` CLI command renders.
+        ``store`` names the server's store (:attr:`PersistentStore.id`,
+        ``None`` without one), so a router over shards that share a
+        cache directory counts its memo segments once.
         """
 
         if req.get("session"):
             managed = self._managed(req)
-            engine = managed.session.engine
-            return {
-                "metrics": merged_metrics(
-                    engine.stats,
-                    pool=self.pool,
-                    memo=self.shared_memo,
-                    server=self,
-                    net_stats=self.stats,
-                )
-            }
-        return {
-            "metrics": merged_metrics(
+            metrics = merged_metrics(
+                managed.session.engine.stats,
+                pool=self.pool,
+                memo=self.shared_memo,
+                server=self,
+                net_stats=self.stats,
+            )
+        else:
+            metrics = merged_metrics(
                 self.stats,
                 pool=self.pool,
                 memo=self.shared_memo,
                 server=self,
             )
-        }
+        store = self.store.id if self.store is not None else None
+        return {"metrics": metrics, "store": store}
 
     # ------------------------------------------------------------------
     # corpus batch ops

@@ -172,6 +172,24 @@ def test_failed_mutation_does_not_journal():
     assert session.journal.records[-1].op == "assert"
 
 
+def test_rejected_mutation_keeps_the_redo_stack():
+    """A rejected edit journals nothing, so it must not drop what redo
+    would bring back: the live session stays what its journal replays
+    to."""
+
+    session = PedSession(SOURCE, features=FEATURES)
+    session.select_unit("work")
+    session.add_assertion("n >= 1")
+    session.undo()
+    with pytest.raises(Exception):
+        session.edit(8, 8, "         this is not fortran (")
+    assert session.redo_depth == 1
+    replayed = replay_journal(session.journal, features=FEATURES)
+    assert replayed.redo_depth == 1
+    session.redo()
+    assert session.assertion_texts == {"work": ["n >= 1"]}
+
+
 def test_max_snapshots_floor_is_one():
     session = PedSession(SOURCE, max_snapshots=0)
     assert session._max_snapshots == 1

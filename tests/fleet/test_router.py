@@ -22,6 +22,7 @@ from repro.incremental.stats import EngineStats
 from repro.interproc import FeatureSet
 from repro.pipeline import CorpusRunner
 from repro.service import PedClient, PedRequestError, PedServer
+from repro.service.persist import PersistentStore
 from repro.workloads.generator import generate_program
 
 from ..serving import child_env, names_owned_by
@@ -45,14 +46,16 @@ def _programs(n=8):
 
 
 @contextmanager
-def _two_shards(cache_dir=None):
-    """Two in-process shards (over one cache dir, when given) behind a
-    routed front end: ``(addrs, router, router_port, servers)``."""
+def _two_shards(cache_dir=None, separate=False):
+    """Two in-process shards (over one cache dir, when given, or one
+    subdirectory each when ``separate``) behind a routed front end:
+    ``(addrs, router, router_port, servers)``."""
 
     shards = []
     addrs = []
-    for _ in range(2):
-        srv = PedServer(max_workers=4, cache_dir=cache_dir)
+    for k in range(2):
+        own = cache_dir / str(k) if separate else cache_dir
+        srv = PedServer(max_workers=4, cache_dir=own)
         transport = AsyncTransport(srv)
         port = transport.start_background()
         shards.append((srv, transport))
@@ -262,6 +265,37 @@ def test_shards_sharing_a_cache_dir_warm_each_other(tmp_path):
         assert warmed["memo.delta_absorbed"] > 0
         assert warmed["memo.shared_hits"] > 0
         assert warmed["memo.shared_misses"] < cold_misses
+
+
+@pytest.mark.parametrize("separate", [False, True])
+def test_metrics_count_each_store_once(tmp_path, separate):
+    """``memo.persisted_entries`` counts what a store holds.  Shards
+    over one cache dir name the same store and count it once, with the
+    largest report; shards over separate dirs still sum."""
+
+    source = generate_program(n_routines=6)
+    sibling = source.replace("(x(i+1) - x(i-1))", "(x(i+2) - x(i-2))", 1)
+    cache = tmp_path / "cache"
+    with _two_shards(cache, separate) as (addrs, router, rport, servers):
+        first = names_owned_by(router.ring, addrs[0], 2, prefix="a")
+        second = names_owned_by(router.ring, addrs[1], 1, prefix="b")[0]
+        with PedClient.connect(port=rport) as client:
+            client.request("open", session=first[0], source=source, wait=120)
+            client.request("open", session=second, source=source, wait=120)
+            client.request("open", session=first[1], source=sibling, wait=120)
+            merged = client.request("metrics", wait=60)["metrics"]
+        shards = [srv.execute({"op": "metrics"})["result"] for srv in servers]
+    reports = [shard["metrics"]["memo.persisted_entries"] for shard in shards]
+    stores = [shard["store"] for shard in shards]
+    assert all(reports) and all(stores)
+    if separate:
+        assert stores[0] != stores[1]
+        assert merged["memo.persisted_entries"] == sum(reports)
+    else:
+        assert stores[0] == stores[1]
+        held = len(PersistentStore.at(cache).load_memo())
+        assert merged["memo.persisted_entries"] == max(reports) == held
+        assert sum(reports) > held
 
 
 # ----------------------------------------------------------------------

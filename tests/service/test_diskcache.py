@@ -8,6 +8,8 @@ for a logged warning plus a clean miss, with the poisoned file removed.
 
 import logging
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +148,32 @@ def test_counters_feed_stats(tmp_path):
     assert stats.counter("disk.write_bytes") == cache._path(
         "span", "abc"
     ).stat().st_size
+
+
+def test_put_makes_a_shard_directory_only_when_missing(tmp_path, monkeypatch):
+    """A write into an existing shard makes no directory; the first
+    write into a shard, or into a root removed under the cache, makes
+    what is missing and lands."""
+
+    cache = DiskCache(tmp_path / "cache")
+    assert cache.put("span", "aa0", 0)
+    made = []
+    real_mkdir = Path.mkdir
+
+    def mkdir(path, *args, **kwargs):
+        made.append(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    assert cache.put("span", "ab1", 1)
+    assert cache.put("span", "ab2", 2)
+    assert made == [cache._path("span", "ab1").parent]
+    assert cache.get("span", "ab1") == 1
+    assert cache.get("span", "ab2") == 2
+
+    shutil.rmtree(cache.root)
+    assert cache.put("span", "ab3", 3)
+    assert cache.get("span", "ab3") == 3
 
 
 def test_v2_format_memo_record_falls_back_cold(cache, caplog):

@@ -25,6 +25,35 @@ CARRIED = SIMPLE.replace("i = 1, 10", "i = 2, 10").replace(
 )
 
 
+#: A two-unit program and eight edits alternating between its loops.
+TWO_UNITS = (
+    "      program main\n"
+    "      real a(100), b(100)\n"
+    "      call work(a, b, 100)\n"
+    "      end\n"
+    "      subroutine work(a, b, n)\n"
+    "      real a(100), b(100)\n"
+    "      do i = 1, n\n"
+    "         a(i) = a(i) + 1.0\n"
+    "      enddo\n"
+    "      do j = 1, n\n"
+    "         s = b(j)\n"
+    "         b(j) = s * 2.0\n"
+    "      enddo\n"
+    "      end\n"
+)
+EIGHT_EDITS = [
+    (8, "         a(i) = a(i) + 2.0"),
+    (11, "         s = b(j) + 1.0"),
+    (8, "         a(i) = a(i) * 2.0"),
+    (12, "         b(j) = s * 3.0"),
+    (8, "         a(i) = a(i-1) + 1.0"),
+    (11, "         s = b(j) - 1.0"),
+    (8, "         a(i) = a(i) + 9.0"),
+    (12, "         b(j) = s * 4.0"),
+]
+
+
 def _ok(reply):
     assert reply["ok"], reply.get("error")
     return reply["result"]
@@ -211,6 +240,54 @@ class TestSessionRestore:
         after = _ok(server.execute({"op": "session.log", "session": "s"}))
         assert after["origin"] == "disk"
         assert after["total"] == before + 1
+
+    def test_restore_replays_the_records_then_analyzes_once(self, server):
+        """The base opens with one walk, the eight edits only parse,
+        and one walk settles the analysis: two walks where analyzing
+        after every record took nine.  The stream is the base walk,
+        the eight records in order, then the settle walk."""
+
+        _ok(server.execute({"op": "open", "session": "s", "source": TWO_UNITS}))
+        for line, text in EIGHT_EDITS:
+            _ok(
+                server.execute(
+                    {
+                        "op": "edit",
+                        "session": "s",
+                        "start": line,
+                        "end": line,
+                        "text": text,
+                    }
+                )
+            )
+        live = server.sessions["s"].session
+        expected = {
+            "fingerprint": _ok(
+                server.execute({"op": "fingerprint", "session": "s"})
+            )["fingerprint"],
+            "units": [u.name for u in live.sf.units],
+            "undo_depth": live.undo_depth,
+            "redo_depth": live.redo_depth,
+        }
+        _ok(server.execute({"op": "close", "session": "s"}))
+        events = []
+        restored = _ok(
+            server.execute(
+                {"op": "session.restore", "session": "s", "stream": True},
+                emit=lambda kind, data: events.append(data),
+            )
+        )
+        assert {key: restored[key] for key in expected} == expected
+        assert server.sessions["s"].session.engine.stats.analyses == 2
+        phases = [event["phase"] for event in events]
+        first = phases.index("journal.restore")
+        last = len(phases) - 1 - phases[::-1].index("journal.restore")
+        assert [event.get("record") for event in events[first : last + 1]] == (
+            list(range(len(EIGHT_EDITS)))
+        )
+        assert phases[:first].count("graph") == 1
+        assert phases[last + 1 :].count("graph") == 1
+        assert phases[-1] == "graph"
 
     def test_restore_refuses_open_session_without_replace(self, server):
         _mutate(server)
