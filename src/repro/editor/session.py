@@ -596,6 +596,11 @@ class PedSession:
             raise PedError("reclassify supports 'private' or 'shared'")
         if self.loop_index is None:
             raise PedError("select a loop first")
+        # The anchors come from the AST, so a selection an edit left out
+        # of range is refused here without settling a replay.
+        anchors = self._loop_anchors(self.unit)
+        if self.loop_index >= len(anchors):
+            raise PedError("select a loop first")
         self._push_undo()
         per_unit = self.overrides.setdefault(self.current_unit, {})
         classes = per_unit.setdefault(self.loop_index, {})
@@ -604,7 +609,6 @@ class PedSession:
         else:
             classes[var.lower()] = classification
         if classes:
-            anchors = self._loop_anchors(self.unit)
             self._override_anchors.setdefault(self.current_unit, {})[
                 self.loop_index
             ] = anchors[self.loop_index]

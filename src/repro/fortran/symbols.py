@@ -142,18 +142,13 @@ class SymbolTable:
 
 
 class Binder:
-    """Build symbol tables and resolve ``NameArgs`` for every unit."""
+    """Build symbol tables and resolve ``NameArgs``, one unit at a time.
 
-    def __init__(self, sf: SourceFile) -> None:
-        self.sf = sf
-        self.unit_kinds: Dict[str, str] = {u.name: u.kind for u in sf.units}
-
-    def bind(self) -> SourceFile:
-        for unit in self.sf.units:
-            self.bind_unit(unit)
-        return self.sf
-
-    # -- per-unit ---------------------------------------------------------
+    Binding a unit reads nothing but that unit: a ``name(args)`` that is
+    not one of its declared arrays is a function reference whether or
+    not ``name`` is a function unit of the program, so a unit binds the
+    same way in any program that contains it.
+    """
 
     def bind_unit(self, unit: ProcedureUnit) -> None:
         table = SymbolTable(unit.name)
@@ -271,15 +266,7 @@ class Binder:
                 )
             if expr.name in INTRINSICS and expr.name not in externals:
                 return FuncRef(expr.line, expr.name, args, intrinsic=True)
-            if (
-                expr.name in externals
-                or self.unit_kinds.get(expr.name) == "function"
-                or (sym is not None and sym.storage == FUNC)
-            ):
-                fsym = table.ensure(expr.name, expr.line)
-                fsym.storage = FUNC
-                return FuncRef(expr.line, expr.name, args, intrinsic=False)
-            # Unknown name(args): assume external function (F77 semantics).
+            # Any other name(args) is an external function (F77 semantics).
             fsym = table.ensure(expr.name, expr.line)
             fsym.storage = FUNC
             return FuncRef(expr.line, expr.name, args, intrinsic=False)
@@ -306,7 +293,10 @@ class Binder:
 def bind_source(sf: SourceFile) -> SourceFile:
     """Bind every unit of ``sf`` in place and return it."""
 
-    return Binder(sf).bind()
+    binder = Binder()
+    for unit in sf.units:
+        binder.bind_unit(unit)
+    return sf
 
 
 def parse_and_bind(source: str) -> SourceFile:
@@ -315,12 +305,6 @@ def parse_and_bind(source: str) -> SourceFile:
     from .parser import parse_source
 
     return bind_source(parse_source(source))
-
-
-def rebind_unit(sf: SourceFile, unit: ProcedureUnit) -> None:
-    """Re-run binding on a single unit (after an edit or transformation)."""
-
-    Binder(sf).bind_unit(unit)
 
 
 def int_const(expr: Expr, table: Optional[SymbolTable] = None) -> Optional[int]:

@@ -41,26 +41,28 @@ decide what each stage recomputes:
   is indistinguishable from a fresh analysis.
 
 Assertion and reclassification changes therefore reanalyze without any
-reparse; marking changes never touch the engine at all.  Safety valves:
-a change to the program's ``{unit: kind}`` map flushes everything (name
-resolution in *unchanged* units can legitimately differ when a function
-appears or disappears), and :meth:`AnalysisEngine.invalidate` must be
-called after in-place AST mutation (transformations), since cached units
-alias the session's AST.
+reparse; marking changes never touch the engine at all.  Binding reads
+one unit (:class:`~repro.fortran.symbols.Binder`), so a span's parse
+holds in any program that contains the span: adding, renaming or
+deleting a routine reparses only the spans that changed, reaches
+summaries and dependence keys through the parse revisions and the
+callee and caller sets like any other edit, and ``_drop_units_not_in``
+forgets the units that are gone.  One safety valve remains:
+:meth:`AnalysisEngine.invalidate` must be called after in-place AST
+mutation (transformations), since cached units alias the session's AST.
 
-:meth:`AnalysisEngine.parse` runs only the split and parse stages, the
-flush included, for a caller that needs the bound program but not yet
-its analysis (journal replay between records).  Change detection keeps
-comparing against the last walk, so the walk after any number of
-parses is the one a single edit spanning them would run.
+:meth:`AnalysisEngine.parse` runs only the split and parse stages, for
+a caller that needs the bound program but not yet its analysis (journal
+replay between records).  Change detection keeps comparing against the
+last walk, so the walk after any number of parses is the one a single
+edit spanning them would run.
 
-Every span parse (stale-guard reparses too), every summary step
-(recursive SCCs' fixpoint steps too) and every per-unit dependence
-analysis runs inline, in a fixed order, as one call of
-``repro.service.pool.run_task`` (looked up on the module at call time,
-since that name is the layer seam the benchmark's tracer wraps) on the
-engine's own objects: the unit, the walk's call graph and summaries,
-and a config built with the same
+Every span parse, every summary step (recursive SCCs' fixpoint steps
+too) and every per-unit dependence analysis runs inline, in a fixed
+order, as one call of ``repro.service.pool.run_task`` (looked up on the
+module at call time, since that name is the layer seam the benchmark's
+tracer wraps) on the engine's own objects: the unit, the walk's call
+graph and summaries, and a config built with the same
 :func:`~repro.interproc.program.build_providers` and
 :func:`~repro.interproc.program.unit_config` that
 :func:`~repro.interproc.program.analyze_program` composes.
@@ -77,12 +79,11 @@ first tries a warm start from the program's manifest, which names one
 unit record per span (the span's units with their summaries and
 dependence entries) next to the summary revisions and the
 change-detection baseline; parse misses fall back to per-span disk
-records (validated against the current unit-kind map before
-acceptance).  Every analysis spills back what it changed: new span
-records, a summary record for each unit whose summaries it recomputed,
-a unit record for each span whose units the walk refreshed, and the
-manifest.  The shared pair-test
-memo crosses processes the same way: each analysis first folds in the
+records, which serve any program that contains the span.  Every
+analysis spills back what it changed: new span records, a summary
+record for each unit whose summaries it recomputed, a unit record for
+each span whose units the walk refreshed, and the manifest.  The shared
+pair-test memo crosses processes the same way: each analysis first folds in the
 memo segments other processes wrote, and last writes the entries it
 proved as one new segment.  Any invalid or corrupt record degrades to
 recomputation.
@@ -150,22 +151,13 @@ class _CallCandidate:
 
 @dataclass
 class _SpanEntry:
-    """Cached parse of one source span (usually exactly one unit).
-
-    ``pending_guard`` is set on entries restored from a disk span
-    record: ``(referenced_names, function_names)`` of the program the
-    record was bound under.  Name resolution consults the global unit
-    set only to ask "is this name a function unit?", so the entry is
-    admissible in any program — including one never seen before — that
-    answers identically for every recorded name; the engine checks that
-    once every span is in hand, and accepted entries have it cleared.
-    """
+    """Cached parse of one source span (usually exactly one unit), bound
+    and valid in any program that contains the span."""
 
     digest: str
     rev: int
     units: List[ProcedureUnit]
     candidates: Optional[List[List[_CallCandidate]]] = None
-    pending_guard: Optional[Tuple[frozenset, frozenset]] = None
 
 
 @dataclass
@@ -187,7 +179,6 @@ class _DepEntry:
 class _ProgramState:
     """What the previous analyze saw — the baseline for change detection."""
 
-    kinds: Dict[str, str]
     revs: Dict[str, int]
     callee_sets: Dict[str, tuple]
     caller_sets: Dict[str, tuple]
@@ -204,7 +195,6 @@ class _Run:
     spans: List[UnitSpan] = field(default_factory=list)
     entries: List[_SpanEntry] = field(default_factory=list)
     sf: Optional[SourceFile] = None
-    kinds: Dict[str, str] = field(default_factory=dict)
     cg: Optional[CallGraph] = None
     revs: Dict[str, int] = field(default_factory=dict)
     callee_sets: Dict[str, tuple] = field(default_factory=dict)
@@ -296,9 +286,6 @@ class AnalysisEngine:
         self._summary_revs: Dict[str, Dict[str, int]] = {p: {} for p in _PHASES}
         self._deps: Dict[str, _DepEntry] = {}
         self._last: Optional[_ProgramState] = None
-        #: The ``{unit: kind}`` map the span cache's entries are bound
-        #: under (``None`` while it holds none to compare).
-        self._kinds: Optional[Dict[str, str]] = None
         self._reset_walk_memos()
         self._spilled_spans: Set[str] = set()
         #: Program-scoped pair-test memo: one per engine by default, or
@@ -350,7 +337,7 @@ class AnalysisEngine:
 
     def _reset_walk_memos(self) -> None:
         """Forget what lets a walk skip unchanged units (on a fresh
-        engine, a flush and a disk warm start alike)."""
+        engine, after :meth:`invalidate` and on a disk warm start)."""
 
         #: Feature-restricted kill summaries (``kills_view``), refreshed
         #: per unit when its kill summary is recomputed.
@@ -385,8 +372,10 @@ class AnalysisEngine:
     # cache management
     # ------------------------------------------------------------------
 
-    def clear(self) -> None:
-        """Forget every cached result (statistics are kept)."""
+    def invalidate(self) -> None:
+        """Forget every cached result (statistics are kept).  Call after
+        mutating cached ASTs in place (transformations), which silently
+        desynchronizes the content-keyed caches."""
 
         self._spans.clear()
         self._splits.clear()
@@ -395,16 +384,8 @@ class AnalysisEngine:
         self._summary_revs = {p: {} for p in _PHASES}
         self._deps.clear()
         self._last = None
-        self._kinds = None
         self._last_inputs = None
         self._reset_walk_memos()
-
-    def invalidate(self) -> None:
-        """Alias for :meth:`clear`; call after mutating cached ASTs in
-        place (transformations), which silently desynchronizes the
-        content-keyed caches."""
-
-        self.clear()
 
     def spans(self, source: str) -> List[UnitSpan]:
         """``source``'s unit spans: free for the last two sources
@@ -476,7 +457,7 @@ class AnalysisEngine:
             run = _Run(source=source, asserts=asserts)
             self._walk(run)
             self._last = _ProgramState(
-                run.kinds, run.revs, run.callee_sets, run.caller_sets
+                run.revs, run.callee_sets, run.caller_sets
             )
             memo = self._shared_memo
             stats.counters["memo.shared_hits"] = memo.hits
@@ -495,7 +476,7 @@ class AnalysisEngine:
         dependence entries) decide what it recomputes.
 
         The closing ``graph`` event depends only on the inputs: its
-        ``entry`` is ``split`` for a new source or a cold or cleared
+        ``entry`` is ``split`` for a new source or a cold or invalidated
         engine (every enabled stage counted recomputed), ``dependence``
         when only the assertions moved (that one stage recomputed) and
         ``None`` for an identical rerun (none recomputed).
@@ -560,8 +541,8 @@ class AnalysisEngine:
     def parse(self, source: str) -> SourceFile:
         """``source`` split, parsed and bound, without analyzing it.
 
-        Runs the walk's split and parse stages, the unit-kind-map flush
-        included, and raises the same front-end errors a walk would.
+        Runs the walk's split and parse stages and raises the same
+        front-end errors a walk would.
         It emits no progress and writes nothing to the store, and the
         next walk detects changes against the last *walk*, so any
         number of parses between two walks cost that walk nothing
@@ -579,22 +560,12 @@ class AnalysisEngine:
         return run.sf
 
     def _stage_parse(self, run: _Run) -> None:
-        entries, sf, kinds = self._assemble(run.spans)
-        if self._kinds is not None and kinds != self._kinds:
-            # The unit set (or a unit's kind) changed: name resolution
-            # inside *unchanged* units can legitimately differ (array
-            # reference vs function call, intrinsic shadowing), so
-            # restart from a clean slate once.
-            self._emit_progress(
-                "invalidated", reason="unit-kind-map-changed"
-            )
-            self.clear()
-            entries, sf, kinds = self._assemble(run.spans)
+        entries = self._parse_and_bind(run.spans)
         for entry in entries:
             self._spans[entry.digest] = entry
         self._trim_span_cache(entries)
-        self._kinds = kinds
-        run.entries, run.sf, run.kinds = entries, sf, kinds
+        run.entries = entries
+        run.sf = SourceFile([u for e in entries for u in e.units])
 
     def _stage_callgraph(self, run: _Run) -> None:
         with self.stats.timer("callgraph"):
@@ -681,19 +652,12 @@ class AnalysisEngine:
                     continue
                 self.stats.miss("parse")
                 if self._store is not None:
-                    record = self._store.load_span(span.digest)
-                    if record is not None:
-                        guard, units = record
-                        entry = _SpanEntry(
+                    units = self._store.load_span(span.digest)
+                    if units is not None:
+                        entries[i] = _SpanEntry(
                             span.digest, self._new_rev(), list(units)
                         )
-                        # Admissible only if the current program agrees
-                        # with the recorded binding guard on which
-                        # referenced names are functions; checked by
-                        # _assemble once every span is in hand.
-                        entry.pending_guard = guard
                         self.stats.bump("disk.span_warm")
-                        entries[i] = entry
                         continue
                 to_parse.append(i)
             if hits:
@@ -709,60 +673,18 @@ class AnalysisEngine:
             parsed=len(to_parse),
             reused=len(spans) - len(to_parse),
         )
-        if to_parse:
-            sf = SourceFile([u for e in entries for u in e.units])
+        # Binding runs after every parse, so a parse error in any span
+        # surfaces before a bind error in another.
+        if fresh:
             with self.stats.timer("bind"):
-                binder = Binder(sf)
+                binder = Binder()
                 for entry in fresh:
                     for unit in entry.units:
                         binder.bind_unit(unit)
-        # Fresh entries enter the span cache only in analyze(), after the
-        # whole parse+bind stage succeeded: a bind error mid-way must not
-        # leave half-bound units behind for the rollback reanalysis.
+        # Fresh entries enter the span cache only in _stage_parse, after
+        # the whole parse+bind stage succeeded: a bind error mid-way must
+        # not leave half-bound units behind for the rollback reanalysis.
         return entries  # type: ignore[return-value]
-
-    def _assemble(
-        self, spans: List[UnitSpan]
-    ) -> Tuple[List[_SpanEntry], SourceFile, Dict[str, str]]:
-        """Parse/load every span, then vet disk-restored entries.
-
-        A span record is only valid when the program it joins resolves
-        the same referenced names to function units as the program it
-        was bound under; any restored entry whose recorded guard
-        disagrees with the program we actually assembled is discarded
-        and reparsed fresh.
-        """
-
-        entries = self._parse_and_bind(spans)
-        kinds = {u.name: u.kind for e in entries for u in e.units}
-        stale = [
-            i
-            for i, e in enumerate(entries)
-            if e.pending_guard is not None
-            and not _guard_ok(e.pending_guard, kinds)
-        ]
-        if stale:
-            log.warning(
-                "discarding %d disk span record(s) bound under a "
-                "different unit-kind map; reparsing",
-                len(stale),
-            )
-            self.stats.bump("disk.span_rejected", len(stale))
-            for i in stale:
-                units = pool.run_task("parse", spans[i])
-                entries[i] = _SpanEntry(
-                    spans[i].digest, self._new_rev(), units
-                )
-            sf = SourceFile([u for e in entries for u in e.units])
-            binder = Binder(sf)
-            for i in stale:
-                for unit in entries[i].units:
-                    binder.bind_unit(unit)
-            kinds = {u.name: u.kind for u in sf.units}
-        for entry in entries:
-            entry.pending_guard = None
-        sf = SourceFile([u for e in entries for u in e.units])
-        return entries, sf, kinds
 
     def _trim_span_cache(self, active: List[_SpanEntry]) -> None:
         if len(self._spans) <= self.SPAN_CACHE_LIMIT:
@@ -1170,8 +1092,8 @@ class AnalysisEngine:
         because it needs the inherited constants.  The manifest's
         revisions become this engine's and enter those keys, whichever
         engine wrote the record.  A missing or invalid manifest or
-        record, or a record whose span digest or binding guard disagrees
-        with the manifest, leaves the engine cold (with one log line).
+        record, or a record whose span digest disagrees with the
+        manifest, leaves the engine cold (with one log line).
         """
 
         state = self._store.load_program(key)
@@ -1191,11 +1113,6 @@ class AnalysisEngine:
                     raise ValueError(f"unit record {record_key} unreadable")
                 if record["digest"] != digest:
                     raise ValueError(f"unit record {record_key}: wrong span")
-                if not _guard_ok(record["guard"], last.kinds):
-                    raise ValueError(
-                        f"unit record {record_key} was bound under "
-                        "another unit-kind map"
-                    )
                 for name, values in record["summaries"].items():
                     for phase, value in values.items():
                         summaries[phase][name] = value
@@ -1237,7 +1154,6 @@ class AnalysisEngine:
         self._summary_revs = {p: dict(summary_revs[p]) for p in _PHASES}
         self._deps = deps
         self._last = last
-        self._kinds = last.kinds
         self._rev_next = max(rev_next, self._rev_next)
         self._reset_walk_memos()
         self._kill_views = kills_view(self._summaries["kill"], self.features)
@@ -1269,10 +1185,8 @@ class AnalysisEngine:
         store = self._store
         spans = []
         for entry in run.entries:
-            guard = None
             if entry.digest not in self._spilled_spans:
-                guard = _span_guard(entry, run.kinds)
-                if store.save_span(entry.digest, guard, entry.units):
+                if store.save_span(entry.digest, entry.units):
                     self._spilled_spans.add(entry.digest)
             deps = [self._deps[u.name] for u in entry.units]
             held = {d.record for d in deps}
@@ -1281,7 +1195,6 @@ class AnalysisEngine:
                 record = self._unit_record_key(entry, run, prog_key)
                 payload = {
                     "digest": entry.digest,
-                    "guard": guard or _span_guard(entry, run.kinds),
                     "units": entry.units,
                     "candidates": entry.candidates,
                     "summaries": {
@@ -1505,39 +1418,6 @@ def _dep_key(
             )
         ),
     )
-
-
-def _guard_ok(
-    guard: Tuple[frozenset, frozenset], kinds: Dict[str, str]
-) -> bool:
-    """Is a disk span record admissible under the current unit set?
-
-    Binding consults the global program only to decide whether a
-    referenced name is a function unit, so agreement on that question
-    over every recorded name makes the recorded binding valid here.
-    """
-
-    names, funcs = guard
-    return all(
-        (kinds.get(n) == "function") == (n in funcs) for n in names
-    )
-
-
-def _span_guard(
-    entry: _SpanEntry, kinds: Dict[str, str]
-) -> Tuple[frozenset, frozenset]:
-    """The binding guard recorded with a span: every name the span's
-    units reference (symbol tables cover them all) plus the subset that
-    are function units in the current program."""
-
-    names = set()
-    for unit in entry.units:
-        names.add(unit.name)
-        table = getattr(unit, "symtab", None)
-        if table is not None:
-            names.update(table.symbols)
-    funcs = frozenset(n for n in names if kinds.get(n) == "function")
-    return (frozenset(names), funcs)
 
 
 def _oracle(texts: tuple) -> Optional[AssertionDB]:

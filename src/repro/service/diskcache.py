@@ -74,7 +74,9 @@ log = logging.getLogger(__name__)
 #: v11: affine forms hold integral values as ``int`` (section summaries
 #: in ``usum`` and ``unit`` records), and dependence edges pickle as
 #: their constructor arguments instead of their ``__dict__``.
-FORMAT_VERSION = 11
+#: v12: span records hold the bound units alone and unit records carry
+#: no binding guard (binding reads one unit, so no guard is needed).
+FORMAT_VERSION = 12
 
 _MAGIC = "repro-cache"
 

@@ -3,17 +3,12 @@
 Five record families, all content-addressed into a :class:`DiskCache`:
 
 * **Span records** (``span:<digest>``) — the bound units of one source
-  span, stored with a *binding guard*: the set of names the span's
-  units reference plus the subset of those that were program-level
-  functions at bind time.  Name resolution consults the global unit set
-  only to ask "is this name a function unit?", so a record is
-  admissible in *any* program that answers that question identically
-  for every recorded name — including programs never seen before that
-  merely share the procedure body.  The engine validates the guard
-  after assembling the whole unit set and reparses any span that
-  fails.  Within that guard a span digest fully determines the parse,
-  so records survive across sessions, across unrelated edits elsewhere
-  in the file, and across sibling programs.
+  span.  Binding reads only the unit it binds, so a span digest fully
+  determines the bound units, and a record serves *any* program that
+  contains the span: across sessions, across edits elsewhere in the
+  file (adding, renaming or deleting a routine included), and across
+  sibling programs never seen before that merely share the procedure
+  body.
 * **Unit-summary records** (``usum:<digest of (features, name, span,
   callee keys)>``) — one unit's bottom-up summary values (MOD/REF,
   kill, sections), keyed recursively on the unit's span digest and its
@@ -35,9 +30,9 @@ Five record families, all content-addressed into a :class:`DiskCache`:
 * **Unit records** (``unit:<digest of the span and, per unit, its
   usum key, inherited constants and assertion texts>``) — one span's
   bound units pickled together with their four summaries (MOD/REF,
-  kill, sections, inherited constants), their dependence entries
-  (analysis plus pristine marking snapshot) and the span's binding
-  guard.  The key covers everything those summaries are computed from.
+  kill, sections, inherited constants) and their dependence entries
+  (analysis plus pristine marking snapshot).  The key covers everything
+  those summaries are computed from.
   The entries reference only their own span's ASTs, so the aliasing
   invariant (a cached ``UnitAnalysis`` shares the AST objects of the
   cached span) holds within each record.  An engine writes one when a
@@ -319,58 +314,25 @@ class PersistentStore:
 
     # -- span records ---------------------------------------------------
 
-    def load_span(
-        self, digest: str
-    ) -> Optional[Tuple[Tuple[frozenset, frozenset], List[object]]]:
-        """``(binding_guard, bound_units)`` for one span, or ``None``.
+    def load_span(self, digest: str) -> Optional[List[object]]:
+        """One span's bound units, or ``None``."""
 
-        The guard is ``(referenced_names, function_names)``: the record
-        is admissible in any program where exactly the names in
-        ``function_names`` (and no other referenced name) are function
-        units.
-        """
+        units = self.cache.get(SPAN_KIND, digest)
+        return units if isinstance(units, list) else None
 
-        payload = self.cache.get(SPAN_KIND, digest)
-        if not isinstance(payload, dict):
-            return None
-        names = payload.get("names")
-        funcs = payload.get("functions")
-        units = payload.get("units")
-        if (
-            not isinstance(names, frozenset)
-            or not isinstance(funcs, frozenset)
-            or not isinstance(units, list)
-        ):
-            return None
-        return (names, funcs), units
-
-    def save_span(
-        self,
-        digest: str,
-        guard: Tuple[frozenset, frozenset],
-        units: List[object],
-    ) -> bool:
+    def save_span(self, digest: str, units: List[object]) -> bool:
         """Write one span record unless it is already on disk; True when
         the record is there afterwards."""
 
         if self.cache.contains(SPAN_KIND, digest):
             return True
-        names, funcs = guard
-        return self.cache.put(
-            SPAN_KIND,
-            digest,
-            {
-                "names": frozenset(names),
-                "functions": frozenset(funcs),
-                "units": units,
-            },
-        )
+        return self.cache.put(SPAN_KIND, digest, units)
 
     # -- unit records ---------------------------------------------------
 
     def load_unit_record(self, key: str) -> Optional[Dict[str, object]]:
-        """One span's ``{digest, guard, units, candidates, deps}``, or
-        ``None``."""
+        """One span's ``{digest, units, candidates, summaries, deps}``,
+        or ``None``."""
 
         payload = self.cache.get(UNIT_KIND, key)
         return payload if isinstance(payload, dict) else None

@@ -10,7 +10,9 @@ so only the ``corpus`` payload and its result record must be picklable.
 
 * ``parse`` — a :class:`~repro.incremental.splitter.UnitSpan` → its
   unbound procedure units, parsed padded to the span's absolute start
-  line; binding stays with the engine since it needs the whole unit set.
+  line.  The engine binds them itself, once every span of the walk is
+  parsed, so a parse error in any span surfaces before a bind error in
+  another.
 * ``summary`` — ``(step, unit, callgraph, summaries)`` → one bottom-up
   summary step (MOD/REF, kill or sections) for ``unit`` over the
   engine's call graph and its current summaries.

@@ -12,17 +12,20 @@ their anchors, markings, undo/redo depth and journal.  The live session
 reference after every operation too.
 
 The operations cover what moves the parse under a replay: stencil edits,
-deleting, renaming and restoring a unit (the current-unit fallback and
-the engine's unit-kind-map flush), inserting and removing a loop above a
-reclassified one (override re-anchoring), a rejected edit, assertions,
-marks of pending edges, reclassifications, transformations (which settle
-the analysis themselves), selections, undo and redo.
-Call chains stay two deep, well inside the engine's five Jacobi rounds
-for interprocedural constants.
+deleting, renaming and restoring a subroutine (the current-unit
+fallback), renaming ``function f`` to ``g`` and back or deleting and
+restoring it while ``main`` references ``f(20)`` (unit-set changes, which
+reparse only the spans they touch), inserting and removing a loop above
+a reclassified one (override re-anchoring), a rejected edit, assertions,
+marks of pending edges, reclassifications (on a fresh selection or on
+the current one, which an edit may have left out of range),
+transformations (which settle the analysis themselves), selections, undo
+and redo.  Call chains stay two deep, well inside the engine's five
+Jacobi rounds for interprocedural constants.
 
 Each prefix replays twice: on a fresh engine, and on one store-backed
 engine shared by every prefix, so the settle walk also runs from warm
-caches, after flushes, and from disk warm starts.
+caches, across unit-set changes, and from disk warm starts.
 """
 
 import copy
@@ -41,13 +44,26 @@ from repro.service.persist import PersistentStore
 
 FEATURES = FeatureSet()
 
+#: ``main`` references the function as ``f(20)``; renaming it to ``g``
+#: or deleting it changes the unit set.
+FUNCTION = (
+    "      function {name}(n)\n"
+    "      {name} = 0.0\n"
+    "      do m = 1, n\n"
+    "         {name} = {name} + m\n"
+    "      enddo\n"
+    "      end\n"
+)
+
 SOURCE = (
     "      program main\n"
     "      real a(20), b(20)\n"
     "      call work(a, b, 20)\n"
     "      call helper(b, 20)\n"
+    "      a(1) = f(20)\n"
     "      end\n"
-    "      subroutine work(a, b, n)\n"
+    + FUNCTION.format(name="f")
+    + "      subroutine work(a, b, n)\n"
     "      real a(20), b(20)\n"
     "      do i = 1, n\n"
     "         a(i) = a(i) + 1.0\n"
@@ -122,6 +138,24 @@ def _delete(session, _draw):
         session.edit(last, last, lines[-1] + "\n" + HELPER_TEXT)
 
 
+def _function(session, draw):
+    """Rename ``f`` to ``g`` or back (even draws) or delete it (odd
+    draws); append ``f`` again when it is gone."""
+
+    lines = session.source.splitlines()
+    for name, other in (("f", "g"), ("g", "f")):
+        start = _line_of(session, f"function {name}(n)")
+        if start is None:
+            continue
+        end = start + lines[start - 1 :].index("      end")
+        text = "" if draw % 2 else FUNCTION.format(name=other).rstrip("\n")
+        session.edit(start, end, text)
+        return
+    last = len(lines)
+    text = FUNCTION.format(name="f").rstrip("\n")
+    session.edit(last, last, lines[-1] + "\n" + text)
+
+
 def _toggle_loop(session, _draw):
     """Insert a loop above ``work``'s first loop, or remove it again."""
 
@@ -158,10 +192,13 @@ def _mark(session, draw):
 
 
 def _reclassify(session, draw):
-    """Select a loop of ``work``, then reclassify a variable on it."""
+    """Reclassify a variable on a loop of ``work`` it selects first, or
+    (draws from 8) on the current selection, whatever an edit left of
+    it."""
 
-    session.select_unit("work")
-    session.select_loop(draw % 3)
+    if draw < 8:
+        session.select_unit("work")
+        session.select_loop(draw % 3)
     var = ("s", "a", "b", "kk")[draw % 4]
     session.reclassify(var, ("private", "private", "shared")[draw % 3])
 
@@ -175,7 +212,8 @@ def _apply(session, draw):
 
 
 def _select_unit(session, draw):
-    session.select_unit(("main", "work", "helper", "helpr")[draw % 4])
+    names = ("main", "work", "helper", "helpr", "f", "g")
+    session.select_unit(names[draw % len(names)])
 
 
 def _select_loop(session, draw):
@@ -186,6 +224,7 @@ OPS = {
     "stencil": _stencil,
     "rename": _rename,
     "delete": _delete,
+    "function": _function,
     "loop": _toggle_loop,
     "bad-edit": _bad_edit,
     "assert": _assert,
@@ -256,11 +295,30 @@ def _reference_states(journal):
 # The current unit renamed away and back, then deleted and restored.
 @example([("select-unit", 2), ("rename", 0), ("rename", 0), ("delete", 0)])
 @example([("select-unit", 2), ("delete", 0), ("delete", 0), ("mark", 3)])
-# ``apply`` settles a replay whose last parse flushed the caches: on the
-# store-backed engine that settle warm-starts and rebinds the units.
+# ``apply`` settles a replay whose last parse renamed a unit away.
 @example([("reclassify", 4), ("rename", 0), ("apply", 2), ("select-loop", 0)])
 # A rejected edit between an undo and its redo.
 @example([("assert", 0), ("undo", 0), ("bad-edit", 0), ("redo", 0)])
+# A reclassification on a selection an edit left out of range.
+@example(
+    [
+        ("loop", 0),
+        ("select-unit", 1),
+        ("select-loop", 2),
+        ("loop", 0),
+        ("reclassify", 10),
+    ]
+)
+# The referenced function renamed, selected, deleted and restored.
+@example(
+    [
+        ("function", 0),
+        ("select-unit", 5),
+        ("select-loop", 0),
+        ("function", 1),
+        ("undo", 0),
+    ]
+)
 def test_deferred_replay_matches_per_record_analysis(ops):
     live = PedSession(SOURCE, features=FEATURES, max_snapshots=3)
     seen = {0: _state(live)}

@@ -134,6 +134,47 @@ class TestStructureChanges:
         finally:
             server.close()
 
+    def test_reclassify_on_a_loop_an_edit_removed_is_refused(self):
+        """A loop selection an edit left out of range is refused before
+        anything changes: undo, the journal and the reclassifications
+        stay as they were, and the server answers ``ped-error``."""
+
+        from repro.service import PedServer
+
+        server = PedServer()
+
+        def send(**req):
+            return server.execute(dict(req, id=0, session="s"))
+
+        try:
+            assert send(op="open", source=SRC)["ok"]
+            assert send(op="select", loop=1)["ok"]
+            lines = SRC.splitlines()
+            start = next(i for i, t in enumerate(lines, 1) if "do i = 1, n" in t)
+            end = next(
+                i for i, t in enumerate(lines, 1) if "end do" in t and i > start
+            )
+            assert send(op="edit", start=start, end=end, text="")["ok"]
+            session = server.sessions["s"].session
+            assert session.loop_index == 1 and len(session.loops()) == 1
+            before = (
+                session.undo_depth,
+                len(session.journal),
+                session.overrides,
+            )
+            with pytest.raises(PedError, match="select a loop first"):
+                session.reclassify("s", "private")
+            reply = send(op="reclassify", var="s", **{"as": "private"})
+            assert reply["error"]["type"] == "ped-error", reply
+            after = (
+                session.undo_depth,
+                len(session.journal),
+                session.overrides,
+            )
+            assert after == before == (1, 2, {})
+        finally:
+            server.close()
+
     def test_command_interpreter_survives_error_storm(self):
         ped = CommandInterpreter(PedSession(SRC))
         for cmd in ["select 99", "mark 1", "apply zap", "unit no", "edit 1", "goto x"]:

@@ -2,9 +2,30 @@
 
 import pytest
 
-from repro.fortran import parse_and_bind
+from repro.fortran import (
+    ArrayRef,
+    FuncRef,
+    NameArgs,
+    parse_and_bind,
+    statement_exprs,
+    unit_to_source,
+    walk_expr,
+    walk_statements,
+)
 from repro.fortran.errors import SemanticError
-from repro.fortran.symbols import COMMON, FORMAL, LOCAL, PARAM, implicit_type, int_const
+from repro.fortran.symbols import (
+    COMMON,
+    FORMAL,
+    LOCAL,
+    PARAM,
+    Binder,
+    implicit_type,
+    int_const,
+)
+from repro.incremental import split_units
+from repro.service.tasks import task_parse
+from repro.workloads import SUITE
+from repro.workloads.generator import generate_program
 
 
 def bind(src):
@@ -126,3 +147,83 @@ class TestIntConst:
         from repro.fortran import Num
 
         assert int_const(Num(0, 3.0), t) is None
+
+
+#: Function units referenced as ``name(args)`` from other units, inside
+#: and outside loops, next to an ``external`` declaration, a scalar
+#: declared under a function's name and an intrinsic a unit defines.
+WITH_FUNCTIONS = (
+    "      program main\n"
+    "      real x(10), f\n"
+    "      external g\n"
+    "      do i = 1, 10\n"
+    "         x(i) = f(i) + g(i) + sqrt(x(i))\n"
+    "      enddo\n"
+    "      x(1) = h(2)\n"
+    "      call s(x)\n"
+    "      end\n"
+    "      function f(i)\n"
+    "      f = i * 2.0\n"
+    "      end\n"
+    "      real function g(k)\n"
+    "      g = f(k) + 1.0\n"
+    "      end\n"
+    "      subroutine s(x)\n"
+    "      real x(10)\n"
+    "      do j = 1, 10\n"
+    "         x(j) = x(j) + sqrt(g(j))\n"
+    "      enddo\n"
+    "      end\n"
+    "      function sqrt(v)\n"
+    "      sqrt = v\n"
+    "      end\n"
+)
+
+BIND_ALONE = {
+    **{name: SUITE[name].source for name in sorted(SUITE)},
+    "generated-6x2": generate_program(6, 2),
+    "with-functions": WITH_FUNCTIONS,
+}
+
+
+def _binding(unit):
+    """What binding decided for one unit: its printed source, every
+    reference's resolution (by statement) and every symbol's class."""
+
+    refs = []
+    for st in walk_statements(unit.body):
+        for top in statement_exprs(st):
+            for node in walk_expr(top):
+                assert not isinstance(node, NameArgs)
+                if isinstance(node, (ArrayRef, FuncRef)):
+                    refs.append(
+                        (
+                            st.sid,
+                            type(node).__name__,
+                            node.name,
+                            getattr(node, "intrinsic", None),
+                        )
+                    )
+    symbols = {
+        name: (sym.storage, sym.typename, sym.rank, sym.common_block)
+        for name, sym in unit.symtab.symbols.items()
+    }
+    return unit_to_source(unit), refs, symbols
+
+
+@pytest.mark.parametrize("name", sorted(BIND_ALONE))
+def test_a_unit_binds_alone_as_in_its_program(name):
+    """Binding reads one unit: each unit, parsed from its own span and
+    bound with no other unit in sight, binds exactly as it does in the
+    whole file."""
+
+    source = BIND_ALONE[name]
+    whole = parse_and_bind(source).units
+    alone = []
+    for span in split_units(source):
+        for unit in task_parse(span):
+            Binder().bind_unit(unit)
+            alone.append(unit)
+    assert [u.name for u in alone] == [u.name for u in whole]
+    for a, w in zip(alone, whole):
+        assert _binding(a) == _binding(w), a.name

@@ -129,8 +129,8 @@ def test_graph_event_reports_what_moved():
     with pytest.raises(FortranError):
         engine.analyze("      x = ((\n")  # a failed walk moves nothing
     engine.analyze(edited, assertions=asserts)  # identical rerun
-    engine.clear()
-    engine.analyze(edited, assertions=asserts)  # cleared: as cold
+    engine.invalidate()
+    engine.analyze(edited, assertions=asserts)  # invalidated: as cold
     minimal = AnalysisEngine(features=FeatureSet.minimal())
     minimal.progress = listen
     minimal.analyze(THREE_UNITS)
@@ -224,7 +224,11 @@ def test_assertion_change_reanalyzes_without_reparse():
     assert engine.stats.stage("dependence").misses == dep_before + 1
 
 
-def test_unit_set_change_flushes_cleanly():
+def test_adding_a_unit_reparses_only_its_span():
+    """Binding reads one unit, so a unit-set change keeps every other
+    span's parse: adding a routine parses its span alone, removing it
+    parses nothing, and both directions match a from-scratch analysis."""
+
     engine = AnalysisEngine()
     engine.analyze(THREE_UNITS)
     extended = THREE_UNITS + (
@@ -235,14 +239,13 @@ def test_unit_set_change_flushes_cleanly():
         "      enddo\n"
         "      end\n"
     )
-    parse_before = engine.stats.stage("parse").misses
-    _, pa = engine.analyze(extended)
-    # Adding a unit changes the {name: kind} map: one miss discovering
-    # the new span, then a full flush reparses all four units cleanly.
-    assert engine.stats.stage("parse").misses - parse_before == 5
-    assert program_fingerprint(pa) == program_fingerprint(_scratch(extended))
-    # And shrinking back works too.
+    parse = engine.stats.stage("parse")
+    before = parse.misses
+    _assert_parity(engine, extended)
+    assert parse.misses - before == 1
+    before = parse.misses
     _assert_parity(engine, THREE_UNITS)
+    assert parse.misses == before
 
 
 def test_parse_errors_propagate_and_leave_caches_usable():

@@ -5,11 +5,11 @@ parse, summary step and dependence analysis, and the benchmark's tracer
 (``benchmarks/ped/trace.py``) wraps it to bill each call to the
 ``fortran``, ``interproc`` or ``dependence`` layer.  A stage call that
 bypasses it is billed to ``incremental`` instead, so these counts pin
-the seam: the cold and edit walks, a recursive SCC's fixpoint steps and
-the reparse of a disk span record its binding guard rejects.
+the seam: the cold and edit walks and a recursive SCC's fixpoint steps.
+A disk span record, reused in a program with another unit set, makes no
+call at all.
 """
 
-import logging
 from collections import Counter
 
 import pytest
@@ -87,9 +87,7 @@ def test_recursive_scc_steps_pass_the_seam(calls, monkeypatch):
     assert calls["summary"] == steps["all"] == 31
 
 
-def test_rejected_span_record_is_reparsed_through_the_seam(
-    tmp_path, calls, caplog
-):
+def test_span_record_is_reused_without_a_parse_call(tmp_path, calls):
     base = (
         "      program main\n"
         "      real x(10), f\n"
@@ -103,7 +101,6 @@ def test_rejected_span_record_is_reparsed_through_the_seam(
 
     calls.clear()
     warm = build_engine(cache_dir=tmp_path / "cache")
-    with caplog.at_level(logging.WARNING):
-        warm.analyze(base)  # f is gone: main's record binds f(i) as a call
-    assert warm.stats.counter("disk.span_rejected") == 1
-    assert calls["parse"] == 1
+    warm.analyze(base)  # f is gone; main's record still binds f(i)
+    assert warm.stats.counter("disk.span_warm") == 1
+    assert calls["parse"] == 0

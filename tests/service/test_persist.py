@@ -3,10 +3,10 @@
 Four contracts under test: a warm reopen is fingerprint-identical to a
 cold analysis, with the same summaries, and runs as a pure cache walk,
 whichever engine wrote the unit records its manifest names; per-span
-records warm up *partially* overlapping programs but are rejected (with
-a warning) when the unit-kind map changed; an edit writes only what it
-changed; and corrupting the store never breaks an analysis — it just
-makes it cold again.
+records warm up *partially* overlapping programs, whatever units the
+rest of the program holds; an edit writes only what it changed; and
+corrupting the store never breaks an analysis — it just makes it cold
+again.
 """
 
 import io
@@ -119,11 +119,13 @@ def test_span_records_warm_partial_overlap(tmp_path):
     assert program_fingerprint(pa) == program_fingerprint(ref)
 
 
-def test_span_records_rejected_when_unit_kinds_change(tmp_path, caplog):
-    """Name resolution depends on the program's unit-kind map, so a span
-    record from a program with a different map must be discarded."""
+def test_span_records_serve_any_unit_set(tmp_path):
+    """Binding reads one unit, so ``main``'s span record serves a
+    program with or without ``function f``, whichever it was written
+    under.  ``f`` is declared a scalar ``real`` in ``main``, so ``f(i)``
+    is a function reference either way."""
 
-    base = (
+    main = (
         "      program main\n"
         "      real x(10), f\n"
         "      do i = 1, 10\n"
@@ -136,18 +138,22 @@ def test_span_records_rejected_when_unit_kinds_change(tmp_path, caplog):
         "      f = i * 2.0\n"
         "      end\n"
     )
-    cold = _engine(tmp_path)
-    cold.analyze(base + func)  # f is a program unit: f(i) is a call
-
-    warm = _engine(tmp_path)
-    with caplog.at_level(logging.WARNING):
-        _, pa = warm.analyze(base)  # f is gone: f(i) is an array ref
-    assert warm.stats.counter("disk.span_rejected") > 0
-    assert any(
-        "different unit-kind map" in r.message for r in caplog.records
-    )
-    ref = AnalysisEngine().analyze(base)[1]
-    assert program_fingerprint(pa) == program_fingerprint(ref)
+    # Every span of ``read`` misses the new engine's memory; main's is
+    # served from disk, so f's span, where ``read`` has one, is the only
+    # one parsed.
+    for name, written, read, misses in (
+        ("with-f", main + func, main, 1),
+        ("without-f", main, main + func, 2),
+    ):
+        cache = tmp_path / name
+        build_engine(cache_dir=cache).analyze(written)
+        warm = build_engine(cache_dir=cache)
+        _, pa = warm.analyze(read)
+        assert warm.stats.counter("disk.warm_start") == 0
+        assert warm.stats.counter("disk.span_warm") == 1
+        assert warm.stats.stage("parse").misses == misses
+        ref = AnalysisEngine().analyze(read)[1]
+        assert program_fingerprint(pa) == program_fingerprint(ref)
 
 
 def test_corrupt_store_degrades_to_cold(tmp_path, caplog):
@@ -359,16 +365,9 @@ def _other_span(path, store, key):
     assert store.cache.put(UNIT_KIND, key, payload)
 
 
-def _other_binding(path, store, key):
-    payload = store.load_unit_record(key)
-    names, funcs = payload["guard"]
-    payload["guard"] = (names, funcs | {"driver"})
-    assert store.cache.put(UNIT_KIND, key, payload)
-
-
 @pytest.mark.parametrize(
     "corrupt",
-    [_garbage, _truncated, _misfiled, _evicted, _other_span, _other_binding],
+    [_garbage, _truncated, _misfiled, _evicted, _other_span],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_bad_unit_record_opens_cold(tmp_path, caplog, corrupt):

@@ -149,6 +149,44 @@ def test_invalidation_broadcast_names_editor_and_holders(client):
     assert ev.data["holders"] == ["b"]
 
 
+def test_invalidation_broadcast_names_a_renamed_unit(client):
+    """Renaming routine q in session a changes q, which session b holds:
+    the broadcast names the old and the new name.  The rename changes
+    the unit set, and the span cache still holds q's old span, so the
+    old name is attributable."""
+
+    source = (
+        "      program p\n"
+        "      real a(10)\n"
+        "      call q(a)\n"
+        "      end\n"
+        "      subroutine q(a)\n"
+        "      real a(10)\n"
+        "      a(1) = 1.0\n"
+        "      end\n"
+    )
+    client.request("open", session="a", source=source)
+    client.request("open", session="b", source=source)
+    seen = []
+    got_one = threading.Event()
+
+    def listen(ev):
+        if ev.kind == "invalidation":
+            seen.append(ev)
+            got_one.set()
+
+    token = client.add_event_listener(listen)
+    try:
+        client.request(
+            "edit", session="a", start=5, end=5, text="      subroutine r(a)"
+        )
+        assert got_one.wait(timeout=10.0)
+    finally:
+        client.remove_event_listener(token)
+    assert seen[0].data["units"] == ["q", "r"]
+    assert seen[0].data["holders"] == ["b"]
+
+
 def test_no_invalidation_without_other_holders(client):
     """A lone session's edit dirties nobody else: no broadcast."""
 
