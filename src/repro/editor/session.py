@@ -644,9 +644,11 @@ class PedSession:
         # replay re-resolves from the (journaled) selection, which is
         # what keeps the record serializable and the replay honest.
         given = dict(kwargs)
-        self._push_undo()
         ctx = self._transform_context()
+        # Resolve before the undo point: a target that does not exist
+        # is refused without touching undo or the journal.
         kwargs = self._resolve_selection(kwargs)
+        self._push_undo()
         try:
             summary = transform.apply(ctx, **kwargs)
         except TransformError as exc:

@@ -28,22 +28,33 @@ cost no threads.
   bounded slice at a time, so the caps hold on inflated bytes too.  A
   corrupt deflate stream gets one ``bad-request`` and the connection
   closes.
-* *Writer*: one task draining a bounded outbound queue; it stamps
-  ``seq`` (single consumer, so queue order *is* seq order *is* wire
-  order), writes everything already queued as one burst and awaits
-  ``drain()`` once per burst — TCP backpressure without a syscall and
-  a loop round-trip per line.  On a deflated connection each burst is
-  one sync flush of the connection's deflate stream, and a burst of
-  nothing but ``analysis.progress`` events first waits out the
-  coalescing window for company (``net.*`` counters land in the host's
-  stats either way).
-  Worker threads enqueue via ``run_coroutine_threadsafe(...).result()``,
-  which blocks the producing handler until the queue has room: a slow
-  client throttles its own requests' event streams, never the loop.
+* *Outbound*: request threads never wait for the loop.  A request's
+  ``emit`` (or a broadcast) appends its envelope to the connection's
+  pending list under one lock and returns; the loop ships the list just
+  before the next envelope it sends itself (a terminal reply, an
+  inline answer), in the same flush, so a request's events and its
+  reply cost one loop trip and one write.  A request still running
+  after ``COALESCE_WINDOW`` gets at most one extra flush per window,
+  and only while events are pending: a window opens at each flush and
+  at each request's start, and the first envelope after a flush ships
+  when its window is out — at once if it already is, else from a
+  one-shot timer.  A request's ``emit`` blocks only while the
+  connection holds ``OUTBOUND_QUEUE`` undelivered envelopes, so a slow
+  client throttles its own requests' event streams, never the loop;
+  closing the connection (or the request's timeout) frees it at once.
+  A broadcast never blocks: it comes from another client's request or
+  a router's shard reader, so it rides over the bound, and a client a
+  second ``OUTBOUND_QUEUE`` behind is cut off (its socket aborted).
+* *Writer*: one task writing what the loop handed over in order; it
+  stamps ``seq`` (single consumer, so hand-over order *is* seq order
+  *is* wire order), writes up to ``BURST_MAX`` handed-over items as
+  one burst and awaits ``drain()`` once per burst.  On a deflated connection
+  each burst is one sync flush of the connection's deflate stream
+  (``net.*`` counters land in the host's stats either way).
 * *Lifecycle*: each connection registers a broadcast listener and
   counts itself in the host's connection gauge.  A client disconnecting
-  mid-stream just tears down its own queue — in-flight handlers finish
-  and their replies are dropped, the server lives on.
+  mid-stream just tears down its own connection — in-flight handlers
+  finish and their events and replies are dropped, the server lives on.
 
 **Graceful drain.**  ``shutdown`` (the op, or :meth:`AsyncTransport.
 stop_background`) stops the accept loop, lets in-flight requests answer
@@ -77,7 +88,9 @@ log = logging.getLogger(__name__)
 #: Slack past ``max_request_bytes`` we still buffer, so slightly-over
 #: lines reach :func:`parse_request` whole and keep their recovered id.
 OVERSIZE_SLACK = 64 * 1024
-#: Bound on the per-connection outbound queue (envelopes, not bytes).
+#: Most envelopes one connection holds undelivered (pending or handed
+#: to the writer, not yet written); requests' producers block at the
+#: bound, broadcasts cut the client off at twice the bound.
 OUTBOUND_QUEUE = 256
 #: Reader chunk size.
 CHUNK = 64 * 1024
@@ -87,11 +100,11 @@ BURST_MAX = 64
 
 
 class _DeflateSwitch:
-    """Outbound-queue sentinel carrying the ``compress`` ok reply.
+    """Outbound item carrying the ``compress`` ok reply.
 
     The write loop ships the reply as its *last* plain line and deflates
-    everything after — one queue item, so no envelope a worker thread
-    enqueues can land between the reply and the switch.
+    everything after — one item, so no envelope a worker thread emits
+    can land between the reply and the switch.
     """
 
     __slots__ = ("reply",)
@@ -121,17 +134,33 @@ class _AsyncConnection:
         self.writer = writer
         self.finish_on_eof = finish_on_eof
         self._seq = protocol.Sequencer()
-        self._outq: "asyncio.Queue[Optional[Dict]]" = asyncio.Queue(
-            maxsize=OUTBOUND_QUEUE
-        )
         self._loop = asyncio.get_running_loop()
+        #: Guards ``_pending``, ``_held``, ``_armed`` and ``_closing``
+        #: against request threads; producers wait on it for room.
+        self._room = threading.Condition()
+        #: Envelopes emitted since the last flush, in emit order.
+        self._pending: List[Dict] = []
+        #: Envelopes taken in and not yet written.
+        self._held = 0
+        #: A window flush is scheduled (or its timer is being armed).
+        self._armed = False
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Loop time of the last flush or request start: the next
+        #: window flush is due ``COALESCE_WINDOW`` after it.
+        self._window_start = self._loop.time()
+        #: What the writer ships next, in wire order (loop side only).
+        self._out: List = []
+        self._wake = asyncio.Event()
+        #: Set when the writer frees room in a full connection, for
+        #: loop-side senders.
+        self._roomy = asyncio.Event()
         self._closing = False
         self._torn_down = False
         self._inflight: Set[asyncio.Task] = set()
         self._listener_token = None
         self._writer_task: Optional[asyncio.Task] = None
         #: The read side; the write loop keeps its own encoder, created
-        #: by the switch sentinel riding the queue.
+        #: by the switch item it writes.
         self._lines = protocol.LineAssembler(
             self.host.max_request_bytes, OVERSIZE_SLACK
         )
@@ -139,25 +168,136 @@ class _AsyncConnection:
 
     # -- sending -------------------------------------------------------
 
-    async def _send(self, envelope: Dict) -> None:
-        if not self._closing:
-            await self._outq.put(envelope)
+    def _push(
+        self, envelope: Dict, stop: Optional[threading.Event] = None
+    ) -> None:
+        """Request side: add one of a request's envelopes to the next
+        flush, without a loop trip.  Blocks only while the connection is
+        full — the backpressure edge between a request and its client's
+        wire.  Dropped once the connection closes or ``stop`` (the
+        request's timeout) is set."""
 
-    def _send_threadsafe(self, envelope: Dict) -> None:
-        """Enqueue from a worker thread, blocking while the queue is
-        full — the backpressure edge between handlers and the wire."""
-
-        if self._closing:
-            return
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._send(envelope), self._loop
-            ).result(timeout=60.0)
-        except Exception:  # noqa: BLE001 — connection died underneath
-            pass
+        with self._room:
+            while True:
+                if self._closing or (stop is not None and stop.is_set()):
+                    return
+                if self._held < OUTBOUND_QUEUE:
+                    break
+                self._room.wait()
+            arm = self._take(envelope)
+        if arm:
+            self._call_soon(self._arm)
 
     def _broadcast(self, kind: str, data: Dict) -> None:
-        self._send_threadsafe(protocol.event_envelope(None, kind, data))
+        """Host side: a connection-wide event (``invalidation``).  It
+        never waits on this connection, because whoever broadcasts is
+        another client's request thread or a router's shard reader:
+        past ``OUTBOUND_QUEUE`` it rides over the bound, and a client a
+        second ``OUTBOUND_QUEUE`` behind has stopped reading and is cut
+        off."""
+
+        with self._room:
+            if self._closing:
+                return
+            if self._held >= 2 * OUTBOUND_QUEUE:
+                # Free this connection's blocked producers now; the loop
+                # drops the client.
+                self._closing = True
+                self._room.notify_all()
+                job = self._cut_off
+            elif self._take(protocol.event_envelope(None, kind, data)):
+                job = self._arm
+            else:
+                return
+        self._call_soon(job)
+
+    def _take(self, envelope: Dict) -> bool:
+        """Under ``_room``: add ``envelope`` to the next flush; ``True``
+        when it is the first since a flush, so the loop must arm."""
+
+        self._pending.append(envelope)
+        self._held += 1
+        if self._armed:
+            return False
+        self._armed = True
+        return True
+
+    def _call_soon(self, callback) -> None:
+        try:
+            self._loop.call_soon_threadsafe(callback)
+        except RuntimeError:
+            pass  # the loop closed under us: nobody is listening
+
+    def _cut_off(self) -> None:
+        """Loop side: drop a client that stopped reading; its read loop
+        then ends and tears the connection down."""
+
+        self._close_outbound()
+        transport = getattr(self.writer, "transport", None)
+        if transport is not None:
+            transport.abort()
+
+    def _arm(self) -> None:
+        """Loop side: ship the pending events when the window is out —
+        at once if it already is — unless a reply ships them first."""
+
+        if not self._armed or self._timer is not None:
+            return
+        due = self._window_start + protocol.COALESCE_WINDOW
+        if self._loop.time() >= due:
+            self._flush()
+        else:
+            self._timer = self._loop.call_at(due, self._flush)
+
+    def _flush(self, item=None) -> None:
+        """Loop side: hand the pending events, then ``item``, to the
+        writer, which ships them in one burst."""
+
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._window_start = self._loop.time()
+        with self._room:
+            batch, self._pending = self._pending, []
+            self._armed = False
+            if item is not None:
+                batch.append(item)
+                self._held += 1
+        if batch:
+            self._out.extend(batch)
+            self._wake.set()
+
+    async def _send(self, item) -> None:
+        """Loop side: ship ``item`` right after every event emitted so
+        far, waiting while the connection is full."""
+
+        while self._held >= OUTBOUND_QUEUE and not self._closing:
+            self._flush()
+            self._roomy.clear()
+            await self._roomy.wait()
+        if not self._closing:
+            self._flush(item)
+
+    def _release(self, n: int) -> None:
+        """Writer side: ``n`` envelopes went out; wake whoever waits
+        (only a full connection has anyone waiting)."""
+
+        with self._room:
+            was_full = self._held >= OUTBOUND_QUEUE
+            self._held -= n
+            if was_full:
+                self._room.notify_all()
+        if was_full:
+            self._roomy.set()
+
+    def _close_outbound(self) -> None:
+        """Drop every later envelope and free every waiting producer."""
+
+        with self._room:
+            self._closing = True
+            self._room.notify_all()
+        self._roomy.set()
+        self._wake.set()
 
     def _bump(self, name: str, n: int = 1) -> None:
         if self._stats is not None and n:
@@ -183,61 +323,26 @@ class _AsyncConnection:
         self._bump("net.bytes_out_raw", raw)
         return data
 
-    @staticmethod
-    def _coalescible(item) -> bool:
-        return (
-            isinstance(item, dict)
-            and item.get("event") == protocol.EV_PROGRESS
-        )
-
-    async def _await_company(self, burst: list) -> None:
-        """Trickle aid for a deflated connection holding nothing but
-        progress events: wait out the coalescing window for more.
-        Anything non-coalescible (a reply, a sentinel) ends the wait at
-        once, so terminal replies are never held back."""
-
-        deadline = self._loop.time() + protocol.COALESCE_WINDOW
-        while len(burst) < protocol.COALESCE_MAX:
-            remaining = deadline - self._loop.time()
-            if remaining <= 0:
-                return
-            try:
-                nxt = await asyncio.wait_for(self._outq.get(), remaining)
-            except asyncio.TimeoutError:
-                return
-            burst.append(nxt)
-            if not self._coalescible(nxt):
-                return
-
     async def _write_loop(self) -> None:
         encoder: Optional[protocol.FrameEncoder] = None
+        out = self._out
         try:
-            while True:
-                # Burst-drain: pull everything already queued and write
-                # it in one go, awaiting ``drain()`` once per burst
-                # instead of once per envelope — under event-storm load
-                # the kernel sees one large write, not N tiny ones.
-                burst = [await self._outq.get()]
-                while len(burst) < BURST_MAX:
-                    try:
-                        burst.append(self._outq.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                if encoder is not None and all(
-                    self._coalescible(b) for b in burst
-                ):
-                    await self._await_company(burst)
-                out = bytearray()
+            while out or not self._closing:
+                if not out:
+                    self._wake.clear()
+                    await self._wake.wait()
+                    continue
+                # One burst: what the loop handed over, up to BURST_MAX
+                # items, written in one go with one ``drain()``.
+                burst = out[:BURST_MAX]
+                del out[:BURST_MAX]
+                data = bytearray()
                 envelopes: List[Dict] = []
-                stop = False
                 for item in burst:
-                    if item is None:
-                        stop = True
-                        break
                     if type(item) is _DeflateSwitch:
                         item.reply["seq"] = self._seq.next()
                         envelopes.append(item.reply)
-                        out += self._ship(envelopes, None)
+                        data += self._ship(envelopes, None)
                         envelopes = []
                         encoder = protocol.FrameEncoder()
                         continue
@@ -247,15 +352,16 @@ class _AsyncConnection:
                     for envelope in batch if batch is not None else (item,):
                         envelope["seq"] = self._seq.next()
                         envelopes.append(envelope)
-                out += self._ship(envelopes, encoder)
-                if out:
-                    self.writer.write(bytes(out))
-                    await self.writer.drain()
+                data += self._ship(envelopes, encoder)
+                if data:
+                    self.writer.write(bytes(data))
                     self._bump("net.flushes")
-                if stop:
-                    break
+                    await self.writer.drain()
+                self._release(len(burst))
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass  # client went away; nothing to tell it
+        finally:
+            self._close_outbound()
 
     # -- request execution ---------------------------------------------
 
@@ -264,11 +370,9 @@ class _AsyncConnection:
         timed_out = threading.Event()
 
         def emit(kind: str, data: Dict) -> None:
-            if not timed_out.is_set():
-                self._send_threadsafe(
-                    protocol.event_envelope(rid, kind, data)
-                )
+            self._push(protocol.event_envelope(rid, kind, data), timed_out)
 
+        self._window_start = self._loop.time()
         fut = self._loop.run_in_executor(
             self.host.executor, self.host.execute, req, emit
         )
@@ -282,7 +386,11 @@ class _AsyncConnection:
                             asyncio.shield(fut), float(timeout)
                         )
                     except asyncio.TimeoutError:
-                        timed_out.set()
+                        # Under the lock: every event this request got
+                        # in ships before the timeout reply, none after.
+                        with self._room:
+                            timed_out.set()
+                            self._room.notify_all()
                         self.host.request_cancel(rid)
                         fut.add_done_callback(
                             lambda f: f.exception()  # retrieve, drop
@@ -427,14 +535,12 @@ class _AsyncConnection:
         if self._torn_down:
             return
         self._torn_down = True
-        self._closing = True
         self.host.remove_listener(self._listener_token)
         self.host.connections.leave()
-        # Let queued envelopes flush, then stop the writer.
-        try:
-            await asyncio.wait_for(self._outq.put(None), timeout=1.0)
-        except asyncio.TimeoutError:
-            pass
+        # Ship what is pending, free blocked producers, and let the
+        # writer finish what it holds.
+        self._flush()
+        self._close_outbound()
         if self._writer_task is not None:
             try:
                 await asyncio.wait_for(self._writer_task, timeout=5.0)

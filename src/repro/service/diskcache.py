@@ -24,8 +24,9 @@ starts warm.  Design points, each load-bearing:
 * **Size-bounded LRU** — when a running size estimate says the store
   outgrew ``max_bytes``, a full walk evicts least-recently-used records
   (file mtime, refreshed on every hit) until the total fits again; the
-  estimate keeps the common under-budget write O(1) instead of
-  O(store).
+  estimate keeps every under-budget write O(1) instead of O(store).
+  Opening a cache walks the store once to seed the estimate, and evicts
+  right then if a store it finds is already over budget.
 
 Counters (``disk.hit`` / ``disk.miss`` / ``disk.write`` /
 ``disk.write_bytes`` / ``disk.evict`` / ``disk.error``) feed the attached
@@ -110,10 +111,12 @@ class DiskCache:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.stats = stats
-        #: Running size estimate (None until the first write walks the
-        #: store once); keeps the per-write eviction check O(1).
-        self._approx_bytes: Optional[int] = None
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Running size estimate, which keeps the per-write eviction
+        #: check O(1): the store's size as one walk counted it here,
+        #: plus this cache's writes since.
+        self._approx_bytes = 0
+        self._evict()
 
     # ------------------------------------------------------------------
 
@@ -289,19 +292,16 @@ class DiskCache:
         Walking and stat-ing every record on *every* write is O(store)
         — it dominated per-mutation latency once session journaling made
         small writes frequent.  Instead, a running byte counter (seeded
-        by one walk on the first write, advanced by each write's blob
-        size) decides when the real walk is worth it.  Sibling
-        processes' writes aren't counted, so a shared store can
+        by the walk made when the cache was opened, advanced by each
+        write's blob size) decides when the real walk is worth it, so no
+        write walks the store until the estimate passes ``max_bytes``.
+        Sibling processes' writes aren't counted, so a shared store can
         transiently overshoot ``max_bytes`` until this process's own
-        writes accumulate — the budget is best-effort either way.
+        writes accumulate, or the next process opens it — the budget is
+        best-effort either way.
         """
 
-        if self._approx_bytes is None:
-            self._approx_bytes = sum(
-                size for _, size, _ in self._records()
-            )
-        else:
-            self._approx_bytes += added_bytes
+        self._approx_bytes += added_bytes
         if self._approx_bytes > self.max_bytes:
             self._evict()
 

@@ -279,14 +279,12 @@ _WBITS = -15
 #: them waits in the decoder, so no single read allocates without bound.
 INFLATE_SLICE = 64 * 1024
 
-#: Event-coalescing knobs of the transport's write loop: on a deflated
-#: connection, a burst holding nothing but progress events waits up to
-#: COALESCE_WINDOW for company, until COALESCE_MAX events or any other
-#: envelope (a reply, a broadcast) arrives, and then ships as one sync
-#: flush.  An edit's reanalysis emits its progress in bursts a few
-#: milliseconds apart, so the window spans more than one burst; terminal
-#: replies never wait on it.
-COALESCE_MAX = 32
+#: The transport's coalescing window: a request's events ship with its
+#: reply, and a request still running gets at most one extra flush per
+#: COALESCE_WINDOW seconds (counted from its start or the connection's
+#: last flush), and only while events are pending.  An edit's
+#: reanalysis emits its progress in bursts a few milliseconds apart, so
+#: most edits answer inside one window and cost one flush.
 COALESCE_WINDOW = 0.015
 
 

@@ -175,6 +175,27 @@ class TestStructureChanges:
         finally:
             server.close()
 
+    def test_apply_at_a_line_without_a_statement_is_refused(self):
+        """A ``line=`` target that names no statement is refused before
+        the undo point: undo depth and the journal stay as they were,
+        so the next ``undo`` has nothing to take back."""
+
+        session = PedSession(
+            "      program one\n"
+            "      real a(10)\n"
+            "      do i = 1, 10\n"
+            "         a(i) = i\n"
+            "      end do\n"
+            "      end\n"
+        )
+        source = session.source
+        with pytest.raises(PedError, match="no statement at line 999"):
+            session.apply("parallelize", line=999)
+        assert (session.undo_depth, len(session.journal)) == (0, 0)
+        with pytest.raises(PedError, match="nothing to undo"):
+            session.undo()
+        assert len(session.journal) == 0 and session.source == source
+
     def test_command_interpreter_survives_error_storm(self):
         ped = CommandInterpreter(PedSession(SRC))
         for cmd in ["select 99", "mark 1", "apply zap", "unit no", "edit 1", "goto x"]:

@@ -199,3 +199,94 @@ def test_v2_format_memo_record_falls_back_cold(cache, caplog):
     # The store recovers: a fresh save round-trips under the new format.
     assert PersistentStore(cache).save_memo(entries) == 1
     assert PersistentStore(cache).load_memo() == entries
+
+
+def _fill(cache, prefix, n, size=4000):
+    """``n`` records of about ``size`` bytes under keys ``prefix``-k."""
+
+    for i in range(n):
+        assert cache.put("span", f"{prefix}{i:04d}" + "0" * 34, "x" * size)
+
+
+def _count_walks(monkeypatch):
+    """The caches that walk the store, one entry per walk."""
+
+    walks = []
+    real = DiskCache._records
+
+    def records(self):
+        walks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DiskCache, "_records", records)
+    return walks
+
+
+def test_a_cache_walks_the_store_when_opened_not_when_written(
+    tmp_path, monkeypatch
+):
+    """A new cache over a store of 300 records walks it once, when it
+    is opened; its writes under the budget walk nothing, and the write
+    that takes the estimate past ``max_bytes`` walks it again."""
+
+    root = tmp_path / "c"
+    first = DiskCache(root, max_bytes=10**9)
+    _fill(first, "aa", 300, size=100)
+    _fill(first, "ab", 1)
+    stored = sum(size for _, size, _ in first._records())
+    record = first._path("span", "ab0000" + "0" * 34).stat().st_size
+    walks = _count_walks(monkeypatch)
+    cache = DiskCache(root, max_bytes=stored + 65 * record)
+    assert walks == [cache]
+    _fill(cache, "bb", 65)
+    assert walks == [cache]
+    _fill(cache, "cc", 1)
+    assert walks == [cache, cache]
+
+
+def test_caches_that_each_write_little_keep_an_over_budget_store_bounded(
+    tmp_path,
+):
+    """A store already twice over budget, then five caches in turn, each
+    writing 1% of the budget: the first evicts at once, and the store
+    ends within ``max_bytes``."""
+
+    import os
+
+    from repro.incremental.stats import EngineStats
+
+    budget = 400_000
+    root = tmp_path / "c"
+    _fill(DiskCache(root, max_bytes=10**9), "aa", 200)
+    for i, (path, _, _) in enumerate(sorted(DiskCache(root)._records())):
+        os.utime(path, (1_000_000 + i,) * 2)
+    stats = EngineStats()
+    for k in range(5):
+        _fill(DiskCache(root, max_bytes=budget, stats=stats), f"b{k}", 1)
+    assert stats.counter("disk.evict") > 0
+    assert sum(size for _, size, _ in DiskCache(root)._records()) <= budget
+
+
+def test_second_cache_evicts_a_store_it_fills_past_the_budget(tmp_path):
+    """One cache fills 90% of the budget; a second cache over the same
+    store writes 30% more.  The second evicts the oldest records until
+    the store fits again."""
+
+    import os
+
+    from repro.incremental.stats import EngineStats
+
+    budget = 400_000
+    root = tmp_path / "c"
+    first = DiskCache(root, max_bytes=budget)
+    _fill(first, "aa", 90)
+    for i, (path, _, _) in enumerate(sorted(first._records())):
+        os.utime(path, (1_000_000 + i,) * 2)
+    stats = EngineStats()
+    second = DiskCache(root, max_bytes=budget, stats=stats)
+    _fill(second, "bb", 30)
+    sizes = [size for _, size, _ in second._records()]
+    assert stats.counter("disk.evict") > 0
+    assert sum(sizes) <= budget
+    assert all(second.contains("span", f"bb{i:04d}" + "0" * 34) for i in range(30))
+    assert not first.contains("span", "aa0000" + "0" * 34)
