@@ -37,12 +37,17 @@ into the ring without operator action.
 
 **Shard wire.**  Each lazily created shard client asks its shard for
 deflate (``router.wire_deflate`` counts the hops that agreed); a shard
-that refuses stays on JSON lines.  When a shard's burst of progress
-events arrives in one read, the router relays it *as a burst*: the
-shard client delivers it as one list, the router re-emits it as one
-``events.batch`` pseudo-event, and the client-facing transport ships it
-in one flush again (re-encoded for that connection, but with its
-ordering and event payloads intact).
+that refuses stays on JSON lines.  A forwarded streamed request relays
+its events on the thread that forwards it: it reads them from the
+shard client's :meth:`~repro.service.client.PedClient.stream` and calls
+the front end's ``emit`` itself, in the shard's order, before it
+returns the reply.  A front-end client that stops reading therefore
+blocks only its own requests; the shard client's reader keeps serving
+every other request to that shard.  The front end ships relayed events
+with their reply, as it ships any request's.  Shard broadcasts
+(``invalidation``) are relayed from the shard client's reader as they
+arrive, so one can reach router clients ahead of events the shard sent
+before it.
 
 Cancellation (``cancel``) is connection-local on the router: forwarded
 requests run under the shard client's own correlation ids, so the
@@ -52,6 +57,7 @@ router acknowledges cancels but cannot retarget in-flight shard work.
 from __future__ import annotations
 
 import logging
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +65,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..incremental.stats import EngineStats
 from ..pipeline.aggregate import AGGREGATES, run_aggregate
+from ..pipeline.corpus import job_status
 from ..service import protocol
 from ..service.client import (
     PedClient,
@@ -241,47 +248,35 @@ class FleetRouter:
         op: str,
         params: Dict,
         emit: Optional[Callable[[str, Dict], None]] = None,
-        on_event: Optional[Callable] = None,
-        on_batch: Optional[Callable] = None,
         timeout: Optional[float] = None,
     ) -> Dict:
-        """One request to one shard; raises on transport loss."""
+        """One request to one shard; raises on transport loss.
+
+        A streamed request (``emit`` given) relays the shard's events to
+        ``emit`` on this thread, in the shard's order, before returning,
+        so a front-end client that stops reading blocks only this
+        request and never the shard client's reader."""
 
         try:
             client = self._client(shard)
         except ServerUnavailableError:
             self._drop_client(shard)
             raise
-        stream = emit is not None or on_event is not None
-        sink = on_event
-        batch_sink = on_batch
-        if sink is None and emit is not None:
-            def sink(ev):  # noqa: E306 — local relay
-                emit(ev.kind, ev.data)
-
-            if batch_sink is None:
-                # A shard's burst relays as one batch event, so the
-                # client-facing transport ships it in one flush again.
-                def batch_sink(evs):  # noqa: E306 — local relay
-                    self.stats.bump("router.batches_relayed")
-                    emit(
-                        protocol.EV_BATCH,
-                        {
-                            "events": [
-                                {"kind": ev.kind, "data": ev.data}
-                                for ev in evs
-                            ]
-                        },
-                    )
+        wait = timeout or self.forward_timeout
         try:
-            pending = client.submit(
-                op,
-                stream=stream,
-                on_event=sink,
-                on_batch=batch_sink,
-                **params,
-            )
-            result = pending.result(timeout or self.forward_timeout)
+            if emit is None:
+                result = client.submit(op, **params).result(wait)
+            else:
+                # ``wait`` is the stream's own deadline keyword; no
+                # routed op reads a request parameter of that name.
+                for ev in client.stream(op, **{**params, "wait": wait}):
+                    if ev.kind == "result":
+                        result = ev.data
+                    else:
+                        emit(ev.kind, ev.data)
+        except queue.Empty:
+            # The stream's deadline: answer as an unstreamed forward's.
+            raise TimeoutError() from None
         except ServerUnavailableError:
             self._drop_client(shard)
             raise
@@ -440,7 +435,7 @@ class FleetRouter:
                 elif isinstance(value, (int, float)):
                     merged[key] = merged.get(key, 0) + value
         merged[_PERSISTED] = merged.get(_PERSISTED, 0) + sum(stores.values())
-        for key, value in self.stats.counters.items():
+        for key, value in dict(self.stats.counters).items():
             merged[key] = merged.get(key, 0) + value
         merged["server.connections.open"] = self.connections.open
         merged["server.connections.peak"] = self.connections.peak
@@ -492,52 +487,30 @@ class FleetRouter:
         progress_lock = threading.Lock()
         done_counter = {"n": 0}
 
-        def renumber(data: Dict) -> Dict:
-            # Renumber per-shard progress to fleet-wide done/total.
-            # Callers hold ``progress_lock``.
-            data = dict(data)
-            if data.get("phase") == "corpus.program":
-                done_counter["n"] += 1
-                data["done"] = done_counter["n"]
-                data["total"] = total
-            return data
-
-        def shard_event(ev) -> None:
-            if emit is None:
-                return
+        def relay(kind: str, data: Dict) -> None:
+            # Renumber per-shard progress to fleet-wide done/total and
+            # emit it under one lock hold, so ``done`` rises in wire
+            # order whichever shard's thread gets here first.
             with progress_lock:
-                data = renumber(ev.data)
-            emit(ev.kind, data)
-
-        def shard_batch(evs) -> None:
-            # A shard's burst renumbers under one lock hold and relays
-            # as one batch, staying one flush on the client hop.
-            if emit is None:
-                return
-            with progress_lock:
-                records = [
-                    {"kind": ev.kind, "data": renumber(ev.data)}
-                    for ev in evs
-                ]
-            self.stats.bump("router.batches_relayed")
-            emit(protocol.EV_BATCH, {"events": records})
-
-        streaming = wait and emit is not None
+                if data.get("phase") == "corpus.program":
+                    done_counter["n"] += 1
+                    data = {
+                        **data, "done": done_counter["n"], "total": total
+                    }
+                emit(kind, data)
 
         def submit_to(shard: str, names: List[str]) -> Dict:
             payload = {
                 "job": job,
                 "programs": [by_name[n] for n in names],
             }
+            if emit is not None:
+                # A streamed submit runs to the end on the shard without
+                # ``wait``, which the stream's own deadline would take.
+                return self._forward(shard, "corpus.submit", payload, relay)
             if wait:
                 payload["wait"] = True
-            return self._forward(
-                shard,
-                "corpus.submit",
-                payload,
-                on_event=shard_event if streaming else None,
-                on_batch=shard_batch if streaming else None,
-            )
+            return self._forward(shard, "corpus.submit", payload)
 
         # Partition onto the ring (live shards preferred) and fan out.
         assignment: Dict[str, List[str]] = {}
@@ -604,21 +577,8 @@ class FleetRouter:
         with self._jobs_lock:
             self._job_shards.setdefault(job, set()).update(used_shards)
             self._lost.setdefault(job, {}).update(lost)
-        done = sum(
-            1 for s in merged_programs.values() if s in ("done", "error")
-        )
         return {
-            "job": job,
-            "total": len(merged_programs),
-            "done": done,
-            "running": sum(
-                1 for s in merged_programs.values() if s == "running"
-            ),
-            "errors": sum(
-                1 for s in merged_programs.values() if s == "error"
-            ),
-            "complete": done == len(merged_programs),
-            "programs": merged_programs,
+            **job_status(job, merged_programs),
             "started": not wait,
             "shards": sorted(used_shards),
             "lost": sorted(lost),
@@ -639,22 +599,7 @@ class FleetRouter:
             merged_programs.update(snapshot.get("programs") or {})
         for name in lost:
             merged_programs[name] = "error"
-        done = sum(
-            1 for s in merged_programs.values() if s in ("done", "error")
-        )
-        return {
-            "job": job,
-            "total": len(merged_programs),
-            "done": done,
-            "running": sum(
-                1 for s in merged_programs.values() if s == "running"
-            ),
-            "errors": sum(
-                1 for s in merged_programs.values() if s == "error"
-            ),
-            "complete": done == len(merged_programs),
-            "programs": merged_programs,
-        }
+        return job_status(job, merged_programs)
 
     def _shard_records(self, job: str) -> List[Dict]:
         """Every shard's result records plus router-side loss records,

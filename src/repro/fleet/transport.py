@@ -346,12 +346,8 @@ class _AsyncConnection:
                         envelopes = []
                         encoder = protocol.FrameEncoder()
                         continue
-                    # A host-side burst (router relay) fans out here
-                    # and ships in the same flush.
-                    batch = protocol.expand_event_batch(item)
-                    for envelope in batch if batch is not None else (item,):
-                        envelope["seq"] = self._seq.next()
-                        envelopes.append(envelope)
+                    item["seq"] = self._seq.next()
+                    envelopes.append(item)
                 data += self._ship(envelopes, encoder)
                 if data:
                     self.writer.write(bytes(data))

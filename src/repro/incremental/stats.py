@@ -148,7 +148,8 @@ class EngineStats:
                     "hits": st.hits,
                     "misses": st.misses,
                 }
-                for name, st in self.stages.items()
+                # Copied in one call: request threads add stages.
+                for name, st in dict(self.stages).items()
             },
         }
 

@@ -32,6 +32,7 @@ __all__ = [
     "CorpusJob",
     "CorpusRunner",
     "analyze_program_result",
+    "job_status",
     "LOOP_TRANSFORMS",
     "obstacle_category",
 ]
@@ -134,6 +135,22 @@ def analyze_program_result(payload: Dict) -> Dict:
     }
 
 
+def job_status(job: str, states: Dict[str, str]) -> Dict:
+    """A corpus job's status reply, counted from its ``{program:
+    state}`` map (a host's job, or a router's merge of its shards')."""
+
+    done = sum(1 for s in states.values() if s in ("done", "error"))
+    return {
+        "job": job,
+        "total": len(states),
+        "done": done,
+        "running": sum(1 for s in states.values() if s == "running"),
+        "errors": sum(1 for s in states.values() if s == "error"),
+        "complete": done == len(states),
+        "programs": states,
+    }
+
+
 @dataclass
 class CorpusJob:
     """One corpus: named programs, their states, cached aggregates."""
@@ -176,17 +193,7 @@ class CorpusJob:
     def snapshot(self) -> Dict:
         with self.lock:
             states = dict(self.states)
-        total = len(states)
-        done = sum(1 for s in states.values() if s in ("done", "error"))
-        return {
-            "job": self.id,
-            "total": total,
-            "done": done,
-            "running": sum(1 for s in states.values() if s == "running"),
-            "errors": sum(1 for s in states.values() if s == "error"),
-            "complete": done == total,
-            "programs": states,
-        }
+        return job_status(self.id, states)
 
     def result_records(self) -> List[Dict]:
         with self.lock:

@@ -38,7 +38,8 @@ server-push events before its terminal reply.  Two consumption styles:
 
 * *Callback* — ``submit(..., stream=True, on_event=fn)`` invokes ``fn``
   with each event on the reader thread while the returned handle
-  resolves as usual.
+  resolves as usual; ``fn`` must not block, or every other request on
+  the connection waits with it.
 
 Connection-wide broadcasts (``invalidation`` events with a ``null``
 id — another session's edit dirtied units this client may hold) go to
@@ -77,7 +78,7 @@ import threading
 import time
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from . import protocol
 
@@ -186,7 +187,6 @@ class PedClient:
         self._ops: Dict[object, str] = {}
         self._pending_lock = threading.Lock()
         self._event_sinks: Dict[object, Callable[[ServerEvent], None]] = {}
-        self._batch_sinks: Dict[object, Callable[[list], None]] = {}
         self._reply_seq: Dict[object, Optional[int]] = {}
         self._listeners: Dict[int, Callable[[ServerEvent], None]] = {}
         self._listener_ids = itertools.count(1)
@@ -340,8 +340,7 @@ class PedClient:
 
     def _read_stream(self) -> None:
         """JSON lines over a byte stream, inflated from the line after
-        the ``compress`` reply on; each read's envelopes are delivered
-        together, so a burst stays a burst."""
+        the ``compress`` reply on, each envelope dispatched in order."""
 
         rfile = self._rfile
         read1 = getattr(rfile, "read1", rfile.read)
@@ -352,64 +351,31 @@ class PedClient:
                 return
             self.bytes_received += len(data)
             lines.feed(data)
-            envs: List[Dict] = []
-            try:
-                while True:
-                    try:
-                        line = lines.next()
-                    except protocol.ProtocolError as exc:
-                        if exc.type != protocol.PAYLOAD_TOO_LARGE:
-                            raise
-                        continue  # dropped; its request times out
-                    if line is None:
-                        break
-                    env = _parse(line)
-                    if env is None:
-                        continue
-                    if (
-                        env.get("id") == self._compress_rid
-                        and env.get("ok")
-                        and (env.get("result") or {}).get("compress")
-                        == protocol.COMPRESS_MODE
-                    ):
-                        # The last plain line: the server deflates
-                        # everything after it.
-                        lines.start_inflating()
-                    envs.append(env)
-            finally:
-                self._deliver(envs)
-
-    def _deliver(self, envs: List[Dict]) -> None:
-        """Dispatch one read's envelopes in order.  A burst — two or
-        more consecutive events of one request — goes whole to that
-        request's ``on_batch`` sink when it has one (the fleet router
-        relays it as one batch); everything else goes one by one."""
-
-        i, n = 0, len(envs)
-        while i < n:
-            rid = envs[i].get("id")
-            j = i + 1
-            if "event" in envs[i] and rid is not None:
-                while (
-                    j < n and "event" in envs[j] and envs[j].get("id") == rid
-                ):
-                    j += 1
-            if j - i > 1:
-                with self._pending_lock:
-                    sink = self._batch_sinks.get(rid)
-                if sink is not None:
-                    try:
-                        sink([_event(e) for e in envs[i:j]])
-                    except Exception:  # noqa: BLE001 — sink bug ≠ reader death
-                        pass
-                    i = j
+            while True:
+                try:
+                    line = lines.next()
+                except protocol.ProtocolError as exc:
+                    if exc.type != protocol.PAYLOAD_TOO_LARGE:
+                        raise
+                    continue  # dropped; its request times out
+                if line is None:
+                    break
+                env = _parse(line)
+                if env is None:
                     continue
-            for env in envs[i:j]:
+                if (
+                    env.get("id") == self._compress_rid
+                    and env.get("ok")
+                    and (env.get("result") or {}).get("compress")
+                    == protocol.COMPRESS_MODE
+                ):
+                    # The last plain line: the server deflates
+                    # everything after it.
+                    lines.start_inflating()
                 if "event" in env:
                     self._handle_event(env)
                 else:
                     self._handle_reply(env)
-            i = j
 
     def _handle_event(self, env: Dict) -> None:
         ev = _event(env)
@@ -435,7 +401,6 @@ class PedClient:
         with self._pending_lock:
             future = self._pending.pop(rid, None)
             op = self._ops.pop(rid, None)
-            self._batch_sinks.pop(rid, None)
             had_sink = self._event_sinks.pop(rid, None) is not None
             if had_sink:
                 # Only streaming requests read the terminal seq back;
@@ -460,7 +425,6 @@ class PedClient:
             pending, self._pending = dict(self._pending), {}
             self._ops.clear()
             self._event_sinks.clear()
-            self._batch_sinks.clear()
         for future in pending.values():
             if not future.done():
                 future.set_exception(ServerUnavailableError(why))
@@ -483,24 +447,22 @@ class PedClient:
         *,
         stream: bool = False,
         on_event: Optional[Callable[[ServerEvent], None]] = None,
-        on_batch: Optional[Callable[[list], None]] = None,
         **params,
     ) -> "PendingReply":
         """Send one request; returns a handle resolving to its result.
 
-        ``stream=True`` (implied by ``on_event``/``on_batch``) opts the
-        request into server-push events; ``on_event`` receives each
-        :class:`ServerEvent` on the reader thread.  ``on_batch``, when
-        given, receives a burst — two or more consecutive events of this
-        request decoded from one read — as one list instead of event by
-        event (lone events still go to ``on_event``); relays use it to
-        forward a burst as a burst.
+        ``stream=True`` (implied by ``on_event``) opts the request into
+        server-push events; ``on_event`` receives each
+        :class:`ServerEvent` on the reader thread, so a callback that
+        blocks holds up every reply on this connection.  A consumer that
+        may block (a relay writing to a slower peer) reads
+        :meth:`stream` on its own thread instead.
         """
 
         rid = params.pop("id", None)
         if rid is None:
             rid = next(self._ids)
-        if on_event is not None or on_batch is not None:
+        if on_event is not None:
             stream = True
         req = {"id": rid, "op": op, **params}
         if stream:
@@ -510,8 +472,6 @@ class PedClient:
             self._register(rid, op, future)
             if on_event is not None:
                 self._event_sinks[rid] = on_event
-            if on_batch is not None:
-                self._batch_sinks[rid] = on_batch
         try:
             with self._write_lock:
                 self._write_envelope(req)
@@ -520,7 +480,6 @@ class PedClient:
                 self._pending.pop(rid, None)
                 self._ops.pop(rid, None)
                 self._event_sinks.pop(rid, None)
-                self._batch_sinks.pop(rid, None)
             raise ServerUnavailableError(f"send failed: {exc}")
         return PendingReply(self, rid, future)
 
@@ -596,6 +555,10 @@ class PedClient:
         reply's sequence id (always greater than every event's — the
         protocol guarantee).  A structured error reply raises
         :class:`PedRequestError` instead of yielding ``result``.
+        ``wait`` bounds the whole stream, as it bounds :meth:`request`:
+        once it passes without the reply, :class:`queue.Empty` is
+        raised.  Events queue up for the caller's thread, so the reader
+        keeps serving the connection's other requests meanwhile.
         """
 
         events: "queue.Queue" = queue.Queue()
@@ -603,8 +566,13 @@ class PedClient:
             op, stream=True, on_event=events.put, **params
         )
         pending._future.add_done_callback(lambda _f: events.put(_DONE))
+        deadline = None if wait is None else time.monotonic() + wait
         while True:
-            item = events.get(timeout=wait)
+            item = events.get(
+                timeout=None
+                if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
             if item is _DONE:
                 # Drain events that raced the terminal reply.
                 while True:

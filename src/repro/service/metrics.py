@@ -120,14 +120,15 @@ def merged_metrics(
     for key in STABLE_KEYS:
         out[key] = 0
     # Pass through every recorded counter: disk.*, pool.*, memo.delta_*,
-    # plus anything a future subsystem adds.
-    for key, value in stats.counters.items():
-        out[key] = value
+    # plus anything a future subsystem adds.  Request threads and the
+    # event loop add counters meanwhile, so each dict is read in one
+    # call, never walked live.
+    out.update(stats.counters)
     if net_stats is not None and net_stats is not stats:
         # Transport traffic, journal durability and the store's memo
         # segments are server-scoped counters; overlay them so a
         # session-bound snapshot still reports them truthfully.
-        for key, value in net_stats.counters.items():
+        for key, value in dict(net_stats.counters).items():
             if key.startswith(
                 ("net.", "journal.", "memo.delta_", "memo.persisted_entries")
             ):

@@ -131,15 +131,6 @@ INTERNAL = "internal"
 EV_PROGRESS = "analysis.progress"
 EV_INVALIDATION = "invalidation"
 
-#: Transport-internal pseudo-event: a host that already holds a burst
-#: of events (the fleet router relaying a shard's burst) hands the
-#: whole burst to the transport in one ``emit`` call as
-#: ``event_envelope(rid, EV_BATCH, {"events": [{"kind": …, "data": …},
-#: …]})``.  Transports expand it at write time into individual envelopes
-#: that ship in one flush, so the batch shape itself never reaches a
-#: client.
-EV_BATCH = "events.batch"
-
 
 class ProtocolError(Exception):
     """A framing-level error with a structured ``type`` and, when it
@@ -244,23 +235,6 @@ def encode(envelope: Dict) -> str:
     """One envelope → its wire line (no trailing newline)."""
 
     return json.dumps(envelope, sort_keys=True)
-
-
-def expand_event_batch(envelope: Dict) -> Optional[List[Dict]]:
-    """The per-event envelopes of one :data:`EV_BATCH` envelope, or
-    ``None`` when ``envelope`` is not a batch.  Transports call this at
-    write time; the order of the records is the wire order."""
-
-    if envelope.get("event") != EV_BATCH:
-        return None
-    rid = envelope.get("id")
-    out: List[Dict] = []
-    for rec in (envelope.get("data") or {}).get("events") or []:
-        if isinstance(rec, dict):
-            out.append(
-                event_envelope(rid, rec.get("kind") or "", rec.get("data"))
-            )
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -114,6 +114,15 @@ class _Managed:
     journal_file: Optional[object] = None
 
 
+def _close_journal(managed: Optional[_Managed]) -> None:
+    """Close a session's durable journal under its session lock, so a
+    mutation still running on it finishes its append first."""
+
+    if managed is not None and managed.journal_file is not None:
+        with managed.lock:
+            managed.journal_file.close()
+
+
 class PedServer:
     """The protocol-independent core: sessions, dispatch, events."""
 
@@ -175,14 +184,10 @@ class PedServer:
         self.shutdown_event.set()
         self._work.shutdown(wait=False, cancel_futures=True)
         self.pool.close()
-        # Each journal closes under its session lock, so a mutation
-        # still running finishes its append first.
         with self._sessions_lock:
             hosted = list(self.sessions.values())
         for managed in hosted:
-            if managed.journal_file is not None:
-                with managed.lock:
-                    managed.journal_file.close()
+            _close_journal(managed)
 
     @property
     def executor(self):
@@ -441,8 +446,7 @@ class PedServer:
             self.sessions[name] = _Managed(
                 session, threading.Lock(), journal_file
             )
-        if previous is not None and previous.journal_file is not None:
-            previous.journal_file.close()
+        _close_journal(previous)
         return {
             "session": name,
             "units": [u.name for u in session.sf.units],
@@ -485,8 +489,7 @@ class PedServer:
         # The engine holds nothing to release, but the durable journal
         # handle closes (the file itself stays, so ``session.restore``
         # can resurrect the session later).
-        if managed.journal_file is not None:
-            managed.journal_file.close()
+        _close_journal(managed)
         return {"closed": name}
 
     def _op_list(self, req: Dict) -> Dict:
@@ -846,8 +849,7 @@ class PedServer:
             self.sessions[name] = _Managed(
                 session, threading.Lock(), journal_file
             )
-        if previous is not None and previous.journal_file is not None:
-            previous.journal_file.close()
+        _close_journal(previous)
         self.stats.bump("journal.restores")
         return {
             "session": name,

@@ -4,10 +4,14 @@
 and their validation errors.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.service import PedServer
 from repro.service import protocol
+from repro.service.persist import JournalFile
 
 SIMPLE = (
     "      program p\n"
@@ -363,3 +367,56 @@ def test_mark_of_no_edge_is_a_ped_error_and_journals_nothing(server):
         assert err["message"] == f"no dependence #{dep} in p"
     log = _ok(server.execute({"op": "session.log", "session": "s"}))
     assert log["total"] == 0
+
+
+@pytest.mark.parametrize(
+    "ending",
+    [
+        {"op": "close"},
+        {"op": "open", "source": SIMPLE, "replace": True},
+        {"op": "session.restore", "replace": True},
+    ],
+    ids=["close", "open-replace", "restore-replace"],
+)
+def test_ending_a_session_waits_for_its_running_mutation(
+    server, monkeypatch, ending
+):
+    """Closing or replacing a session while an edit on it is still
+    appending its journal record: the edit answers ok, and a closed
+    session's file holds the record."""
+
+    _ok(server.execute({"op": "open", "session": "s", "source": SIMPLE}))
+    appending = threading.Event()
+    append = JournalFile.append
+
+    def slow_append(self, record_wire):
+        appending.set()
+        time.sleep(0.3)
+        append(self, record_wire)
+
+    monkeypatch.setattr(JournalFile, "append", slow_append)
+    edit = {}
+    worker = threading.Thread(
+        target=lambda: edit.update(
+            server.execute(
+                {
+                    "op": "edit",
+                    "session": "s",
+                    "start": 4,
+                    "end": 4,
+                    "text": "         a(i) = i + 1",
+                }
+            )
+        )
+    )
+    worker.start()
+    try:
+        assert appending.wait(10.0)
+        _ok(server.execute({**ending, "session": "s"}))
+    finally:
+        worker.join(10.0)
+    _ok(edit)
+    if ending["op"] == "close":
+        log = _ok(server.execute({"op": "session.log", "session": "s"}))
+        assert log["origin"] == "disk"
+        assert [r["op"] for r in log["records"]] == ["edit"]
