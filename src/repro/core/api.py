@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..editor.session import PedSession
 from ..fortran.ast_nodes import SourceFile
-from ..fortran.printer import to_source
 from ..fortran.symbols import parse_and_bind
 from ..incremental import AnalysisEngine
 from ..interproc.program import FeatureSet, ProgramAnalysis
@@ -105,6 +104,7 @@ def parallelize_program(
     session = PedSession(source, features=features, engine=engine)
     transform = Parallelize()
     result = AutoResult(source)
+    rewritten = []
     for unit_name in sorted(session.analysis.units):
         ua = session.analysis.unit(unit_name)
         covered: set = set()
@@ -120,9 +120,10 @@ def parallelize_program(
             transform.apply(ctx, loop=nest.loop)
             covered.add(id(nest.loop))
             result.parallelized.append((unit_name, idx))
-    result.source = to_source(session.sf)
-    # The transforms above mutated the session's AST in place without
-    # going through session.apply, so a caller-supplied engine must not
-    # keep serving the now-stale cached units.
-    session.engine.invalidate()
+        if covered:
+            rewritten.append(ua.unit)
+    # The transforms above rewrote those units in place; the write-back
+    # also makes the session's engine forget their parses.
+    session.write_back(rewritten)
+    result.source = session.source
     return result

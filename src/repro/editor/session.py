@@ -42,13 +42,13 @@ from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dependence.driver import LoopInfo, UnitAnalysis
 from ..dependence.graph import Dependence
 from ..dependence.references import collect_loops
 from ..fortran.ast_nodes import DoLoop, ProcedureUnit, SourceFile
-from ..fortran.printer import to_source
+from ..fortran.printer import unit_to_source
 from ..incremental import AnalysisEngine
 from ..interproc.program import FeatureSet, ProgramAnalysis
 from ..transform.base import Advice, TransformContext
@@ -635,7 +635,8 @@ class PedSession:
         return transform.diagnose(ctx, **kwargs)
 
     def apply(self, name: str, **kwargs) -> str:
-        """Power steering step 2: perform the transformation."""
+        """Power steering step 2: perform the transformation, write the
+        rewritten unit back (:meth:`write_back`) and reanalyze."""
 
         from ..transform.base import TransformError
 
@@ -649,20 +650,52 @@ class PedSession:
         # is refused without touching undo or the journal.
         kwargs = self._resolve_selection(kwargs)
         self._push_undo()
+        units = len(self.sf.units)
         try:
             summary = transform.apply(ctx, **kwargs)
         except TransformError as exc:
             self._drop_undo()
             raise PedError(str(exc)) from exc
-        self.source = to_source(self.sf)
-        # The transformation mutated the AST in place, and cached units
-        # alias it: the engine's content-keyed caches are no longer
-        # trustworthy, so drop them and reanalyze from the new source.
-        self.engine.invalidate()
+        self.write_back([ctx.unit], self.sf.units[units:])
         self.reanalyze()
         self.journal.append("apply", transform=name, args=given)
         self.last_message = summary
         return summary
+
+    def write_back(
+        self,
+        rewritten: Sequence[ProcedureUnit],
+        added: Sequence[ProcedureUnit] = (),
+    ) -> None:
+        """Put units a transformation changed in place back into the
+        source, without reanalyzing.
+
+        Each rewritten unit's own lines, from its header to its
+        ``END``, become its printed text; every other line keeps its
+        text, comments and other routines included.  Added units are
+        printed at the end of the file.  The engine forgets only the
+        rewritten units' parses, and markings below a rewritten unit
+        move by its change in line count, as they do below an edit.
+        """
+
+        self.engine.forget(self.source, rewritten)
+        # Bottom-up, so the units above keep their line numbers.
+        for unit in sorted(rewritten, key=lambda u: u.line, reverse=True):
+            self._replace_lines(
+                unit.line, unit.end_line, unit_to_source(unit).splitlines()
+            )
+        for unit in added:
+            self.source += "\n" + unit_to_source(unit)
+
+    def _replace_lines(self, start: int, end: int, new_lines: List[str]) -> None:
+        """Replace source lines [start, end] (1-based, inclusive) with
+        ``new_lines``.  Markings past the replaced range move by the
+        change in line count, so they keep matching their edges."""
+
+        lines = self.source.splitlines()
+        lines[start - 1 : end] = new_lines
+        self.source = "\n".join(lines) + "\n"
+        self.markings.shift_lines(end, len(new_lines) - (end - start + 1))
 
     def _resolve_selection(self, kwargs: Dict) -> Dict:
         """Fill the transformation's target from the session selection.
@@ -707,22 +740,17 @@ class PedSession:
         informed of any syntactic or semantic errors".
         """
 
-        lines = self.source.splitlines()
-        if not (1 <= start_line <= end_line <= len(lines)):
+        last = len(self.source.splitlines())
+        if not (1 <= start_line <= end_line <= last):
             raise PedError(
-                f"line range {start_line}-{end_line} outside 1-{len(lines)}"
+                f"line range {start_line}-{end_line} outside 1-{last}"
             )
         self._push_undo()
-        new_lines = new_text.splitlines() if new_text else []
-        delta = len(new_lines) - (end_line - start_line + 1)
         saved_marks = self.markings.snapshot()
-        lines[start_line - 1 : end_line] = new_lines
         old_source = self.source
-        self.source = "\n".join(lines) + "\n"
-        if delta:
-            # Keep markings attached to their statements: everything past
-            # the replaced range moves by the edit's line delta.
-            self.markings.shift_lines(end_line, delta)
+        self._replace_lines(
+            start_line, end_line, new_text.splitlines()
+        )
         from ..fortran.errors import FortranError
 
         try:

@@ -61,6 +61,7 @@ import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Callable, Dict, List, Optional, Set
 
 from ..incremental.stats import EngineStats
@@ -89,6 +90,10 @@ class _BadRequest(Exception):
 
 class _ShardLost(Exception):
     """Every candidate shard for a key is unreachable."""
+
+
+class _ForwardTimeout(Exception):
+    """A shard gave no reply within the forward's deadline."""
 
 
 class FleetRouter:
@@ -255,7 +260,9 @@ class FleetRouter:
         A streamed request (``emit`` given) relays the shard's events to
         ``emit`` on this thread, in the shard's order, before returning,
         so a front-end client that stops reading blocks only this
-        request and never the shard client's reader."""
+        request and never the shard client's reader.  A forward past
+        its deadline answers ``timeout``, and the shard client drops the
+        request, so its late events and reply go nowhere."""
 
         try:
             client = self._client(shard)
@@ -274,9 +281,10 @@ class FleetRouter:
                         result = ev.data
                     else:
                         emit(ev.kind, ev.data)
-        except queue.Empty:
-            # The stream's deadline: answer as an unstreamed forward's.
-            raise TimeoutError() from None
+        except (queue.Empty, FutureTimeout):
+            raise _ForwardTimeout(
+                f"no result from shard {shard} within {wait}s"
+            ) from None
         except ServerUnavailableError:
             self._drop_client(shard)
             raise
@@ -347,6 +355,8 @@ class FleetRouter:
             return protocol.reply_error(rid, protocol.BAD_REQUEST, str(exc))
         except _ShardLost as exc:
             return protocol.reply_error(rid, protocol.SHARD_LOST, str(exc))
+        except _ForwardTimeout as exc:
+            return protocol.reply_error(rid, protocol.TIMEOUT, str(exc))
         except PedRequestError as exc:
             # Transparent: the shard's structured error passes through.
             return protocol.reply_error(rid, exc.type, exc.message)

@@ -322,6 +322,9 @@ class ProcedureUnit:
     ``kind`` is one of ``"program" | "subroutine" | "function"``.
     ``decls`` holds the specification statements in order; ``body`` the
     executable statements.  ``symtab`` is attached by the binder.
+    ``line`` and ``end_line`` are the source lines of the unit's header
+    and of the ``END`` statement that closes it (0 for a unit built
+    rather than parsed).
     """
 
     kind: str
@@ -332,6 +335,7 @@ class ProcedureUnit:
     body: List[Stmt] = field(default_factory=list)
     line: int = 0
     symtab: Optional[object] = None  # repro.fortran.symbols.SymbolTable
+    end_line: int = 0
 
     def all_statements(self) -> Iterator[Stmt]:
         """Yield every executable statement in lexical order, recursively."""

@@ -358,8 +358,7 @@ class Parser:
             unit.decls.append(decl)
         # Executable part.
         unit.body = self._parse_block({"end"})
-        end_stmt = self._next_stmt()  # consume END
-        del end_stmt
+        unit.end_line = self._next_stmt().line  # consume END
 
     # -- declarations ------------------------------------------------------
 

@@ -47,9 +47,12 @@ holds in any program that contains the span: adding, renaming or
 deleting a routine reparses only the spans that changed, reaches
 summaries and dependence keys through the parse revisions and the
 callee and caller sets like any other edit, and ``_drop_units_not_in``
-forgets the units that are gone.  One safety valve remains:
-:meth:`AnalysisEngine.invalidate` must be called after in-place AST
-mutation (transformations), since cached units alias the session's AST.
+forgets the units that are gone.  A caller that rewrites a unit's AST
+in place (a transformation: cached units alias the session's AST)
+reports it with :meth:`AnalysisEngine.forget`, which drops that span's
+parse and nothing else.  The rewritten text then comes back as an edit
+confined to that unit, and a later walk of the old text reparses the
+old span like any other cache miss.
 
 :meth:`AnalysisEngine.parse` runs only the split and parse stages, for
 a caller that needs the bound program but not yet its analysis (journal
@@ -337,7 +340,7 @@ class AnalysisEngine:
 
     def _reset_walk_memos(self) -> None:
         """Forget what lets a walk skip unchanged units (on a fresh
-        engine, after :meth:`invalidate` and on a disk warm start)."""
+        engine and on a disk warm start)."""
 
         #: Feature-restricted kill summaries (``kills_view``), refreshed
         #: per unit when its kill summary is recomputed.
@@ -372,20 +375,24 @@ class AnalysisEngine:
     # cache management
     # ------------------------------------------------------------------
 
-    def invalidate(self) -> None:
-        """Forget every cached result (statistics are kept).  Call after
-        mutating cached ASTs in place (transformations), which silently
-        desynchronizes the content-keyed caches."""
+    def forget(self, source: str, units) -> None:
+        """Drop the parse of each span of ``source`` that holds one of
+        ``units``.
 
-        self._spans.clear()
-        self._splits.clear()
-        # New dicts, not cleared ones: analyses handed out hold them.
-        self._summaries = {p: {} for p in _PHASES}
-        self._summary_revs = {p: {} for p in _PHASES}
-        self._deps.clear()
-        self._last = None
-        self._last_inputs = None
-        self._reset_walk_memos()
+        For a caller that rewrote those units' ASTs in place (a
+        transformation): the cached parse no longer matches its span's
+        text, and nothing else the engine holds aliases those ASTs where
+        a walk could reach it.  Summaries are values, and a unit's
+        dependence entry and constant fold are keyed on its parse
+        revision, which the reparse of either the new or the old text
+        moves.  ``source`` is the text ``units`` were parsed from.
+        """
+
+        held = {id(u) for u in units}
+        for span in self._split(source):
+            entry = self._spans.get(span.digest)
+            if entry is not None and any(id(u) in held for u in entry.units):
+                del self._spans[span.digest]
 
     def spans(self, source: str) -> List[UnitSpan]:
         """``source``'s unit spans: free for the last two sources
@@ -403,8 +410,8 @@ class AnalysisEngine:
         engine walked ``old_source`` before and ``new_source`` just now),
         so the diff neither lexes nor parses anything; a source split
         longer ago is split again.  Digests the cache no longer holds
-        (trimmed, never seen) are simply not attributable and contribute
-        no names.
+        (trimmed, forgotten, never seen) are simply not attributable and
+        contribute no names.
         """
 
         old = {s.digest for s in self._split(old_source)}
@@ -476,8 +483,8 @@ class AnalysisEngine:
         dependence entries) decide what it recomputes.
 
         The closing ``graph`` event depends only on the inputs: its
-        ``entry`` is ``split`` for a new source or a cold or invalidated
-        engine (every enabled stage counted recomputed), ``dependence``
+        ``entry`` is ``split`` for a new source or a cold engine (every
+        enabled stage counted recomputed), ``dependence``
         when only the assertions moved (that one stage recomputed) and
         ``None`` for an identical rerun (none recomputed).
         """

@@ -476,12 +476,20 @@ class PedClient:
             with self._write_lock:
                 self._write_envelope(req)
         except (BrokenPipeError, ValueError, OSError) as exc:
-            with self._pending_lock:
-                self._pending.pop(rid, None)
-                self._ops.pop(rid, None)
-                self._event_sinks.pop(rid, None)
+            self._forget(rid)
             raise ServerUnavailableError(f"send failed: {exc}")
         return PendingReply(self, rid, future)
+
+    def _forget(self, rid) -> None:
+        """Stop tracking request ``rid``: its caller is done with it
+        (answered or given up), so a late event or reply for it is
+        dropped."""
+
+        with self._pending_lock:
+            self._pending.pop(rid, None)
+            self._ops.pop(rid, None)
+            self._event_sinks.pop(rid, None)
+            self._reply_seq.pop(rid, None)
 
     def _write_envelope(self, req: Dict) -> None:
         """Send one request under the held write lock."""
@@ -558,7 +566,10 @@ class PedClient:
         ``wait`` bounds the whole stream, as it bounds :meth:`request`:
         once it passes without the reply, :class:`queue.Empty` is
         raised.  Events queue up for the caller's thread, so the reader
-        keeps serving the connection's other requests meanwhile.
+        keeps serving the connection's other requests meanwhile.  A
+        stream that ends in any way gives the request up
+        (:meth:`_forget`): one that ends early (its deadline, or a
+        caller that stops iterating) leaves nothing to fill its queue.
         """
 
         events: "queue.Queue" = queue.Queue()
@@ -567,32 +578,36 @@ class PedClient:
         )
         pending._future.add_done_callback(lambda _f: events.put(_DONE))
         deadline = None if wait is None else time.monotonic() + wait
-        while True:
-            item = events.get(
-                timeout=None
-                if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            if item is _DONE:
-                # Drain events that raced the terminal reply.
-                while True:
-                    try:
-                        late = events.get_nowait()
-                    except queue.Empty:
-                        break
-                    if late is not _DONE:
-                        yield late
-                result = pending.result(0)
-                with self._pending_lock:
-                    seq = self._reply_seq.pop(pending.id, None)
-                yield ServerEvent(
-                    kind="result",
-                    data=result,
-                    seq=seq,
-                    request_id=pending.id,
+        try:
+            while True:
+                item = events.get(
+                    timeout=None
+                    if deadline is None
+                    else max(0.0, deadline - time.monotonic())
                 )
-                return
-            yield item
+                if item is _DONE:
+                    # Drain events that raced the terminal reply.
+                    while True:
+                        try:
+                            late = events.get_nowait()
+                        except queue.Empty:
+                            break
+                        if late is not _DONE:
+                            yield late
+                    result = pending.result(0)
+                    with self._pending_lock:
+                        seq = self._reply_seq.pop(pending.id, None)
+                    yield ServerEvent(
+                        kind="result",
+                        data=result,
+                        seq=seq,
+                        request_id=pending.id,
+                    )
+                    return
+                yield item
+        finally:
+            # After a reply this drops only an error reply's ``seq``.
+            self._forget(pending.id)
 
     # ------------------------------------------------------------------
     # corpus batch convenience wrappers
@@ -715,7 +730,14 @@ class PendingReply:
         self._future = future
 
     def result(self, timeout: Optional[float] = 30.0):
-        return self._future.result(timeout=timeout)
+        """The reply's result.  Once ``timeout`` passes without it, the
+        request is given up: the client drops a late reply to it."""
+
+        try:
+            return self._future.result(timeout=timeout)
+        except FutureTimeout:
+            self.client._forget(self.id)
+            raise
 
     def done(self) -> bool:
         return self._future.done()

@@ -77,7 +77,8 @@ log = logging.getLogger(__name__)
 #: their constructor arguments instead of their ``__dict__``.
 #: v12: span records hold the bound units alone and unit records carry
 #: no binding guard (binding reads one unit, so no guard is needed).
-FORMAT_VERSION = 12
+#: v13: bound units carry the line of their ``END`` (``end_line``).
+FORMAT_VERSION = 13
 
 _MAGIC = "repro-cache"
 

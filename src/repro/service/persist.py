@@ -101,8 +101,11 @@ MEMO_SEGMENTS = 8
 
 
 #: Bump when the journal file layout (header/line grammar) changes
-#: incompatibly; the loader refuses mismatched files and falls back cold.
-JOURNAL_FORMAT_VERSION = 1
+#: incompatibly, or when a record replays to different text (later
+#: ``edit`` records name lines of that text); the loader refuses
+#: mismatched files and falls back cold.  2: an ``apply`` rewrites only
+#: the transformed routine's lines instead of reprinting the program.
+JOURNAL_FORMAT_VERSION = 2
 JOURNAL_MAGIC = "ped-journal"
 
 

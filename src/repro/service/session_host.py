@@ -264,6 +264,24 @@ class PedServer:
             self._check_cancel(rid)
         return managed
 
+    def _lock_session(self, req: Dict) -> _Managed:
+        """The request's session, with its lock held.
+
+        A ``close`` can land between the lookup and the lock.  So once
+        the lock is held the name must still map to the same session;
+        otherwise the request answers ``unknown-session`` instead of
+        running on a closed session, whose journal file takes no more
+        appends."""
+
+        managed = self._managed(req)
+        self._locked(managed, req.get("id"))
+        with self._sessions_lock:
+            current = self.sessions.get(req["session"])
+        if current is not managed:
+            managed.lock.release()
+            raise _UnknownSession(f"no session named {req['session']!r}")
+        return managed
+
     def _session_engine(self):
         """A per-session engine sharing the server's store and memo.
 
@@ -515,11 +533,10 @@ class PedServer:
         per-session file while the lock is still held.
         """
 
-        managed = self._managed(req)
+        managed = self._lock_session(req)
         rid = req.get("id")
         name = req["session"]
         invalidation = None
-        self._locked(managed, rid)
         try:
             self._check_cancel(rid)
             if select:
@@ -575,8 +592,7 @@ class PedServer:
         )
 
     def _op_select(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
+        managed = self._lock_session(req)
         try:
             if req.get("unit"):
                 managed.session.select_unit(req["unit"])
@@ -590,8 +606,7 @@ class PedServer:
         }
 
     def _op_loops(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
+        managed = self._lock_session(req)
         try:
             if req.get("unit"):
                 managed.session.select_unit(req["unit"])
@@ -614,8 +629,7 @@ class PedServer:
         return {"unit": managed.session.current_unit, "loops": loops}
 
     def _op_deps(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
+        managed = self._lock_session(req)
         try:
             if req.get("unit"):
                 managed.session.select_unit(req["unit"])
@@ -641,8 +655,7 @@ class PedServer:
         return {"unit": managed.session.current_unit, "deps": deps}
 
     def _op_source(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
+        managed = self._lock_session(req)
         try:
             return {"source": managed.session.source}
         finally:
@@ -655,8 +668,7 @@ class PedServer:
 
         from ..incremental.fingerprint import fingerprint_digest
 
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
+        managed = self._lock_session(req)
         try:
             digest = fingerprint_digest(managed.session.analysis)
         finally:
@@ -664,8 +676,7 @@ class PedServer:
         return {"fingerprint": digest}
 
     def _op_diagnose(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
+        managed = self._lock_session(req)
         try:
             if req.get("unit"):
                 managed.session.select_unit(req["unit"])
@@ -861,8 +872,7 @@ class PedServer:
         }
 
     def _op_parallel_summary(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
+        managed = self._lock_session(req)
         try:
             rows = managed.session.parallel_summary()
         finally:

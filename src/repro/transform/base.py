@@ -56,11 +56,12 @@ class Advice:
 class TransformContext:
     """Everything a transformation needs: the unit and its analysis.
 
-    Analyses go stale after ``apply``; the editor session reanalyzes the
-    unit after every transformation (Ped's incremental-update behaviour,
-    modelled here as a full per-procedure reanalysis).  ``source_file``
-    gives interprocedural transformations (embedding) access to callee
-    definitions.
+    Analyses go stale after ``apply``.  The editor session then writes
+    the rewritten unit back into the source and reanalyzes through its
+    incremental engine, as after an edit confined to that unit (Ped's
+    incremental-update behaviour).  ``source_file`` gives
+    interprocedural transformations (embedding) access to callee
+    definitions, and lets extraction add a unit.
     """
 
     unit: ProcedureUnit
@@ -81,6 +82,13 @@ class Transformation:
 
         Callers must have obtained an ``Advice`` with ``ok`` first —
         ``apply`` raises :class:`TransformError` otherwise.
+
+        The contract the editor's write-back relies on
+        (:meth:`~repro.editor.session.PedSession.write_back`): ``apply``
+        rewrites ``ctx.unit``, may append new units to
+        ``ctx.source_file``, and touches no other unit.  Only those
+        units are printed back and reparsed; every other routine keeps
+        its text and its cached analysis.
         """
 
         raise NotImplementedError

@@ -173,17 +173,69 @@ def test_a_streamed_forward_keeps_its_total_deadline():
     unstreamed forward's does."""
 
     relayed = []
-    with _routed(DripHost(), forward_timeout=0.3) as (router, _):
+    with _routed(DripHost(), forward_timeout=0.3) as (router, addrs):
         started = time.monotonic()
         reply = router.execute(
             {"id": 1, "op": "drip", "n": 40, "stream": True},
             lambda kind, data: relayed.append(data["i"]),
         )
         took = time.monotonic() - started
+        _assert_given_up(router._client(addrs[0]))
     assert reply["ok"] is False
-    assert reply["error"]["message"].startswith("TimeoutError")
+    assert reply["error"]["type"] == protocol.TIMEOUT
     assert took < 1.5, took
     assert relayed == list(range(len(relayed))) and relayed
+
+
+def test_an_unstreamed_forward_past_its_deadline_answers_timeout():
+    relayed = []
+    with _routed(DripHost(), forward_timeout=0.3) as (router, addrs):
+        reply = router.execute(
+            {"id": 1, "op": "drip", "n": 40},
+            lambda kind, data: relayed.append(data["i"]),
+        )
+        _assert_given_up(router._client(addrs[0]))
+    assert reply["ok"] is False
+    assert reply["error"]["type"] == protocol.TIMEOUT
+    assert relayed == []
+
+
+class RefusingHost(FakeHost):
+    """A fake shard that answers ``refuse`` with an error reply."""
+
+    def execute(self, req, emit=None):
+        if req.get("op") == "refuse":
+            return protocol.reply_error(
+                req.get("id"), protocol.BAD_REQUEST, "refused"
+            )
+        return super().execute(req, emit)
+
+
+def test_a_refused_streamed_forward_leaves_nothing_tracked():
+    """The shard's error reply passes through, and the shard client
+    keeps no sequence id for the request it answered."""
+
+    with _routed(RefusingHost()) as (router, addrs):
+        reply = router.execute(
+            {"id": 1, "op": "refuse", "stream": True},
+            lambda kind, data: None,
+        )
+        client = router._client(addrs[0])
+        with client._pending_lock:
+            assert not client._reply_seq
+            assert not client._pending and not client._event_sinks
+    assert reply["ok"] is False
+    assert reply["error"]["type"] == protocol.BAD_REQUEST
+
+
+def _assert_given_up(client):
+    """The shard client tracks nothing of a forward that passed its
+    deadline, while the shard keeps emitting for a while yet."""
+
+    for _ in range(3):
+        with client._pending_lock:
+            assert not client._pending and not client._event_sinks
+        time.sleep(0.1)
 
 
 def test_router_clients_hear_a_shard_broadcast():

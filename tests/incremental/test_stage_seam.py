@@ -5,15 +5,16 @@ parse, summary step and dependence analysis, and the benchmark's tracer
 (``benchmarks/ped/trace.py``) wraps it to bill each call to the
 ``fortran``, ``interproc`` or ``dependence`` layer.  A stage call that
 bypasses it is billed to ``incremental`` instead, so these counts pin
-the seam: the cold and edit walks and a recursive SCC's fixpoint steps.
-A disk span record, reused in a program with another unit set, makes no
-call at all.
+the seam: the cold and edit walks, a transformation's walk and a
+recursive SCC's fixpoint steps.  A disk span record, reused in a program
+with another unit set, makes no call at all.
 """
 
 from collections import Counter
 
 import pytest
 
+from repro.editor import PedSession
 from repro.incremental import AnalysisEngine
 from repro.incremental import engine as engine_module
 from repro.service import build_engine, pool
@@ -68,6 +69,24 @@ def test_cold_walk_and_one_statement_edit(calls):
     assert edited != source
     engine.analyze(edited)  # one statement of upd0
     assert _by_kind(calls) == (1, 3, 1)
+
+
+def test_a_transformation_reanalyzes_what_it_rewrote(calls):
+    """``reverse`` of ``driver``'s first loop rewrites ``driver`` alone
+    and keeps its line count: one parse, its three summary steps and
+    one dependence analysis, where reprinting the program cost 62, 186
+    and 62.  ``parallelize`` adds a directive line, so the 60 routines
+    below ``driver`` move and reparse too; ``scale`` above it does not."""
+
+    for name, counts in (("reverse", (1, 3, 1)), ("parallelize", (61, 183, 61))):
+        session = PedSession(generate_program(60))
+        scale = session.sf.unit("scale")
+        session.select_unit("driver")
+        session.select_loop(0)
+        calls.clear()
+        session.apply(name)
+        assert _by_kind(calls) == counts, name
+        assert session.sf.unit("scale") is scale
 
 
 def test_recursive_scc_steps_pass_the_seam(calls, monkeypatch):

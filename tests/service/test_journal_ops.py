@@ -420,3 +420,44 @@ def test_ending_a_session_waits_for_its_running_mutation(
         log = _ok(server.execute({"op": "session.log", "session": "s"}))
         assert log["origin"] == "disk"
         assert [r["op"] for r in log["records"]] == ["edit"]
+
+
+def test_a_mutation_that_a_close_overtakes_answers_unknown_session(
+    server, monkeypatch
+):
+    """A ``close`` that lands between an edit's session lookup and its
+    lock answers ok; the edit then answers ``unknown-session`` and
+    leaves the closed session's journal as the close left it."""
+
+    _ok(server.execute({"op": "open", "session": "s", "source": SIMPLE}))
+    locked = PedServer._locked
+
+    def slow_locked(self, managed, rid):
+        time.sleep(0.3)
+        return locked(self, managed, rid)
+
+    monkeypatch.setattr(PedServer, "_locked", slow_locked)
+    edit = {}
+    worker = threading.Thread(
+        target=lambda: edit.update(
+            server.execute(
+                {
+                    "op": "edit",
+                    "session": "s",
+                    "start": 4,
+                    "end": 4,
+                    "text": "         a(i) = i + 1",
+                }
+            )
+        )
+    )
+    worker.start()
+    try:
+        time.sleep(0.1)
+        _ok(server.execute({"op": "close", "session": "s"}))
+    finally:
+        worker.join(10.0)
+    assert _err(edit)["type"] == protocol.UNKNOWN_SESSION
+    log = _ok(server.execute({"op": "session.log", "session": "s"}))
+    assert log["origin"] == "disk"
+    assert log["records"] == []

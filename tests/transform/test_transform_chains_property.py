@@ -7,6 +7,12 @@ programs, repeatedly pick a random (transformation, target) pair, apply
 it only when the diagnosis approves, and compare interpreter output with
 the original after every step.  "Applicable" means ``apply`` succeeds:
 an approved transformation whose ``apply`` raises fails the test.
+
+Each step also checks what the session's write-back relies on: the
+transformation touched no unit but the one it rewrote (the untouched
+``bump`` prints as before, from its old AST and from the new parse), and
+the session, which reanalyzed only what moved, matches a from-scratch
+analysis of its new source.
 """
 
 import hypothesis.strategies as st
@@ -14,6 +20,9 @@ from hypothesis import given, settings
 
 from repro.editor.session import PedSession
 from repro.fortran import parse_and_bind
+from repro.fortran.printer import unit_to_source
+from repro.incremental import AnalysisEngine
+from repro.incremental.fingerprint import fingerprint_digest
 from repro.perf import Interpreter
 
 N = 10
@@ -54,7 +63,15 @@ def base_programs(draw):
     for text in second.splitlines():
         lines.append("         " + text)
     lines.append("      end do")
+    lines.append("      call bump(c, n)")
     lines.append("      write (6, *) s, a(3), b(4), c(5)")
+    lines.append("      end")
+    lines.append("c     a routine no transformation here rewrites")
+    lines.append("      subroutine bump(x, m)")
+    lines.append("      real x(m)")
+    lines.append("      do k = 1, m")
+    lines.append("         x(k) = x(k) + 1.0")
+    lines.append("      enddo")
     lines.append("      end")
     return "\n".join(lines) + "\n"
 
@@ -92,6 +109,18 @@ def test_advised_safe_chains_preserve_semantics(source, choices):
         advice = session.diagnose(name, **kwargs)
         if not (advice.applicable and advice.safe):
             continue
+        others = [
+            (u, unit_to_source(u))
+            for u in session.sf.units
+            if u.name != session.current_unit
+        ]
         session.apply(name, **kwargs)
         out = Interpreter(session.sf, doall_order="shuffled").run()
         assert out == reference, (name, session.source)
+        for unit, text in others:
+            assert unit_to_source(unit) == text, (name, unit.name)
+            assert unit_to_source(session.sf.unit(unit.name)) == text
+        _, scratch = AnalysisEngine().analyze(session.source)
+        assert fingerprint_digest(session.analysis) == fingerprint_digest(
+            scratch
+        ), (name, session.source)
