@@ -939,7 +939,20 @@ def _loop_verdict(
             f"loop-carried {dep.kind} dependence on {dep.var} "
             f"{dep.vector_str()} [{status}]"
         )
+    obstacles += structural_obstacles(loop, index)
+    info.obstacles = obstacles
+    info.parallelizable = not obstacles
+    return info
 
+
+def structural_obstacles(loop: DoLoop, index: UnitStatementIndex) -> List[str]:
+    """The obstacles ``loop``'s own statements raise, whatever its
+    dependences: I/O, premature exits and branches out of the loop.
+    They name absolute source lines, so a relocated analysis derives
+    them again from its moved AST (every other obstacle starts with
+    ``loop-carried``)."""
+
+    obstacles: List[str] = []
     for st in index.body_statements(loop):
         if isinstance(st, IOStmt):
             obstacles.append(f"I/O statement at line {st.line}")
@@ -949,10 +962,7 @@ def _loop_verdict(
             target_sid = index.label_to_sid.get(st.target)
             if target_sid is None or target_sid not in index.body_sids(loop):
                 obstacles.append(f"branch out of loop at line {st.line}")
-
-    info.obstacles = obstacles
-    info.parallelizable = not obstacles
-    return info
+    return obstacles
 
 
 def _const_disjoint(

@@ -679,20 +679,26 @@ class PedSession:
         """
 
         self.engine.forget(self.source, rewritten)
+        lines = self.source.splitlines()
         # Bottom-up, so the units above keep their line numbers.
         for unit in sorted(rewritten, key=lambda u: u.line, reverse=True):
             self._replace_lines(
-                unit.line, unit.end_line, unit_to_source(unit).splitlines()
+                lines,
+                unit.line,
+                unit.end_line,
+                unit_to_source(unit).splitlines(),
             )
         for unit in added:
             self.source += "\n" + unit_to_source(unit)
 
-    def _replace_lines(self, start: int, end: int, new_lines: List[str]) -> None:
-        """Replace source lines [start, end] (1-based, inclusive) with
-        ``new_lines``.  Markings past the replaced range move by the
-        change in line count, so they keep matching their edges."""
+    def _replace_lines(
+        self, lines: List[str], start: int, end: int, new_lines: List[str]
+    ) -> None:
+        """Replace lines [start, end] (1-based, inclusive) of ``lines``,
+        the source's lines, with ``new_lines``; the result is the new
+        source.  Markings past the replaced range move by the change in
+        line count, so they keep matching their edges."""
 
-        lines = self.source.splitlines()
         lines[start - 1 : end] = new_lines
         self.source = "\n".join(lines) + "\n"
         self.markings.shift_lines(end, len(new_lines) - (end - start + 1))
@@ -740,7 +746,8 @@ class PedSession:
         informed of any syntactic or semantic errors".
         """
 
-        last = len(self.source.splitlines())
+        lines = self.source.splitlines()
+        last = len(lines)
         if not (1 <= start_line <= end_line <= last):
             raise PedError(
                 f"line range {start_line}-{end_line} outside 1-{last}"
@@ -748,9 +755,7 @@ class PedSession:
         self._push_undo()
         saved_marks = self.markings.snapshot()
         old_source = self.source
-        self._replace_lines(
-            start_line, end_line, new_text.splitlines()
-        )
+        self._replace_lines(lines, start_line, end_line, new_text.splitlines())
         from ..fortran.errors import FortranError
 
         try:

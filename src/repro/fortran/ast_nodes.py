@@ -410,6 +410,62 @@ def number_statements(unit: ProcedureUnit) -> None:
         st.sid = i
 
 
+def shift_lines(unit: ProcedureUnit, delta: int) -> None:
+    """Move every source line a parsed, bound ``unit`` records by
+    ``delta``, as if it had been parsed ``delta`` lines further down.
+
+    That covers the unit's header and ``END`` lines, every declaration,
+    entity, statement and expression node, and every symbol of its
+    table.  Each node moves once, however many places hold it (a
+    symbol's dims are its declaration's, and a ``PARAMETER`` value can
+    share nodes with its declaration).  A 0 line (a formal's symbol, a
+    node built rather than parsed) stays 0, as a fresh parse leaves it.
+    """
+
+    seen = set()
+
+    def move(node) -> None:
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.line:
+                node.line += delta
+
+    def move_expr(expr: Optional[Expr]) -> None:
+        if expr is not None:
+            for node in walk_expr(expr):
+                move(node)
+
+    def move_dims(dims) -> None:
+        for lower, upper in dims or ():
+            move_expr(lower)
+            move_expr(upper)
+
+    move(unit)
+    if unit.end_line:
+        unit.end_line += delta
+    for decl in unit.decls:
+        move(decl)
+        if isinstance(decl, (TypeDecl, DimensionDecl, CommonDecl)):
+            for ent in decl.entities:
+                move(ent)
+                move_dims(ent.dims)
+        elif isinstance(decl, ParameterDecl):
+            for _, expr in decl.assigns:
+                move_expr(expr)
+        elif isinstance(decl, DataDecl):
+            for _, expr in decl.items:
+                move_expr(expr)
+    for st in walk_statements(unit.body):
+        move(st)
+        for expr in statement_exprs(st):
+            move_expr(expr)
+    if unit.symtab is not None:
+        for sym in unit.symtab.symbols.values():  # type: ignore[attr-defined]
+            move(sym)
+            move_dims(sym.dims)
+            move_expr(sym.const_value)
+
+
 def copy_expr(expr: Expr) -> Expr:
     """Deep-copy an expression tree (cheaper than ``copy.deepcopy``)."""
 

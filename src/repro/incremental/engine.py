@@ -12,9 +12,17 @@ decide what each stage recomputes:
   (:mod:`repro.incremental.splitter`), spliced from the previous split
   so an edit re-reads only the spans around the lines it changed; each
   span is parsed on its own, padded with blank lines so statement
-  numbering stays absolute, and the resulting unit is cached under the
-  span's content digest.  An edit confined to one procedure reparses
-  only that procedure.
+  numbering stays absolute, and the resulting unit is cached under a
+  digest of the span's text alone.  An edit confined to one procedure
+  reparses only that procedure.  A cached span found at another start
+  line (an edit above it changed the line count) is *relocated*: its
+  units' lines, and the dependence entry computed from them (edge
+  endpoints and the line-naming loop obstacles), move by the
+  difference, and it is a hit.  Every line the engine hands out stays
+  absolute, and the parse revision stays, so the unit's summaries,
+  constant fold and dependence entry all hit too.  A text that occurs
+  twice in one source is parsed apart for its second occurrence: the
+  two never share an entry.
 * **Summary caches** — MOD/REF, kill and section summaries are cached
   per unit and recomputed bottom-up with *early cutoff*: a unit is
   re-folded only when it changed itself or a callee's summary came out
@@ -82,7 +90,10 @@ first tries a warm start from the program's manifest, which names one
 unit record per span (the span's units with their summaries and
 dependence entries) next to the summary revisions and the
 change-detection baseline; parse misses fall back to per-span disk
-records, which serve any program that contains the span.  Every
+records, which serve any program that contains the span.  Both kinds
+of record carry the start line their lines were written at, and a
+restored entry is relocated to its span's start like a moved hit, so a
+record written once serves its text at any position.  Every
 analysis spills back what it changed: new span records, a summary
 record for each unit whose summaries it recomputed, a unit record for
 each span whose units the walk refreshed, and the manifest.  The shared
@@ -101,11 +112,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..assertions.engine import AssertionDB
-from ..dependence.driver import UnitAnalysis
+from ..dependence.driver import UnitAnalysis, structural_obstacles
 from ..dependence.hierarchy import SharedPairMemo
 from ..fortran.ast_nodes import (
     CallStmt,
@@ -113,6 +125,7 @@ from ..fortran.ast_nodes import (
     ProcedureUnit,
     SourceFile,
     Stmt,
+    shift_lines,
     statement_exprs,
     walk_expr,
     walk_statements,
@@ -155,9 +168,12 @@ class _CallCandidate:
 @dataclass
 class _SpanEntry:
     """Cached parse of one source span (usually exactly one unit), bound
-    and valid in any program that contains the span."""
+    and valid in any program that contains the span.  ``start`` is the
+    start line its units' lines assume (:meth:`AnalysisEngine._relocate`
+    moves them)."""
 
     digest: str
+    start: int
     rev: int
     units: List[ProcedureUnit]
     candidates: Optional[List[List[_CallCandidate]]] = None
@@ -401,9 +417,10 @@ class AnalysisEngine:
         return self._split(source)
 
     def changed_units(self, old_source: str, new_source: str) -> Set[str]:
-        """Names of units whose span content differs between two
-        sources — the invalidation hook the session host broadcasts
-        from after a mutating operation.
+        """Names of units whose span text differs between two sources —
+        the invalidation hook the session host broadcasts from after a
+        mutating operation.  A unit that only moved (an edit above it
+        changed the line count) keeps its digest and is not named.
 
         Purely a span-digest diff resolved through the parse cache.  The
         spans are read from the engine's last two splits (a session's
@@ -653,17 +670,30 @@ class AnalysisEngine:
         with self.stats.timer("parse"):
             for i, span in enumerate(spans):
                 entry = self._spans.get(span.digest)
+                if entry is not None and entry.start != span.start_line:
+                    # An entry an earlier span of this walk took starts
+                    # at that span: a repeated text is parsed apart.
+                    j = bisect_left(
+                        spans, entry.start, 0, i, key=lambda s: s.start_line
+                    )
+                    if j < i and entries[j] is entry:
+                        entry = None
+                    else:
+                        self._relocate(entry, span.start_line)
                 if entry is not None:
                     hits += 1
                     entries[i] = entry
                     continue
                 self.stats.miss("parse")
                 if self._store is not None:
-                    units = self._store.load_span(span.digest)
-                    if units is not None:
-                        entries[i] = _SpanEntry(
-                            span.digest, self._new_rev(), list(units)
+                    record = self._store.load_span(span.digest)
+                    if record is not None:
+                        start, units = record
+                        entry = _SpanEntry(
+                            span.digest, start, self._new_rev(), list(units)
                         )
+                        self._relocate(entry, span.start_line)
+                        entries[i] = entry
                         self.stats.bump("disk.span_warm")
                         continue
                 to_parse.append(i)
@@ -672,7 +702,10 @@ class AnalysisEngine:
             parsed = [pool.run_task("parse", spans[i]) for i in to_parse]
             fresh: List[_SpanEntry] = []
             for i, units in zip(to_parse, parsed):
-                entry = _SpanEntry(spans[i].digest, self._new_rev(), units)
+                span = spans[i]
+                entry = _SpanEntry(
+                    span.digest, span.start_line, self._new_rev(), units
+                )
                 entries[i] = entry
                 fresh.append(entry)
         self._emit_progress(
@@ -692,6 +725,25 @@ class AnalysisEngine:
         # the whole parse+bind stage succeeded: a bind error mid-way must
         # not leave half-bound units behind for the rollback reanalysis.
         return entries  # type: ignore[return-value]
+
+    def _relocate(self, entry: _SpanEntry, start: int) -> None:
+        """Move ``entry``'s units to ``start``, and with them the
+        dependence entry computed from each (its key holds the entry's
+        parse revision): both then hold what a parse of the span at
+        ``start`` and its analysis would.  The revision stays, so the
+        units' summaries, constant folds and dependence keys stay valid.
+        """
+
+        delta = start - entry.start
+        if not delta:
+            return
+        entry.start = start
+        for unit in entry.units:
+            shift_lines(unit, delta)
+        for name in {u.name for u in entry.units}:
+            dep = self._deps.get(name)
+            if dep is not None and dep.key[0] == entry.rev:
+                _relocate_dep(dep, delta)
 
     def _trim_span_cache(self, active: List[_SpanEntry]) -> None:
         if len(self._spans) <= self.SPAN_CACHE_LIMIT:
@@ -1098,7 +1150,10 @@ class AnalysisEngine:
         and only then is every restored entry's dependence key rebuilt,
         because it needs the inherited constants.  The manifest's
         revisions become this engine's and enter those keys, whichever
-        engine wrote the record.  A missing or invalid manifest or
+        engine wrote the record.  A restored entry keeps the start line
+        its record was written at: the walk that follows relocates it to
+        its span's start, as it does any moved hit, so the manifest
+        needs no line of its own.  A missing or invalid manifest or
         record, or a record whose span digest disagrees with the
         manifest, leaves the engine cold (with one log line).
         """
@@ -1146,7 +1201,7 @@ class AnalysisEngine:
                         record_key,
                     )
                 spans[digest] = _SpanEntry(
-                    digest, rev, units, record["candidates"]
+                    digest, record["start"], rev, units, record["candidates"]
                 )
         except Exception as exc:  # noqa: BLE001 — stay cold on bad record
             log.warning(
@@ -1193,7 +1248,7 @@ class AnalysisEngine:
         spans = []
         for entry in run.entries:
             if entry.digest not in self._spilled_spans:
-                if store.save_span(entry.digest, entry.units):
+                if store.save_span(entry.digest, entry.start, entry.units):
                     self._spilled_spans.add(entry.digest)
             deps = [self._deps[u.name] for u in entry.units]
             held = {d.record for d in deps}
@@ -1202,6 +1257,7 @@ class AnalysisEngine:
                 record = self._unit_record_key(entry, run, prog_key)
                 payload = {
                     "digest": entry.digest,
+                    "start": entry.start,
                     "units": entry.units,
                     "candidates": entry.candidates,
                     "summaries": {
@@ -1446,6 +1502,27 @@ def _restore_pristine(entry: _DepEntry) -> None:
         info = entry.ua.loop_info[sid]
         info.obstacles = list(obstacles)
         info.parallelizable = parallelizable
+
+
+def _relocate_dep(entry: _DepEntry, delta: int) -> None:
+    """Move a cached analysis whose unit moved ``delta`` lines: edge
+    endpoints shift, and the obstacles that name a line are derived
+    again from the moved AST, in the pristine verdicts too (the
+    ``loop-carried`` ones name no line and stay)."""
+
+    ua = entry.ua
+    for dep in ua.graph.edges:  # ``LoopInfo.carried`` holds these too
+        dep.src_line += delta
+        dep.dst_line += delta
+    for sid, info in ua.loop_info.items():
+        structural = structural_obstacles(info.loop, ua.stmt_index)
+        info.obstacles = _carried(info.obstacles) + structural
+        obstacles, parallelizable = entry.verdicts[sid]
+        entry.verdicts[sid] = (_carried(obstacles) + structural, parallelizable)
+
+
+def _carried(obstacles: List[str]) -> List[str]:
+    return [o for o in obstacles if o.startswith("loop-carried")]
 
 
 def _collect_candidates(unit: ProcedureUnit) -> List[_CallCandidate]:

@@ -21,8 +21,8 @@ Splicing.  Given the split of a previous source, only the lines between
 the two sources' common prefix and common suffix are new.  The spans
 that end inside the prefix are kept as they are, and the spans after
 the first one that ends inside the suffix are kept with their lines
-moved by the line-count difference (and digested again at their new
-start lines); the region between is split again.  The logical-line
+moved by the line-count difference (their digests stay: a digest is
+of the text alone); the region between is split again.  The logical-line
 pass over that region starts at the ``END`` line that closes the last
 kept span in front of it: that line begins a statement in both
 sources, and the lines before it are the same, so the pass starts in
@@ -40,16 +40,20 @@ a re-split span whose digest is not in ``known`` goes through the
 lexer's statement scanner, in file order, so a bad source raises the
 same first :class:`~repro.fortran.errors.LexError` a whole-file
 tokenize would.  A span in ``known`` (the engine passes its parse
-cache) was lexed cleanly before at the same text and start line, and
-a kept span was lexed cleanly in the previous split; statement lexing
-is a pure function of ``(text, line)`` whose line only numbers tokens
-and errors, so skipping either cannot hide an error.
+cache) was lexed cleanly before with the same text, and a kept span
+was lexed cleanly in the previous split; statement lexing is a pure
+function of ``(text, line)`` whose line only numbers tokens and
+errors, so text that lexed cleanly at one line lexes cleanly at any,
+and skipping either cannot hide an error.
 
 Spans record their absolute start line; reparsing a span prepends
 ``start_line - 1`` newlines so every token keeps its original line
 number (the lexer skips blank lines), which keeps statement lines —
 and therefore dependence endpoints and marking keys — identical to a
-whole-file parse.
+whole-file parse.  The digest leaves the start line out, so a unit
+that only moved keys the same cache entry, and the engine moves that
+entry's lines to the span's start (see
+:mod:`repro.incremental.engine`).
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ from ..fortran.lexer import Lexer, logical_lines
 @dataclass(frozen=True)
 class UnitSpan:
     """One program unit's slice of the source text (lines are 1-based,
-    inclusive); ``digest`` keys the engine's parse cache."""
+    inclusive); ``digest``, of the text alone, keys the engine's parse
+    cache."""
 
     start_line: int
     end_line: int
@@ -77,23 +82,22 @@ class UnitSpan:
 Previous = Tuple[str, Sequence[UnitSpan]]
 
 
-def _digest(start_line: int, text: str) -> str:
-    # The start line participates: moving a unit down shifts every
-    # statement's line number, which analysis results depend on.
-    return hashlib.sha1(f"{start_line}\n{text}".encode()).hexdigest()
+def _digest(text: str) -> str:
+    # The text alone: a unit that moved keeps its digest, and the
+    # engine moves its cached lines (statement lines are absolute).
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def _make_span(lines: List[str], start: int, stop: int) -> UnitSpan:
     text = "\n".join(lines[start - 1 : stop]) + "\n"
-    return UnitSpan(start, stop, text, _digest(start, text))
+    return UnitSpan(start, stop, text, _digest(text))
 
 
 def _moved(span: UnitSpan, delta: int) -> UnitSpan:
     if not delta:
         return span
-    start = span.start_line + delta
     return UnitSpan(
-        start, span.end_line + delta, span.text, _digest(start, span.text)
+        span.start_line + delta, span.end_line + delta, span.text, span.digest
     )
 
 

@@ -78,7 +78,9 @@ log = logging.getLogger(__name__)
 #: v12: span records hold the bound units alone and unit records carry
 #: no binding guard (binding reads one unit, so no guard is needed).
 #: v13: bound units carry the line of their ``END`` (``end_line``).
-FORMAT_VERSION = 13
+#: v14: span and unit records are keyed on the span text alone and
+#: carry the start line their lines were written at.
+FORMAT_VERSION = 14
 
 _MAGIC = "repro-cache"
 

@@ -2,13 +2,15 @@
 
 Five record families, all content-addressed into a :class:`DiskCache`:
 
-* **Span records** (``span:<digest>``) — the bound units of one source
-  span.  Binding reads only the unit it binds, so a span digest fully
-  determines the bound units, and a record serves *any* program that
-  contains the span: across sessions, across edits elsewhere in the
-  file (adding, renaming or deleting a routine included), and across
-  sibling programs never seen before that merely share the procedure
-  body.
+* **Span records** (``span:<digest of the span text>``) — the bound
+  units of one source span, with the start line their lines were
+  written at.  Binding reads only the unit it binds, so the span text
+  fully determines the bound units up to that line, and a record
+  serves *any* program that contains the span, at any position (the
+  engine moves the lines to the span's start): across sessions, across
+  edits elsewhere in the file (adding, renaming or deleting a routine
+  included), and across sibling programs never seen before that merely
+  share the procedure body.
 * **Unit-summary records** (``usum:<digest of (features, name, span,
   callee keys)>``) — one unit's bottom-up summary values (MOD/REF,
   kill, sections), keyed recursively on the unit's span digest and its
@@ -31,8 +33,10 @@ Five record families, all content-addressed into a :class:`DiskCache`:
   usum key, inherited constants and assertion texts>``) — one span's
   bound units pickled together with their four summaries (MOD/REF,
   kill, sections, inherited constants) and their dependence entries
-  (analysis plus pristine marking snapshot).  The key covers everything
-  those summaries are computed from.
+  (analysis plus pristine marking snapshot), and the start line the
+  span's lines were written at; a program that holds the span
+  elsewhere restores it there.  The key covers everything those
+  summaries are computed from.
   The entries reference only their own span's ASTs, so the aliasing
   invariant (a cached ``UnitAnalysis`` shares the AST objects of the
   cached span) holds within each record.  An engine writes one when a
@@ -317,25 +321,26 @@ class PersistentStore:
 
     # -- span records ---------------------------------------------------
 
-    def load_span(self, digest: str) -> Optional[List[object]]:
-        """One span's bound units, or ``None``."""
+    def load_span(self, digest: str) -> Optional[Tuple[int, List[object]]]:
+        """One span's ``(start line, bound units)``, or ``None``."""
 
-        units = self.cache.get(SPAN_KIND, digest)
-        return units if isinstance(units, list) else None
+        record = self.cache.get(SPAN_KIND, digest)
+        return record if isinstance(record, tuple) and len(record) == 2 else None
 
-    def save_span(self, digest: str, units: List[object]) -> bool:
-        """Write one span record unless it is already on disk; True when
-        the record is there afterwards."""
+    def save_span(self, digest: str, start: int, units: List[object]) -> bool:
+        """Write one span record, its units parsed at ``start``, unless
+        it is already on disk; True when the record is there
+        afterwards."""
 
         if self.cache.contains(SPAN_KIND, digest):
             return True
-        return self.cache.put(SPAN_KIND, digest, units)
+        return self.cache.put(SPAN_KIND, digest, (start, units))
 
     # -- unit records ---------------------------------------------------
 
     def load_unit_record(self, key: str) -> Optional[Dict[str, object]]:
-        """One span's ``{digest, units, candidates, summaries, deps}``,
-        or ``None``."""
+        """One span's ``{digest, start, units, candidates, summaries,
+        deps}``, or ``None``."""
 
         payload = self.cache.get(UNIT_KIND, key)
         return payload if isinstance(payload, dict) else None

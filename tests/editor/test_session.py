@@ -179,8 +179,12 @@ class TestTransformsAndEdit:
         assert session.source == before
 
     def test_edit_out_of_range(self, session):
-        with pytest.raises(PedError):
+        last = len(session.source.splitlines())
+        message = f"line range 999-1000 outside 1-{last}"
+        with pytest.raises(PedError, match=message):
             session.edit(999, 1000, "x = 1")
+        assert session.undo_depth == 0
+        assert len(session.journal) == 0
 
 
 class TestUndoRedo:

@@ -19,7 +19,7 @@ from repro.incremental.splitter import UnitSpan
 
 def _make_span(lines: List[str], start: int, stop: int) -> UnitSpan:
     text = "\n".join(lines[start - 1 : stop]) + "\n"
-    digest = hashlib.sha1(f"{start}\n{text}".encode()).hexdigest()
+    digest = hashlib.sha1(text.encode()).hexdigest()
     return UnitSpan(start, stop, text, digest)
 
 

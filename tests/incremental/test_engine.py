@@ -257,6 +257,23 @@ def test_parse_errors_propagate_and_leave_caches_usable():
     _assert_parity(engine, THREE_UNITS)
 
 
+def test_a_failed_walk_moves_no_other_parses_analysis():
+    """The walk of ``broken`` relocates the parse of ``scale``'s old
+    text and then fails on ``init``.  The analysis the engine holds for
+    ``scale`` belongs to another parse (its current text), so it stays
+    where it was, and the rollback walk hands it out unchanged."""
+
+    engine = AnalysisEngine()
+    engine.analyze(THREE_UNITS)
+    current = THREE_UNITS.replace("* 2.0", "* 3.0")
+    _assert_parity(engine, current)
+    broken = ("c moved\n" + THREE_UNITS).replace("a(i) = 0.0", "a(i) = = 0.0")
+    with pytest.raises(FortranError):
+        engine.analyze(broken)
+    _assert_parity(engine, current)
+    _assert_parity(engine, "c moved\n" + THREE_UNITS)
+
+
 def test_cached_graphs_are_restored_pristine_across_sessions():
     from repro.editor import PedSession
 
@@ -482,3 +499,117 @@ def test_new_call_edge_recomputes_the_schedule(work_counts):
     _, pa = engine.analyze(edited)
     assert work_counts.schedules == 1
     assert program_fingerprint(pa) == _cold_fingerprint(edited)
+
+
+#: ``work``'s loops raise each obstacle that names a line: I/O (beside
+#: a pending loop-carried dependence on ``a``), a premature exit and a
+#: branch out of the loop.
+OBSTACLES = (
+    "      program main\n"
+    "      real x(10)\n"
+    "      call work(x, 10, k)\n"
+    "      end\n"
+    "      subroutine work(a, n, m)\n"
+    "      real a(10)\n"
+    "      do i = 1, n\n"
+    "         a(i) = a(m) + 1.0\n"
+    "         write (6, *) a(i)\n"
+    "      enddo\n"
+    "      do i = 1, n\n"
+    "         if (a(i) .lt. 0.0) return\n"
+    "      enddo\n"
+    "      do 20 i = 1, n\n"
+    "         if (a(i) .gt. 1.0) goto 30\n"
+    "         a(i) = 0.0\n"
+    " 20   continue\n"
+    " 30   continue\n"
+    "      end\n"
+)
+
+
+def _obstacles(ua):
+    return {sid: list(info.obstacles) for sid, info in ua.loop_info.items()}
+
+
+def test_a_moved_unit_names_its_new_lines_in_obstacles():
+    """Two comment lines above ``main`` move ``work`` down without
+    reparsing it; its I/O, exit and branch obstacles name the moved
+    lines, in the handed-out verdicts and in the pristine ones a
+    session's marking is undone from, and moving it back restores the
+    old lines."""
+
+    engine = AnalysisEngine()
+    _assert_parity(engine, OBSTACLES)
+    parse = engine.stats.stage("parse")
+    # Only main's new text is parsed; moving back finds its old parse.
+    moved = "c two lines\nc above main\n" + OBSTACLES
+    for source, misses in ((moved, 1), (OBSTACLES, 0)):
+        before = parse.misses
+        pa = _assert_parity(engine, source)
+        assert parse.misses - before == misses
+        fresh = _obstacles(_scratch(source).units["work"])
+        assert _obstacles(pa.units["work"]) == fresh
+        pristine = engine._deps["work"].verdicts
+        assert {sid: obs for sid, (obs, _) in pristine.items()} == fresh
+    texts = [o for obs in fresh.values() for o in obs]
+    assert "I/O statement at line 9" in texts
+    assert "premature exit at line 12" in texts
+    assert "branch out of loop at line 15" in texts
+    assert any(o.startswith("loop-carried") for o in texts)
+
+
+def test_a_moved_unit_keeps_its_marking_and_verdicts():
+    """A rejected pending dependence keeps ``work``'s first loop blocked
+    by its I/O statement alone; after an edit above it moves the unit,
+    the session's analysis equals a fresh session's with the same
+    markings."""
+
+    from repro.editor import PedSession
+
+    session = PedSession(OBSTACLES)
+    session.select_unit("work")
+    session.select_loop(0)
+    for dep in session.dependences():
+        if dep.level and dep.marking == "pending":
+            session.mark_dependence(dep.id, "rejected")
+    assert session.selected_info.obstacles == ["I/O statement at line 9"]
+    session.edit(1, 1, "c moved\n      program main")
+    assert session.selected_info.obstacles == ["I/O statement at line 10"]
+    fresh = PedSession(session.source)
+    fresh.markings.restore(session.markings.snapshot())
+    fresh.reanalyze()
+    assert program_fingerprint(session.analysis) == program_fingerprint(
+        fresh.analysis
+    )
+
+
+def test_a_repeated_unit_text_gets_its_own_parse():
+    """Two spans with one text (the same routine twice, which the
+    front end accepts) never share a cached parse: each occurrence
+    keeps its own lines, before and after both move."""
+
+    routine = (
+        "      subroutine s(a)\n"
+        "      real a(10)\n"
+        "      do i = 1, 10\n"
+        "         a(i) = 0.0\n"
+        "      enddo\n"
+        "      end\n"
+    )
+    main = "      program main\n      real x(10)\n      call s(x)\n      end\n"
+    source = main + routine + routine
+    engine = AnalysisEngine()
+    for text in (source, "c moved\n" + source, source):
+        sf, pa = engine.analyze(text)
+        ref = parse_and_bind(text)
+        assert sf.units[1] is not sf.units[2]
+        assert [
+            (u.line, u.end_line, [st.line for st in u.all_statements()])
+            for u in sf.units
+        ] == [
+            (u.line, u.end_line, [st.line for st in u.all_statements()])
+            for u in ref.units
+        ]
+        assert program_fingerprint(pa) == program_fingerprint(
+            analyze_program(ref, FeatureSet())
+        )

@@ -76,16 +76,23 @@ def test_trailing_comments_attach_to_last_unit():
     assert spans[0].end_line == 4
 
 
-def test_digest_depends_on_text_and_position():
+def test_digest_depends_on_text_alone():
     base = "      subroutine a(x)\n      x = 1\n      end\n"
     (span,) = split_units(base)
     (edited,) = split_units(base.replace("x = 1", "x = 2"))
     assert edited.digest != span.digest
-    # Same text shifted down (unit moved) must rekey too: statement line
-    # numbers, and therefore analysis artifacts, change with position.
+    # The same text shifted down (the unit moved) keeps its digest: the
+    # engine moves the cached lines instead of parsing it again.
     shifted = split_units("      subroutine z(q)\n      q = 0\n      end\n" + base)
     assert shifted[1].text == span.text
-    assert shifted[1].digest != span.digest
+    assert shifted[1].start_line == 4
+    assert shifted[1].digest == span.digest
+    # A spliced split keeps a moved span's digest as well.
+    two = base + base.replace("a(x)", "b(x)")
+    before = split_units(two)
+    after = split_units("c note\n" + two, previous=(two, before))
+    assert [s.start_line for s in after] == [1, 5]
+    assert after[1].digest == before[1].digest
     # And resplitting identical source is stable.
     (again,) = split_units(base)
     assert again.digest == span.digest

@@ -5,9 +5,10 @@ parse, summary step and dependence analysis, and the benchmark's tracer
 (``benchmarks/ped/trace.py``) wraps it to bill each call to the
 ``fortran``, ``interproc`` or ``dependence`` layer.  A stage call that
 bypasses it is billed to ``incremental`` instead, so these counts pin
-the seam: the cold and edit walks, a transformation's walk and a
-recursive SCC's fixpoint steps.  A disk span record, reused in a program
-with another unit set, makes no call at all.
+the seam: the cold and edit walks, a transformation's walk, its undo
+and redo, a line insertion and a recursive SCC's fixpoint steps.  A
+disk span record, reused in a program with another unit set, makes no
+call at all.
 """
 
 from collections import Counter
@@ -76,17 +77,69 @@ def test_a_transformation_reanalyzes_what_it_rewrote(calls):
     and keeps its line count: one parse, its three summary steps and
     one dependence analysis, where reprinting the program cost 62, 186
     and 62.  ``parallelize`` adds a directive line, so the 60 routines
-    below ``driver`` move and reparse too; ``scale`` above it does not."""
+    below ``driver`` move: they keep their parses and analyses, and
+    cost nothing either.  ``scale`` above it keeps its AST."""
 
-    for name, counts in (("reverse", (1, 3, 1)), ("parallelize", (61, 183, 61))):
+    for name in ("reverse", "parallelize"):
         session = PedSession(generate_program(60))
         scale = session.sf.unit("scale")
         session.select_unit("driver")
         session.select_loop(0)
         calls.clear()
         session.apply(name)
-        assert _by_kind(calls) == counts, name
+        assert _by_kind(calls) == (1, 3, 1), name
         assert session.sf.unit("scale") is scale
+
+
+def _steps(session, calls, actions):
+    """``run_task`` counts of each action in turn."""
+
+    counts = []
+    for action in actions:
+        calls.clear()
+        action(session)
+        counts.append(_by_kind(calls))
+    return counts
+
+
+def test_undo_and_redo_of_a_line_adding_apply_reanalyze_one_routine(calls):
+    """The routines below ``driver`` move down with the apply's
+    directive line and back up with its undo: each walk reanalyzes
+    ``driver`` alone.  Undo reparses ``driver``'s old text (the apply
+    forgot that parse); redo finds the rewritten text's parse."""
+
+    session = PedSession(generate_program(60))
+    session.select_unit("driver")
+    session.select_loop(0)
+    steps = _steps(
+        session,
+        calls,
+        (
+            lambda s: s.apply("parallelize"),
+            lambda s: s.undo(),
+            lambda s: s.redo(),
+        ),
+    )
+    assert steps == [(1, 3, 1), (1, 3, 1), (0, 3, 1)]
+
+
+def test_a_line_insertion_costs_what_a_replacement_does(calls):
+    """Inserting a line in ``upd0`` moves the 59 routines below it;
+    deleting it again finds ``upd0``'s old parse.  Each walk reanalyzes
+    ``upd0`` alone, as a one-line replacement does."""
+
+    session = PedSession(generate_program(60))
+    line = session.sf.unit("upd0").line + 1  # ``integer k``
+    steps = _steps(
+        session,
+        calls,
+        (
+            lambda s: s.edit(line, line, "      integer k\n      real t"),
+            lambda s: s.edit(line, line + 1, "      integer k"),
+            lambda s: s.edit(line, line, "      integer k, m"),
+        ),
+    )
+    assert steps == [(1, 3, 1), (0, 3, 1), (1, 3, 1)]
 
 
 def test_recursive_scc_steps_pass_the_seam(calls, monkeypatch):

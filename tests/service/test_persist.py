@@ -15,7 +15,8 @@ import pickle
 
 import pytest
 
-from repro.incremental import AnalysisEngine, program_fingerprint
+from repro.incremental import AnalysisEngine, program_fingerprint, split_units
+from repro.incremental.fingerprint import fingerprint_digest
 from repro.service import DiskCache, PedServer, build_engine
 from repro.service.persist import (
     PROG_KIND,
@@ -154,6 +155,85 @@ def test_span_records_serve_any_unit_set(tmp_path):
         assert warm.stats.stage("parse").misses == misses
         ref = AnalysisEngine().analyze(read)[1]
         assert program_fingerprint(pa) == program_fingerprint(ref)
+
+
+def test_records_serve_moved_text(tmp_path):
+    """Records are keyed on span text and carry the start line they
+    were written at.  Server B opens server A's program with a comment
+    line above its first routine: that span is new, and every other
+    span loads from its span record, moved one line down.  B's manifest
+    names the unit records A wrote (their keys do not hold a line), so
+    server C's exact reopen of B's program restores them from A's
+    lines."""
+
+    source = generate_program(n_routines=6)
+    moved = "c one line down\n" + source
+    cache = tmp_path / "cache"
+    engines = []
+    for text in (source, moved, moved):
+        server = PedServer(max_workers=2, cache_dir=cache)
+        try:
+            server.execute({"op": "open", "session": "s", "source": text})
+            engines.append(server.sessions["s"].session.engine)
+            fingerprint = server.execute(
+                {"op": "fingerprint", "session": "s"}
+            )["result"]["fingerprint"]
+        finally:
+            server.close()
+        ref = AnalysisEngine().analyze(text)[1]
+        assert fingerprint == fingerprint_digest(ref)
+    _, b, c = engines
+    assert b.stats.counter("disk.warm_start") == 0
+    assert b.stats.counter("disk.span_warm") == len(split_units(moved)) - 1
+    assert c.stats.counter("disk.warm_start") == 1
+    for stage in STAGES:
+        assert c.stats.stage(stage).misses == 0, stage
+    store = c.store
+    manifest = store.load_program(store.program_key(c.features, moved, {}))
+    written = [
+        store.load_unit_record(key)["start"] for *_, key in manifest["spans"]
+    ]
+    assert written != [span.start_line for span in split_units(moved)]
+
+
+def test_restore_of_line_moving_edits_reproduces_the_fingerprint(tmp_path):
+    """A journal whose edits insert and delete lines (and an apply
+    that adds a directive line) replays, over the store that recorded
+    it, to the live session's fingerprint."""
+
+    source = generate_program(n_routines=6)
+    lines = source.splitlines()
+    upd1 = lines.index("      subroutine upd1(x, k)") + 1
+    cache = tmp_path / "cache"
+    first = PedServer(max_workers=2, cache_dir=cache)
+    try:
+        for req in (
+            {"op": "open", "session": "s", "source": source},
+            {"op": "edit", "session": "s", "start": 1, "end": 1,
+             "text": "c added\n" + lines[0]},
+            {"op": "edit", "session": "s", "start": upd1 + 2,
+             "end": upd1 + 2, "text": lines[upd1] + "\n      real t"},
+            {"op": "select", "session": "s", "unit": "driver", "loop": 0},
+            {"op": "apply", "session": "s", "transform": "parallelize"},
+            {"op": "edit", "session": "s", "start": 1, "end": 2,
+             "text": lines[0]},
+        ):
+            reply = first.execute(req)
+            assert reply["ok"], reply
+        live = first.execute({"op": "fingerprint", "session": "s"})
+        final = first.sessions["s"].session.source
+    finally:
+        first.close()
+    assert final.count("\n") == source.count("\n") + 2
+    fresh = PedServer(max_workers=2, cache_dir=cache)
+    try:
+        restored = fresh.execute({"op": "session.restore", "session": "s"})
+    finally:
+        fresh.close()
+    fingerprint = live["result"]["fingerprint"]
+    assert restored["result"]["fingerprint"] == fingerprint
+    ref = AnalysisEngine().analyze(final)[1]
+    assert fingerprint == fingerprint_digest(ref)
 
 
 def test_corrupt_store_degrades_to_cold(tmp_path, caplog):

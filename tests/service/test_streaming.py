@@ -187,6 +187,35 @@ def test_invalidation_broadcast_names_a_renamed_unit(client):
     assert seen[0].data["holders"] == ["b"]
 
 
+def test_invalidation_broadcast_leaves_out_units_that_only_moved(client):
+    """Inserting a line in ``upd0`` moves ``upd1`` to ``upd7`` down
+    without changing their text: the broadcast names ``upd0`` alone."""
+
+    source = generate_program(n_routines=8)
+    client.request("open", session="a", source=source)
+    client.request("open", session="b", source=source)
+    line = source.splitlines().index("      subroutine upd0(x, k)") + 2
+    seen = []
+    got_one = threading.Event()
+
+    def listen(ev):
+        if ev.kind == "invalidation":
+            seen.append(ev)
+            got_one.set()
+
+    token = client.add_event_listener(listen)
+    try:
+        client.request(
+            "edit", session="a", start=line, end=line,
+            text="      integer k\n      real t",
+        )
+        assert got_one.wait(timeout=10.0)
+    finally:
+        client.remove_event_listener(token)
+    assert seen[0].data["units"] == ["upd0"]
+    assert seen[0].data["holders"] == ["b"]
+
+
 def test_no_invalidation_without_other_holders(client):
     """A lone session's edit dirties nobody else: no broadcast."""
 
